@@ -11,7 +11,9 @@ are written ``re,im`` (use ``--a=-1.5,2`` syntax for negative reals).
 Depth-like flags are capped at 16 and iteration-like flags at 4096 unless
 ``--unsafe-limits`` is given.  ``--config PATH`` reads ``key=value`` lines
 (keys are flag names without the dashes) used as defaults.  Exit codes:
-0 success, 1 domain error, 2 numeric failure, 64 usage error.
+0 success, 1 domain error, 2 numeric failure, 64 usage error (sysexits
+``EX_USAGE``), 74 I/O error such as an unwritable output path (sysexits
+``EX_IOERR``).
 
 Every operation's documented examples can be reproduced from here; each
 sub-subcommand's ``--help`` shows a worked invocation.
@@ -19,6 +21,7 @@ sub-subcommand's ``--help`` shows a worked invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -124,6 +127,24 @@ def _fmt_c(z: complex) -> str:
     return "%.12g%+.12gi" % (z.real, z.imag)
 
 
+@contextlib.contextmanager
+def _int_str_digits_unlimited():
+    """Lift Python's int-to-str digit limit (3.10.7 and later) for the block only.
+
+    Long periods give exact x0 values with more digits than the default
+    limit of 4300 allows; the process-wide limit is restored afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -136,12 +157,17 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_angle_x0(args) -> int:
     _req(args, "theta")
     theta = _angle_value(args.theta)
-    print(x0_digits(theta))
-    print(x0_digit_stream(theta))
+    x0 = x0_digits(theta)
+    stream = x0_digit_stream(theta)
+    enclosure = None
     if args.terms is not None:
         m = _int_value(args.terms, "terms")
-        lo, hi = x0_series(theta, m)
-        print("enclosure [%s, %s] width 2^-%d" % (lo, hi, m + 1))
+        enclosure = x0_series(theta, m) + (m + 1,)
+    with _int_str_digits_unlimited():
+        print(x0)
+        print(stream)
+        if enclosure is not None:
+            print("enclosure [%s, %s] width 2^-%d" % enclosure)
     return 0
 
 
@@ -509,9 +535,11 @@ def _cmd_dyn_fixed(args) -> int:
     from .dynamics import fixed_points, multiplier, trap_radii
 
     a = _complex_value(args.a, "a")
-    for z in fixed_points(a):
-        print("z = %s  multiplier = %s" % (_fmt_c(z), _fmt_c(multiplier(a, z))))
+    # Compute everything first, so a numeric failure prints no partial table.
+    rows = [(z, multiplier(a, z)) for z in fixed_points(a)]
     rho, r_out = trap_radii(a)
+    for z, m in rows:
+        print("z = %s  multiplier = %s" % (_fmt_c(z), _fmt_c(m)))
     print("trap rho = %.12g  R = %.12g" % (rho, r_out))
     return 0
 
@@ -1017,6 +1045,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print("numeric error: %s" % exc, file=sys.stderr)
         return 2
+    except OSError as exc:
+        print("io error: %s" % exc, file=sys.stderr)
+        return 74
 
 
 if __name__ == "__main__":

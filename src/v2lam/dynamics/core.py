@@ -125,7 +125,13 @@ def fixed_points(a: complex) -> list[complex]:
 
 
 def multiplier(a: complex, z: complex) -> complex:
-    """f_a'(z) = -a(2z+2)/(z^2+2z)^2 at a finite non-pole point z."""
+    """f_a'(z) = -a(2z+2)/(z^2+2z)^2 at a finite non-pole point z.
+
+    Where den^2 = (z^2+2z)^2 or the quotient leaves double range (|z| beyond
+    ~1e77, as at the fixed points for |a| beyond ~1e231) it is taken as
+    (a/den)((2z+2)/den) instead.  Raises ``NumericError`` when even that is
+    not finite.
+    """
     a = _require_param(a)
     z = complex(z)
     if is_infinite(z):
@@ -133,7 +139,13 @@ def multiplier(a: complex, z: complex) -> complex:
     den = z * (z + 2.0)
     if den == 0:
         raise DomainError("multiplier undefined at a pole of f_a")
-    return -a * (2.0 * z + 2.0) / (den * den)
+    den2 = den * den
+    d = INF if is_infinite(den2) or den2 == 0 else -a * (2.0 * z + 2.0) / den2
+    if is_infinite(d):
+        d = -(a / den) * ((2.0 * z + 2.0) / den)
+    if is_infinite(d):
+        raise NumericError(f"multiplier of f_a at z={z} overflows double precision")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +166,16 @@ def trap_radii(a: complex) -> tuple[float, float]:
 
     The inequalities are exact in real arithmetic; ``attracted_to_supercycle``
     additionally certifies them numerically (once per process) on a sample
-    grid of radii and arguments.
+    grid of radii and arguments.  Raises ``NumericError`` when R overflows
+    double precision (|a| beyond ~4.5e307).
     """
     a = _require_param(a)
     m = abs(a)
     rho = min(0.25, m / 21.0)
     big = max(4.0 * m, 21.0)
     r_out = 1.0 + math.sqrt(1.0 + big)
+    if math.isinf(r_out):
+        raise NumericError(f"trap radius R overflows double precision for |a| = {m!r}")
     return rho, r_out
 
 

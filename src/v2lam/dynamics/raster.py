@@ -14,6 +14,14 @@ Julia rasters support two independent methods (useful as cross-checks):
 - ``method="inverse"``: accumulate backward orbits of a repelling fixed
   point under the two branches of f^-1, which converge to the Julia set.
 
+Both trap-iteration rasters (``m2_raster`` and the escape method) run on
+one kernel, ``_trap_iterate``.  It keeps only the still-active pixels, as
+flat compacted arrays of their grid indices, orbit points and, where these
+vary per pixel, parameters and trap radii; each step advances and tests
+only those pixels, writes each newly trapped pixel's signed step count back
+through its index, and drops it from the arrays.  The rasters supply only
+their start values, step map and trap radii.
+
 Outputs are ``Raster`` objects (int32 grids plus geometry) and can be
 written as binary PGM/PPM images with a deterministic text sidecar.
 """
@@ -142,6 +150,63 @@ def _grid(width, height, re_min, re_max, im_min, im_max):
     return xs, ys
 
 
+def _trap_iterate(values, active, step, n_max, *, test_start, inner_sign):
+    """Iterate ``z <- step(z, c)`` on a compacted active set until each pixel is trapped.
+
+    ``active`` is a list ``[idx, z, c, rho, r_out]`` that the kernel empties
+    and from then on owns, so it can free each array as the set shrinks.
+    Pixel ``idx[i]`` of the flat int32 grid ``values`` starts at ``z[i]``;
+    a scalar ``z`` is a start shared by all pixels (only with ``test_start``
+    false).  ``c``, ``rho`` and ``r_out`` are scalars or arrays aligned with
+    ``idx``.  At step k = 1 .. n_max the orbit is advanced once (at k = 1
+    only when ``test_start`` is false) and every active point with
+    |z| <= rho, |z| >= r_out or a non-finite z is settled: its pixel gets
+    ``k``, or ``inner_sign * k`` when it lies in the inner disc.  Settled
+    pixels are dropped from the flat arrays, so each step costs only the
+    pixels still active; pixels never trapped keep their value.  Overflow
+    through the pole region is silent and counts as outer-trap entry at
+    that step.
+    """
+    idx, z, c, rho, r_out = active
+    active.clear()
+    per_pixel = [np.ndim(x) > 0 for x in (c, rho, r_out)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, n_max + 1):
+            if not idx.size:
+                break
+            if k > 1 or not test_start:
+                z = step(z, c)
+            mag = np.abs(z)
+            inner = mag <= rho
+            hit = inner | ~np.isfinite(mag) | (mag >= r_out)
+            if not hit.any():
+                continue
+            values[idx[hit]] = k
+            values[idx[inner]] = inner_sign * k
+            # Reassign one array at a time so each old copy is freed at once.
+            keep = ~hit
+            del mag, inner, hit
+            idx = idx[keep]
+            z = z[keep]
+            if per_pixel[0]:
+                c = c[keep]
+            if per_pixel[1]:
+                rho = rho[keep]
+            if per_pixel[2]:
+                r_out = r_out[keep]
+
+
+def _f_step(z, a):
+    """One step of f_a, kept out of place: in-place complex products round differently."""
+    return a / (z * (z + 2.0))
+
+
+def _ff_step(z, a):
+    """One step of F = f_a∘f_a; huge |z| acts like infinity (f -> 0 -> non-finite)."""
+    w = a / (z * (z + 2.0))
+    return a / (w * (w + 2.0))
+
+
 def m2_raster(
     width: int,
     height: int,
@@ -162,37 +227,29 @@ def m2_raster(
     - ``-1``: the puncture a = 0 (f_a degenerate), only possible when a
       pixel center lands exactly on 0.
 
-    Orbits are iterated with numpy; pixels are frozen once they escape, and
-    non-finite intermediate values (overflow through the pole region) count
-    as trap entry at that step.
+    The orbits of all other pixels are iterated together with numpy on a
+    compacted active set: flat arrays of the pixel indices, orbit points,
+    parameters and trap radii that shrink as pixels are trapped, so each
+    step costs only the pixels still undecided.  Non-finite intermediate
+    values (overflow through the pole region) count as trap entry at that
+    step.
     """
     _certify_trap_once()
     xs, ys = _grid(width, height, re_min, re_max, im_min, im_max)
-    A = xs[None, :] + 1j * ys[:, None]
-    values = np.zeros(A.shape, dtype=np.int32)
-    punct = A == 0
-    values[punct] = -1
-    active = ~punct
+    A = (xs[None, :] + 1j * ys[:, None]).ravel()
+    values = np.zeros(A.size, dtype=np.int32)
+    values[A == 0] = -1
+    idx = np.flatnonzero(A)
+    A = A[idx]
     mod_a = np.abs(A)
-    rho = np.minimum(0.25, mod_a / 21.0)
-    r_out = 1.0 + np.sqrt(1.0 + np.maximum(4.0 * mod_a, 21.0))
-
-    z = np.full(A.shape, -1.0, dtype=np.complex128)  # critical point -1
-    for k in range(1, n_max + 1):
-        if not active.any():
-            break
-        za = z[active]
-        den = za * (za + 2.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            za = A[active] / den
-        z[active] = za
-        mag = np.abs(z)
-        with np.errstate(invalid="ignore"):
-            hit = active & (~np.isfinite(mag) | (mag <= rho) | (mag >= r_out))
-        values[hit] = k
-        active &= ~hit
+    # Every orbit starts at the critical point -1; the kernel takes over the
+    # arrays, so no full-grid copy outlives the first compaction.
+    active = [idx, np.complex128(-1.0), A, np.minimum(0.25, mod_a / 21.0),
+              1.0 + np.sqrt(1.0 + np.maximum(4.0 * mod_a, 21.0))]
+    del idx, A, mod_a
+    _trap_iterate(values, active, _f_step, n_max, test_start=False, inner_sign=1)
     return Raster(
-        width, height, re_min, re_max, im_min, im_max, values,
+        width, height, re_min, re_max, im_min, im_max, values.reshape(height, width),
         meta={"kind": "m2", "n_max": n_max},
     )
 
@@ -240,30 +297,12 @@ def _julia_escape(a, width, height, re_min, re_max, im_min, im_max, n_max):
     _certify_trap_once()
     rho, r_out = trap_radii(a)
     xs, ys = _grid(width, height, re_min, re_max, im_min, im_max)
-    Z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128)
-    values = np.zeros(Z.shape, dtype=np.int32)
-    active = np.ones(Z.shape, dtype=bool)
-    # Classify starting points already in a trap (step counts start at 1).
-    for k in range(1, n_max + 1):
-        mag = np.abs(Z)
-        with np.errstate(invalid="ignore"):
-            outer = active & (~np.isfinite(mag) | (mag >= r_out))
-            inner = active & np.isfinite(mag) & (mag <= rho)
-        values[outer] = k
-        values[inner] = -k
-        active &= ~(outer | inner)
-        if not active.any():
-            break
-        Za = Z[active]
-        # One step of F = f∘f, with overflow routed through the sentinels:
-        # huge |z| acts like infinity: f -> 0, then f(0) = "infinity" again,
-        # handled by the non-finite check next round.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = a / (Za * (Za + 2.0))
-            Za = a / (w * (w + 2.0))
-        Z[active] = Za
+    values = np.zeros(width * height, dtype=np.int32)
+    # Step 1 tests the pixel centers themselves; each later step applies F.
+    active = [np.arange(values.size), (xs[None, :] + 1j * ys[:, None]).ravel(), a, rho, r_out]
+    _trap_iterate(values, active, _ff_step, n_max, test_start=True, inner_sign=-1)
     return Raster(
-        width, height, re_min, re_max, im_min, im_max, values,
+        width, height, re_min, re_max, im_min, im_max, values.reshape(height, width),
         meta={"kind": "julia-escape", "a": a, "n_max": n_max, "rho": rho, "R": r_out},
     )
 

@@ -6,6 +6,7 @@ code and captured output, exactly as a shell user would see them.
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
@@ -28,6 +29,19 @@ def test_angle_x0_prints_value_and_stream(capsys):
     lines = out.splitlines()
     assert lines[0] == "11/60"
     assert lines[1] == "00(1011)"
+
+
+def test_angle_x0_prints_beyond_int_digit_limit(capsys):
+    # period 8052: the reduced x0 has about 4850 digits, past Python's
+    # default int-to-str limit of 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "angle", "x0", "--theta", "3/16106")
+    assert code == 0, err
+    value, stream = out.splitlines()
+    num, den = value.split("/")
+    assert num.isdigit() and den.isdigit() and len(den) > 4300
+    assert len(stream) > 8052
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_angle_x0_series_enclosure(capsys):
@@ -92,6 +106,37 @@ def test_numeric_error_is_two(capsys):
     code, _, err = run(capsys, "dyn", "green", "--a", "1", "--z=-1,0", "--boettcher")
     assert code == 2
     assert "numeric error:" in err
+
+
+def test_dyn_fixed_huge_parameter_is_numeric_error(capsys):
+    # R = 1 + sqrt(1 + 4|a|) overflows: exit 2, no partial table
+    code, out, err = run(capsys, "dyn", "fixed", "--a=1e308,0")
+    assert code == 2
+    assert out == ""
+    assert "numeric error:" in err
+
+
+def test_dyn_fixed_large_parameter_stays_finite(capsys):
+    # (z^2+2z)^2 overflows at these fixed points; the multiplier is ~ -2
+    code, out, _ = run(capsys, "dyn", "fixed", "--a=1e250,3")
+    assert code == 0
+    mults = [complex(ln.split("multiplier = ")[1].replace("i", "j"))
+             for ln in out.splitlines() if ln.startswith("z = ")]
+    assert len(mults) == 3
+    assert all(abs(m + 2.0) < 1e-9 for m in mults)
+    assert "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("dyn", "m2", "--width", "10", "--height", "10", "--out", "{missing}/x.pgm"),
+    ("lam", "two-sided", "--theta", "1/6", "--depth", "2", "--svg", "{missing}/x.svg"),
+], ids=["dyn-m2", "lam-two-sided"])
+def test_io_error_is_seventy_four(tmp_path, capsys, argv):
+    missing = tmp_path / "no" / "such" / "dir"
+    code, _, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 74
+    assert err.startswith("io error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

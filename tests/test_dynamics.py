@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2lam.angles import DomainError
 from v2lam.dynamics import (
@@ -312,3 +314,146 @@ def test_raster_writers_deterministic(tmp_path):
 def test_empty_raster():
     r = m2_raster(0, 0, n_max=4)
     assert r.values.shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The compacted trap-iteration kernel against the full-grid loops it replaced
+# ---------------------------------------------------------------------------
+
+def _m2_full_grid(r):
+    """The full-grid m2 loop: every step masks every pixel of the grid."""
+    A = r.xs()[None, :] + 1j * r.ys()[:, None]
+    values = np.zeros(A.shape, dtype=np.int32)
+    punct = A == 0
+    values[punct] = -1
+    active = ~punct
+    mod_a = np.abs(A)
+    rho = np.minimum(0.25, mod_a / 21.0)
+    r_out = 1.0 + np.sqrt(1.0 + np.maximum(4.0 * mod_a, 21.0))
+    z = np.full(A.shape, -1.0, dtype=np.complex128)
+    for k in range(1, r.meta["n_max"] + 1):
+        if not active.any():
+            break
+        za = z[active]
+        den = za * (za + 2.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            za = A[active] / den
+        z[active] = za
+        mag = np.abs(z)
+        with np.errstate(invalid="ignore"):
+            hit = active & (~np.isfinite(mag) | (mag <= rho) | (mag >= r_out))
+        values[hit] = k
+        active &= ~hit
+    return values
+
+
+def _julia_escape_full_grid(r):
+    """The full-grid Julia escape loop: test every pixel, then step F on all active."""
+    a, rho, r_out = r.meta["a"], r.meta["rho"], r.meta["R"]
+    Z = (r.xs()[None, :] + 1j * r.ys()[:, None]).astype(np.complex128)
+    values = np.zeros(Z.shape, dtype=np.int32)
+    active = np.ones(Z.shape, dtype=bool)
+    for k in range(1, r.meta["n_max"] + 1):
+        mag = np.abs(Z)
+        with np.errstate(invalid="ignore"):
+            outer = active & (~np.isfinite(mag) | (mag >= r_out))
+            inner = active & np.isfinite(mag) & (mag <= rho)
+        values[outer] = k
+        values[inner] = -k
+        active &= ~(outer | inner)
+        if not active.any():
+            break
+        Za = Z[active]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = a / (Za * (Za + 2.0))
+            Za = a / (w * (w + 2.0))
+        Z[active] = Za
+    return values
+
+
+def _assert_same_values(got, want):
+    assert got.dtype == want.dtype == np.int32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+ZOOM = dict(re_min=1.0, re_max=1.6, im_min=-0.3, im_max=0.3)
+HUGE = dict(re_min=-1e305, re_max=1e305, im_min=-1e305, im_max=1e305)
+
+
+@pytest.mark.parametrize("size, kw", [
+    ((400, 400), {}),
+    ((200, 200), ZOOM),
+    ((1, 1), dict(re_min=-0.5, re_max=0.5, im_min=-0.5, im_max=0.5, n_max=16)),
+    ((0, 0), {}),
+    ((0, 7), {}),
+    ((64, 48), HUGE),
+    ((101, 77), dict(n_max=1)),
+    ((101, 77), dict(n_max=2)),
+    ((101, 77), dict(n_max=4)),
+    ((33, 21), dict(n_max=0)),
+], ids=["default-400", "zoom", "puncture", "empty", "no-columns", "overflow",
+        "n1", "n2", "n4", "n0"])
+def test_m2_kernel_matches_full_grid(size, kw):
+    r = m2_raster(*size, **kw)
+    _assert_same_values(r.values, _m2_full_grid(r))
+
+
+A_RAY_1_6 = -0.370367002870486 - 2.97015077044292j
+
+
+@pytest.mark.parametrize("a, size, kw", [
+    (1.0, (160, 120), {}),
+    (6.0, (160, 160), {}),
+    (1e300, (120, 90), {}),
+    (1e-300, (120, 90), {}),
+    (A_RAY_1_6, (150, 150), {}),
+    (3 + 1j, (64, 64), HUGE),
+    (1.0, (90, 60), dict(n_max=1)),
+    (1.0, (90, 60), dict(n_max=2)),
+    (6.0, (90, 60), dict(n_max=4)),
+    (2.0, (0, 5), {}),
+], ids=["a1", "a6", "a1e300", "a1e-300", "ray-1/6", "overflow", "n1", "n2", "n4",
+        "empty"])
+def test_julia_kernel_matches_full_grid(a, size, kw):
+    r = julia_raster(a, *size, **kw)
+    _assert_same_values(r.values, _julia_escape_full_grid(r))
+
+
+@pytest.mark.parametrize("a", [1.0, 6.0, 2.0 - 1.0j])
+def test_julia_kernel_trap_discs_are_closed(a):
+    # One-pixel windows of zero width put the pixel center exactly on |z| = R
+    # and on |z| = rho; both circles belong to their trap at step 1.
+    rho, r_out = trap_radii(a)
+    for x, want in ((r_out, 1), (-r_out, 1), (rho, -1), (-rho, -1)):
+        r = julia_raster(a, 1, 1, re_min=x, re_max=x, im_min=0.0, im_max=0.0)
+        assert abs(complex(r.xs()[0], r.ys()[0])) in (r_out, rho)
+        assert r.values[0, 0] == want
+        _assert_same_values(r.values, _julia_escape_full_grid(r))
+
+
+_coord = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
+
+
+@st.composite
+def _windows(draw):
+    re = sorted((draw(_coord), draw(_coord)))
+    im = sorted((draw(_coord), draw(_coord)))
+    return dict(re_min=re[0], re_max=re[1], im_min=im[0], im_max=im[1],
+                n_max=draw(st.integers(min_value=0, max_value=80)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 24), st.integers(0, 24), _windows())
+def test_m2_kernel_property(width, height, window):
+    r = m2_raster(width, height, **window)
+    _assert_same_values(r.values, _m2_full_grid(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 24), st.integers(0, 24), _windows(),
+       st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * math.pi))
+def test_julia_kernel_property(width, height, window, log_mod, arg):
+    a = cmath.rect(10.0 ** log_mod, arg)
+    r = julia_raster(a, width, height, **window)
+    _assert_same_values(r.values, _julia_escape_full_grid(r))
