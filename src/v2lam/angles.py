@@ -261,7 +261,7 @@ def interleave_streams(first: DigitStream, second: DigitStream, lead: tuple[int,
                        ) -> DigitStream:
     """Stream lead + a1 b1 a2 b2 ... from streams a, b, canonicalized."""
     p = max(len(first.pre), len(second.pre))
-    l = _lcm(len(first.period), len(second.period))
+    l = math.lcm(len(first.period), len(second.period))
     pre = list(lead)
     for m in range(1, p + 1):
         pre += [first.digit(m), second.digit(m)]
@@ -269,12 +269,6 @@ def interleave_streams(first: DigitStream, second: DigitStream, lead: tuple[int,
     for m in range(p + 1, p + l + 1):
         per += [first.digit(m), second.digit(m)]
     return DigitStream.make(pre, per)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 try:
@@ -322,7 +316,7 @@ def _order_of_two(m: int) -> int:
     """Multiplicative order of 2 modulo odd m > 1 (the doubling period)."""
     lam = 1
     for p, k in _factor_small(m).items():
-        lam = _lcm(lam, (p - 1) * p ** (k - 1))
+        lam = math.lcm(lam, (p - 1) * p ** (k - 1))
     d = lam
     for q in _factor_small(lam):
         while d % q == 0 and pow(2, d // q, m) == 1:

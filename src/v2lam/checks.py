@@ -29,8 +29,8 @@ from .laminations import (
 )
 from .measure import cumulative, h_arc, preimages_of_angle, sigma_lengths_periodic
 from .symbolic import (
+    Dyadic,
     RegulatedRaySymbol,
-    _frac,
     angle_to_address,
     critical_address,
     leaf_addresses_match,
@@ -65,9 +65,9 @@ class CheckResult:
     seconds: float
 
     def line(self) -> str:
-        return "%-4s check %02d %-22s [%s] %s (%.2fs)" % (
+        return "%-4s check %02d %-22s [%s] %s" % (
             "ok" if self.ok else "FAIL", self.number, self.name, self.group,
-            self.detail, self.seconds)
+            self.detail)
 
 
 class CheckFailure(AssertionError):
@@ -194,30 +194,28 @@ def _check_leaf_addresses(p: CheckParams) -> str:
 
 
 def _check_regulated_rays(p: CheckParams) -> str:
-    # Intern via the rules' own constructor so unchanged angles compare by
-    # identity; the enumeration is exhaustive per the stated bounds.
-    dyadics = []
-    for k in range(1, 16):
-        f = Fraction(k, 16)
-        dyadics.append(_frac(f.numerator, f.denominator))
-    half = _frac(1, 2)
+    # The enumeration is exhaustive per the stated bounds; the expected
+    # doublings are computed in Fraction arithmetic, independently of the rules.
+    fracs = [Fraction(k, 16) for k in range(1, 16)]
+    dyadics = RegulatedRaySymbol.of("0", fracs).angles
+    half = Dyadic(1, 1)
+    doubled = {r: RegulatedRaySymbol.of("0", (2 * f % 1,)).angles[0]
+               for r, f in zip(dyadics, fracs) if r != half}
     count = 0
     for length in (1, 2, 3, 4):
         for rs in product(dyadics, repeat=length):
             g0 = RegulatedRaySymbol("0", rs)
             gi = RegulatedRaySymbol("inf", rs)
             img = regulated_ray_image(g0)
-            _need(img.base == "inf" and img.angles is rs and not img.marker,
+            _need(img.base == "inf" and img.angles == rs and not img.marker,
                   "base-0 image rule")
             img2 = regulated_ray_image(gi)
             r1 = rs[0]
-            if r1 is half:
+            if r1 == half:
                 _need(img2.base == "inf" and img2.angles == rs[1:] and img2.marker,
                       "absorption rule")
             else:
-                num, den = r1.numerator, r1.denominator
-                _need(img2.base == "0"
-                      and img2.angles[0] is _frac(2 * num % den, den)
+                _need(img2.base == "0" and img2.angles[0] == doubled[r1]
                       and img2.angles[1:] == rs[1:], "doubling rule")
             q1, q2 = regulated_ray_preimage(g0)
             _need(q1.base == "inf" and q2.base == "inf", "preimage bases")
@@ -297,6 +295,7 @@ def _check_parameter_rays(p: CheckParams) -> str:
 
 def _check_ray_leaves(p: CheckParams) -> str:
     from .dynamics import ray_leaf_endpoints, trace_parameter_ray
+    from .dynamics.rayleaves import _pair_dist
 
     theta0 = Fraction(1, 6)
     ray = trace_parameter_ray(theta0, s_from=8.0, s_to=0.5, steps=120)
@@ -308,20 +307,13 @@ def _check_ray_leaves(p: CheckParams) -> str:
         model.setdefault((leaf.depth, leaf.side), []).append(
             (float(leaf.a), float(leaf.b)))
 
-    def pair_dist(meas, cand):
-        def cd(u, v):
-            d = abs(u - v) % 1.0
-            return min(d, 1.0 - d)
-        return min(max(cd(meas[0], cand[0]), cd(meas[1], cand[1])),
-                   max(cd(meas[0], cand[1]), cd(meas[1], cand[0])))
-
     unresolved = 0
     worst = 0.0
     for lf in leaves:
         if lf.unresolved:
             unresolved += 1
             continue
-        dists = [pair_dist((lf.t1, lf.t2), c) for c in model[(lf.depth, lf.side)]]
+        dists = [_pair_dist((lf.t1, lf.t2), c) for c in model[(lf.depth, lf.side)]]
         best = min(dists)
         worst = max(worst, best)
         _need(best < 1e-2, "leaf at depth %d off by %.3g" % (lf.depth, best))

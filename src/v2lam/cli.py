@@ -676,6 +676,7 @@ def _cmd_check(args) -> int:
     ok = True
     for r in results:
         print(r.line())
+        print("check %02d took %.2fs" % (r.number, r.seconds), file=sys.stderr)
         ok = ok and r.ok
     return 0 if ok else 1
 

@@ -28,6 +28,7 @@ written as binary PGM/PPM images with a deterministic text sidecar.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -139,14 +140,21 @@ def _write_pnm(path: str, img: np.ndarray, color: bool) -> None:
 
 
 def _grid(width, height, re_min, re_max, im_min, im_max):
+    """Pixel-centre coordinates of a window; refuses a window with no finite grid."""
     if width < 0 or height < 0:
         raise DomainError("raster dimensions must be nonnegative")
+    if not all(math.isfinite(b) for b in (re_min, re_max, im_min, im_max)):
+        raise DomainError("raster bounds must be finite")
     if re_max < re_min or im_max < im_min:
         raise DomainError("raster bounds must be ordered")
+    if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
+        raise NumericError("raster window span overflows")
     xs = re_min + (np.arange(width) + 0.5) * ((re_max - re_min) / width if width else 0.0)
     mid = 0.5 * (im_min + im_max)
     dy = (im_max - im_min) / height if height else 0.0
     ys = mid + (np.arange(height) + 0.5 - height / 2.0) * dy
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise NumericError("raster pixel centres overflow")
     return xs, ys
 
 

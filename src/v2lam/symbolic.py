@@ -18,16 +18,18 @@ critical itinerary).  The module provides:
 - ``cells_at_depth``: the 2**n depth-n cell labels;
 - ``RegulatedRaySymbol`` with its rewrite rules for images and preimages.
 
-All functions are pure and exact (Fraction / tuple arithmetic only).
+All functions are pure and exact.  Angles and addresses are ``Fraction``s
+and bit tuples; regulated-ray angles are ``Dyadic`` int pairs, on which the
+rewrite rules are digit shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .angles import (
     DigitStream,
@@ -39,8 +41,6 @@ from .angles import (
     require_nonperiodic,
 )
 from .laminations import INSIDE, OUTSIDE, Lamination, build_2L
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +131,13 @@ def epsilon_star(theta0: Fraction) -> DigitStream:
     return interleave_streams(digit_stream(t), complement_stream(nu_stream(t)))
 
 
-def critical_address(theta0: Fraction, statement_indexing: bool = False
-                     ) -> tuple[Address, Address]:
+def critical_address(theta0: Fraction) -> tuple[Address, Address]:
     """The two addresses of the critical value, as (0-leading, 1-leading).
 
     Both share the body d = epsilon_star(theta0) and differ exactly in
-    position 1.  The default slot convention is d[2m-1] = theta0[m],
-    d[2m] = 1 - nu_m(theta0); ``statement_indexing=True`` emits the
-    index-shifted variant (theta digits on even slots, complemented nu on
-    odd slots) for comparison and debugging only -- it is not used by any
-    other operation.
+    position 1.
     """
-    t = require_nonperiodic(theta0)
-    if statement_indexing:
-        d = interleave_streams(complement_stream(nu_stream(t)), digit_stream(t))
-    else:
-        d = epsilon_star(t)
+    d = epsilon_star(theta0)
     return (Address.from_leading_body(0, d), Address.from_leading_body(1, d))
 
 
@@ -332,58 +323,55 @@ def cells_at_depth(n: int) -> list[str]:
 # Regulated-ray rewrite algebra
 
 
-@lru_cache(maxsize=4096)
-def _frac(num: int, den: int) -> Fraction:
-    """Interned small fractions for the rewrite rules' head angles."""
-    return Fraction(num, den)
+class Dyadic(NamedTuple):
+    """The angle num / 2**k in (0,1), with num odd and k >= 1.
+
+    Printed as ``"num/2**k"``, which is ``str`` of the equal ``Fraction``
+    because num is odd.
+    """
+
+    num: int
+    k: int
+
+    def __str__(self) -> str:
+        return "%d/%d" % (self.num, 1 << self.k)
 
 
-def _require_dyadic_unit(r: Fraction) -> Fraction:
-    if type(r) is not Fraction:
-        r = Fraction(r)
-    num, den = r.numerator, r.denominator
-    if not 0 < num < den:
-        raise DomainError("regulated-ray angles must lie strictly in (0,1)")
-    if den & (den - 1):
-        raise DomainError("regulated-ray angles must be dyadic")
-    return r
-
-
-@dataclass(frozen=True)
-class RegulatedRaySymbol:
+class RegulatedRaySymbol(NamedTuple):
     """Symbol G(base; r1, r2, ...) for a regulated ray, plus a segment marker.
 
-    base is "0" or "inf"; the angles are a finite tuple of nonzero dyadic
-    fractions in (0,1).  The marker records that the symbol has absorbed the
+    base is "0" or "inf"; the angles are a finite tuple of :class:`Dyadic`
+    angles in (0,1).  The marker records that the symbol has absorbed the
     segment joining 0 and infinity (set by the image rule at r1 = 1/2).
     Printed as e.g. "G(inf;1/2,1/4)" or "G(0;3/4)+seg".
+
+    Build symbols from outside values with :meth:`of` or :meth:`parse`; the
+    rewrite rules build their outputs directly, since they keep every angle
+    a dyadic in (0,1).
     """
 
     base: str
-    angles: tuple[Fraction, ...]
+    angles: tuple[Dyadic, ...]
     marker: bool = False
 
-    def __post_init__(self):
-        if self.base not in ("0", "inf"):
-            raise DomainError('base must be "0" or "inf"')
-        angles = self.angles
-        if type(angles) is not tuple or any(type(r) is not Fraction for r in angles):
-            object.__setattr__(
-                self, "angles",
-                tuple(_require_dyadic_unit(r) for r in angles))
-            return
-        for r in angles:  # already Fractions: validate without rebuilding
-            _require_dyadic_unit(r)
-
     @classmethod
-    def _trusted(cls, base: str, angles: tuple[Fraction, ...],
-                 marker: bool) -> "RegulatedRaySymbol":
-        """Internal constructor for rule outputs whose parts are pre-validated."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "marker", marker)
-        return self
+    def of(cls, base: str, angles, marker: bool = False) -> "RegulatedRaySymbol":
+        """Validated symbol from angles given as Fractions or "p/q" text."""
+        if base not in ("0", "inf"):
+            raise DomainError('base must be "0" or "inf"')
+        dyadics = []
+        for r in angles:
+            try:
+                r = Fraction(r)
+            except (TypeError, ValueError, ArithmeticError):
+                raise DomainError("bad regulated-ray angle %r" % (r,)) from None
+            num, den = r.numerator, r.denominator
+            if not 0 < num < den:
+                raise DomainError("regulated-ray angles must lie strictly in (0,1)")
+            if den & (den - 1):
+                raise DomainError("regulated-ray angles must be dyadic")
+            dyadics.append(Dyadic(num, den.bit_length() - 1))
+        return cls(base, tuple(dyadics), marker)
 
     def __str__(self) -> str:
         inner = self.base
@@ -402,8 +390,7 @@ class RegulatedRaySymbol:
             raise DomainError('ray symbol must look like "G(base;r1,...)"')
         inner = text[2:-1]
         base, _, rest = inner.partition(";")
-        angles = tuple(Fraction(p) for p in rest.split(",")) if rest else ()
-        return RegulatedRaySymbol(base, angles, marker)
+        return RegulatedRaySymbol.of(base, rest.split(",") if rest else (), marker)
 
 
 def regulated_ray_image(g: RegulatedRaySymbol) -> RegulatedRaySymbol:
@@ -412,35 +399,36 @@ def regulated_ray_image(g: RegulatedRaySymbol) -> RegulatedRaySymbol:
     G(0; r1, ...)            -> G(inf; r1, ...)
     G(inf; r1, ...), r1!=1/2 -> G(0; 2*r1 mod 1, ...)
     G(inf; 1/2, r2, ...)     -> G(inf; r2, ...) with the segment marker set
+
+    On r1 = num/2**k, doubling mod 1 is (num mod 2**(k-1)) / 2**(k-1), and
+    r1 = 1/2 is exactly k = 1.
     """
-    if not g.angles:
+    base, angles, marker = g
+    if not angles:
         raise DomainError("cannot map a ray symbol with no angles")
-    if g.base == "0":
-        return RegulatedRaySymbol._trusted("inf", g.angles, g.marker)
-    r1 = g.angles[0]
-    num, den = r1.numerator, r1.denominator
-    if 2 * num != den:
-        doubled = _frac(2 * num % den, den)  # 2 r1 mod 1, still in (0,1)
-        return RegulatedRaySymbol._trusted(
-            "0", (doubled,) + g.angles[1:], g.marker)
-    return RegulatedRaySymbol._trusted("inf", g.angles[1:], True)
+    if base == "0":
+        return RegulatedRaySymbol("inf", angles, marker)
+    num, k = angles[0]
+    if k > 1:
+        doubled = Dyadic(num & ((1 << (k - 1)) - 1), k - 1)
+        return RegulatedRaySymbol("0", (doubled,) + angles[1:], marker)
+    return RegulatedRaySymbol("inf", angles[1:], True)
 
 
 def regulated_ray_preimage(g: RegulatedRaySymbol
                            ) -> tuple[RegulatedRaySymbol, RegulatedRaySymbol]:
     """The two preimage symbols of a base-0 regulated ray.
 
-    G(0; r1, ...) -> G(inf; r1/2, ...) and G(inf; (r1+1)/2, ...).
+    G(0; r1, ...) -> G(inf; r1/2, ...) and G(inf; (r1+1)/2, ...), that is
+    num/2**k -> num/2**(k+1) and (num + 2**k)/2**(k+1).
     Base-inf symbols are rejected: their preimages pass through the
     absorption rule and are recovered via regulated_ray_image instead.
     """
-    if g.base != "0":
+    base, angles, marker = g
+    if base != "0":
         raise DomainError("preimage rule applies to base-0 symbols only")
-    if not g.angles:
+    if not angles:
         raise DomainError("cannot map a ray symbol with no angles")
-    r1, rest = g.angles[0], g.angles[1:]
-    num, den = r1.numerator, r1.denominator
-    return (RegulatedRaySymbol._trusted(
-                "inf", (_frac(num, 2 * den),) + rest, g.marker),
-            RegulatedRaySymbol._trusted(
-                "inf", (_frac(num + den, 2 * den),) + rest, g.marker))
+    (num, k), rest = angles[0], angles[1:]
+    return (RegulatedRaySymbol("inf", (Dyadic(num, k + 1),) + rest, marker),
+            RegulatedRaySymbol("inf", (Dyadic(num + (1 << k), k + 1),) + rest, marker))

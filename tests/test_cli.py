@@ -81,9 +81,19 @@ def test_check_group_line_format(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2
-    pat = re.compile(r"^(ok|FAIL)\s+check \d{2} \S+\s+\[sym\] .+ \(\d+\.\d\ds\)$")
+    pat = re.compile(r"^(ok|FAIL)\s+check \d{2} \S+\s+\[sym\] .+$")
     for line in lines:
         assert pat.match(line), line
+        assert not re.search(r"\(\d+\.\d+s\)$", line), line
+
+
+def test_check_stdout_is_deterministic(capsys):
+    first = run(capsys, "check", "sym", "--depth", "6")
+    second = run(capsys, "check", "sym", "--depth", "6")
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    # the timings go to stderr, one line per check
+    assert re.fullmatch(r"(check \d{2} took \d+\.\d\ds\n){2}", second[2])
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +116,29 @@ def test_numeric_error_is_two(capsys):
     code, _, err = run(capsys, "dyn", "green", "--a", "1", "--z=-1,0", "--boettcher")
     assert code == 2
     assert "numeric error:" in err
+
+
+WINDOW_RASTERS = {
+    "m2": ("dyn", "m2", "--width", "8", "--height", "8"),
+    "julia": ("dyn", "julia", "--a", "1", "--width", "8", "--height", "8"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOW_RASTERS))
+@pytest.mark.parametrize("bounds, want, prefix", [
+    (("--re-min", "nan"), 1, "error:"),
+    (("--im-max", "inf"), 1, "error:"),
+    (("--re-min=-1e308", "--re-max", "1e308"), 2, "numeric error:"),
+    (("--im-min", "1.7e308", "--im-max", "1.7e308"), 2, "numeric error:"),
+], ids=["nan", "inf", "span-overflow", "centre-overflow"])
+def test_dyn_raster_refuses_ungriddable_window(tmp_path, capsys, kind, bounds, want,
+                                               prefix):
+    out_path = tmp_path / "x.pgm"
+    code, out, err = run(capsys, *WINDOW_RASTERS[kind], *bounds, "--out", str(out_path))
+    assert code == want
+    assert out == ""
+    assert err.startswith(prefix)
+    assert not out_path.exists()
 
 
 def test_dyn_fixed_huge_parameter_is_numeric_error(capsys):

@@ -6,11 +6,14 @@ from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2lam.angles import DigitStream, DomainError, angle, digit_stream, x0_digits
 from v2lam.symbolic import (
     Address,
     AddressMatchReport,
+    Dyadic,
     RegulatedRaySymbol,
     addr_equivalent,
     address_to_angle,
@@ -91,16 +94,6 @@ def test_critical_address_rejects_periodic():
     for t in (F(0), F(1, 3), F(2, 7)):
         with pytest.raises(DomainError):
             critical_address(t)
-
-
-def test_statement_indexing_debug_variant():
-    # the alternate convention swaps the interleave slots (one-position shift)
-    a0, _ = critical_address(F(1, 2), statement_indexing=True)
-    assert a0.body.prefix(6) == [1, 1, 1, 0, 1, 0]
-    b0, _ = critical_address(F(1, 6), statement_indexing=True)
-    assert b0.body.prefix(10) == [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
-    # it differs from the adopted convention
-    assert b0.body != epsilon_star(F(1, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -417,26 +410,31 @@ def test_cells_shift_compatibility():
 
 
 def test_ray_symbol_print_parse():
-    g = RegulatedRaySymbol("inf", (F(1, 2), F(1, 4)))
+    g = RegulatedRaySymbol.of("inf", (F(1, 2), F(1, 4)))
+    assert g.angles == (Dyadic(1, 1), Dyadic(1, 2))
     assert str(g) == "G(inf;1/2,1/4)"
     assert RegulatedRaySymbol.parse(str(g)) == g
-    m = RegulatedRaySymbol("0", (F(3, 4),), marker=True)
+    m = RegulatedRaySymbol.of("0", ("3/4",), marker=True)
     assert str(m) == "G(0;3/4)+seg"
     assert RegulatedRaySymbol.parse(str(m)) == m
     assert RegulatedRaySymbol.parse("G(inf)") == RegulatedRaySymbol("inf", ())
+    assert RegulatedRaySymbol.parse("G(0;2/4,3/8)") == \
+        RegulatedRaySymbol("0", (Dyadic(1, 1), Dyadic(3, 3)))
 
 
 def test_ray_symbol_validation():
     with pytest.raises(DomainError):
-        RegulatedRaySymbol("inf", (F(1, 3),))  # not dyadic
+        RegulatedRaySymbol.of("inf", (F(1, 3),))  # not dyadic
     with pytest.raises(DomainError):
-        RegulatedRaySymbol("0", (F(0),))  # not in (0,1)
+        RegulatedRaySymbol.of("0", (F(0),))  # not in (0,1)
     with pytest.raises(DomainError):
-        RegulatedRaySymbol("0", (F(5, 4),))
+        RegulatedRaySymbol.of("0", (F(5, 4),))
     with pytest.raises(DomainError):
-        RegulatedRaySymbol("one", (F(1, 2),))
-    with pytest.raises(DomainError):
-        RegulatedRaySymbol.parse("H(0;1/2)")
+        RegulatedRaySymbol.of("one", (F(1, 2),))
+    for text in ("H(0;1/2)", "G(0;1/3)", "G(0;0)", "G(x;1/2)",
+                 "G(0;a/b)", "G(0;1/0)", "G(0;1/2,)"):
+        with pytest.raises(DomainError):
+            RegulatedRaySymbol.parse(text)
 
 
 def test_ray_image_rules():
@@ -472,7 +470,7 @@ def test_ray_image_preimage_identity():
         n = rng.randrange(1, 4)
         angles = tuple(
             F(rng.randrange(1, 1 << 6) * 2 + 1, 1 << 7) for _ in range(n))
-        g = RegulatedRaySymbol("0", angles, marker=bool(rng.getrandbits(1)))
+        g = RegulatedRaySymbol.of("0", angles, marker=bool(rng.getrandbits(1)))
         for h in regulated_ray_preimage(g):
             assert regulated_ray_image(h) == g
 
@@ -484,3 +482,63 @@ def test_ray_marker_is_sticky():
     h2 = regulated_ray_image(h)  # G(0;1/2)+seg
     assert h2.marker
     assert h2 == RegulatedRaySymbol.parse("G(0;1/2)+seg")
+
+
+# Oracles: the rewrite rules in Fraction arithmetic on (base, angles, marker)
+# triples, checked against the int-pair rules by the properties below.
+
+
+def _oracle_str(base, angles, marker):
+    inner = base + (";" + ",".join(map(str, angles)) if angles else "")
+    return "G(%s)%s" % (inner, "+seg" if marker else "")
+
+
+def _oracle_image(base, angles, marker):
+    if base == "0":
+        return ("inf", angles, marker)
+    num, den = angles[0].numerator, angles[0].denominator
+    if 2 * num != den:
+        return ("0", (F(2 * num % den, den),) + angles[1:], marker)
+    return ("inf", angles[1:], True)
+
+
+def _oracle_preimage(base, angles, marker):
+    num, den = angles[0].numerator, angles[0].denominator
+    rest = angles[1:]
+    return (("inf", (F(num, 2 * den),) + rest, marker),
+            ("inf", (F(num + den, 2 * den),) + rest, marker))
+
+
+_dyadic_unit = st.integers(1, 24).flatmap(
+    lambda k: st.integers(0, (1 << (k - 1)) - 1).map(lambda j: F(2 * j + 1, 1 << k)))
+
+
+def _ray_parts(bases=("0", "inf"), min_angles=0):
+    return st.tuples(st.sampled_from(bases),
+                     st.lists(_dyadic_unit, min_size=min_angles, max_size=6).map(tuple),
+                     st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ray_parts())
+def test_ray_symbol_print_parse_property(parts):
+    g = RegulatedRaySymbol.of(*parts)
+    assert str(g) == _oracle_str(*parts)
+    assert RegulatedRaySymbol.parse(str(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ray_parts(min_angles=1))
+def test_ray_image_matches_fraction_oracle(parts):
+    g = RegulatedRaySymbol.of(*parts)
+    assert str(regulated_ray_image(g)) == _oracle_str(*_oracle_image(*parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ray_parts(bases=("0",), min_angles=1))
+def test_ray_preimage_matches_fraction_oracle(parts):
+    g = RegulatedRaySymbol.of(*parts)
+    got = regulated_ray_preimage(g)
+    assert tuple(map(str, got)) == \
+        tuple(_oracle_str(*q) for q in _oracle_preimage(*parts))
+    assert all(regulated_ray_image(q) == g for q in got)
