@@ -1,7 +1,8 @@
 """Exact arithmetic on circle angles.
 
 Angles are rationals in [0,1) represented by fractions.Fraction ("CircleAngle").
-Everything here is exact; no floating point.
+Everything here is exact; no floating point (``circle_distance`` also takes
+floats, for the numerical layer).
 
 Provides: the doubling map, binary digits and eventually periodic digit streams,
 the nu_m comparison functions, the x0 and y0 angle correspondences, and
@@ -27,6 +28,20 @@ def angle(value) -> Fraction:
     """
     f = Fraction(value)
     return f - (f.numerator // f.denominator)
+
+
+#: The half turn.
+HALF = Fraction(1, 2)
+
+
+def circle_distance(u, v):
+    """Distance between u and v on the circle R/Z, in [0, 1/2].
+
+    Exact on Fractions; on floats it is min(d, 1 - d) with d = |u - v| mod 1
+    in float arithmetic.
+    """
+    d = abs(u - v) % 1
+    return min(d, 1 - d)
 
 
 def double(theta: Fraction) -> Fraction:

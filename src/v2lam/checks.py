@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .angles import DomainError, _x0_digit_pair, angle, x0_digits, x0_series
+from .angles import DomainError, _x0_digit_pair, circle_distance, x0_digits, x0_series
 from .laminations import (
     INSIDE,
     build_2L,
@@ -79,11 +79,6 @@ def _need(cond: bool, msg: str) -> None:
         raise CheckFailure(msg)
 
 
-def _circ(u: Fraction, v: Fraction) -> Fraction:
-    d = angle(u - v)
-    return min(d, 1 - d)
-
-
 # ---------------------------------------------------------------------------
 # angle group
 # ---------------------------------------------------------------------------
@@ -114,9 +109,9 @@ def _check_blowup_endpoints(p: CheckParams) -> str:
     for t0 in thetas:
         ha = h_arc(t0, t0, M=30)
         x0 = x0_digits(t0)
-        _need(_circ(ha.start, x0) <= tol,
-              "h-arc start off x0 by %s at theta0=%s" % (_circ(ha.start, x0), t0))
-        _need(_circ(ha.end, x0 + Fraction(1, 2)) <= tol,
+        _need(circle_distance(ha.start, x0) <= tol,
+              "h-arc start off x0 by %s at theta0=%s" % (circle_distance(ha.start, x0), t0))
+        _need(circle_distance(ha.end, x0 + Fraction(1, 2)) <= tol,
               "h-arc end off x0+1/2 at theta0=%s" % t0)
     return "4 generators, endpoint error <= 2^-31"
 

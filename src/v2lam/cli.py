@@ -645,10 +645,12 @@ def _cmd_dyn_blaschke(args) -> int:
 
     b = _complex_value(args.b, "b")
     c1, c2 = blaschke_critical_points(b)
+    # evaluate before printing, so a failure prints nothing
+    value = None if args.z is None else blaschke_eval(b, _complex_value(args.z, "z"))
     print("c1 = %s" % _fmt_c(c1))
     print("c2 = %s" % _fmt_c(c2))
-    if args.z is not None:
-        print("B(z) = %s" % _fmt_c(blaschke_eval(b, _complex_value(args.z, "z"))))
+    if value is not None:
+        print("B(z) = %s" % _fmt_c(value))
     return 0
 
 

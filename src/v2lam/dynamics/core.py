@@ -17,7 +17,10 @@ local degree 4 at each.  This module provides:
   used as normal forms for the basin dynamics.
 
 All functions operate on Python ``complex`` scalars; vectorized rasters
-live in :mod:`v2lam.dynamics.raster`.
+live in :mod:`v2lam.dynamics.raster`.  Public functions validate the
+parameter once on entry (``DomainError`` for a = 0 or a non-finite a) and
+then iterate the unchecked step ``_f``; ``_f`` and the branch-tracked
+inverse ``_inverse_roots`` are internals that take an already validated a.
 """
 
 from __future__ import annotations
@@ -77,12 +80,19 @@ def apply_f(a: complex, z: complex) -> complex:
     The point at infinity (any non-finite complex, see ``INF``) maps to 0;
     the poles z = 0 and z = -2 map to ``INF``.
     """
+    return _f(_require_param(a), complex(z))
+
+
+def apply_F(a: complex, z: complex) -> complex:
+    """The second iterate F = f_a ∘ f_a (degree 4, fixes 0 and infinity)."""
     a = _require_param(a)
-    z = complex(z)
-    if is_infinite(z):
-        return 0j
-    if abs(z) > _HUGE:
-        # z^2 + 2z would overflow; the true image is ~ a/z^2 ~ 0.
+    return _f(a, _f(a, complex(z)))
+
+
+def _f(a: complex, z: complex) -> complex:
+    """``apply_f`` for a validated parameter and a ``complex`` z (no checks)."""
+    if is_infinite(z) or abs(z) > _HUGE:
+        # Beyond _HUGE, z^2 + 2z would overflow; the true image is ~ a/z^2 ~ 0.
         return 0j
     den = z * (z + 2.0)
     if den == 0:
@@ -90,9 +100,21 @@ def apply_f(a: complex, z: complex) -> complex:
     return a / den
 
 
-def apply_F(a: complex, z: complex) -> complex:
-    """The second iterate F = f_a ∘ f_a (degree 4, fixes 0 and infinity)."""
-    return apply_f(a, apply_f(a, z))
+def _inverse_roots(a: complex, ws, prev: complex | None = None) -> list[complex]:
+    """Roots r = ±sqrt(1 + a/w) along ``ws``, for a validated parameter (no checks).
+
+    The preimages of w under f_a are -1 ± r.  Each sign is the one nearer
+    the previous root (``prev`` for the first point; + without one, and +
+    on ties), so the roots follow one continuous branch of f_a^{-1}.
+    """
+    out = []
+    for w in ws:
+        r = cmath.sqrt(1.0 + a / w)
+        if prev is not None and abs(-r - prev) < abs(r - prev):
+            r = -r
+        out.append(r)
+        prev = r
+    return out
 
 
 def fixed_points(a: complex) -> list[complex]:
@@ -193,14 +215,14 @@ def _certify_trap_once() -> None:
         for k in range(16):
             u = cmath.exp(2j * math.pi * k / 16.0)
             z_out = r_out * u
-            fz = apply_f(a, z_out)
+            fz = _f(a, z_out)
             if is_infinite(fz) or abs(fz) > rho * (1.0 + 1e-9):
                 raise NumericError("trap certification failed on outer circle")
             z_in = rho * u
-            fz = apply_f(a, z_in)
+            fz = _f(a, z_in)
             if not is_infinite(fz) and abs(fz) < r_out * (1.0 - 1e-9):
                 raise NumericError("trap certification failed on inner circle")
-            ffz = apply_f(a, fz)
+            ffz = _f(a, fz)
             if not is_infinite(ffz) and abs(ffz) > 0.5 * rho * (1.0 + 1e-9):
                 raise NumericError("trap certification failed on contraction")
     _trap_certified = True
@@ -220,7 +242,7 @@ def attracted_to_supercycle(a: complex, z: complex, n_max: int = 512) -> tuple[b
     for k in range(n_max + 1):
         if is_infinite(z) or abs(z) >= r_out or abs(z) <= rho:
             return True, k
-        z = apply_f(a, z)
+        z = _f(a, z)
     return False, None
 
 
@@ -259,7 +281,7 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
             return (math.log(mag) + math.log(4.0) - log_a) / (2.0 ** k)
         if k == n:
             return math.log(mag) / (2.0 ** n)
-        w = apply_F(a, w)
+        w = _f(a, _f(a, w))
     raise NumericError("green_value: unreachable")
 
 
@@ -273,8 +295,11 @@ def boettcher_infty(a: complex, z: complex, max_iter: int = 64) -> complex:
     is too close to the Julia set for the principal-branch product to be
     trustworthy.
     """
-    a = _require_param(a)
-    z = complex(z)
+    return _boettcher(_require_param(a), complex(z), max_iter)
+
+
+def _boettcher(a: complex, z: complex, max_iter: int = 64) -> complex:
+    """``boettcher_infty`` for a validated parameter and a ``complex`` z."""
     if is_infinite(z):
         raise DomainError("boettcher_infty requires a finite point")
     if z == 0:
@@ -284,7 +309,7 @@ def boettcher_infty(a: complex, z: complex, max_iter: int = 64) -> complex:
     for k in range(max_iter):
         if abs(w) > 1e15:
             return cmath.exp(log_phi)
-        fw = apply_F(a, w)
+        fw = _f(a, _f(a, w))
         if is_infinite(fw) or fw == 0:
             raise NumericError("boettcher_infty: orbit hit the supercycle exactly")
         ratio = 2.0 * fw / (w * w)
@@ -315,14 +340,18 @@ def blaschke_eval(b: complex, z: complex) -> complex:
     """Degree-2 Blaschke product B_b(z) = z (z + b) / (conj(b) z + 1).
 
     Fixes 0 with multiplier b and preserves the unit circle; requires
-    0 < |b| < 1.  The pole z = -1/conj(b) is rejected.
+    0 < |b| < 1.  The pole z = -1/conj(b) is rejected, and a value that is
+    not finite (z non-finite, or z*(z+b) overflowing) raises ``NumericError``.
     """
     b = _require_blaschke_param(b)
     z = complex(z)
     den = b.conjugate() * z + 1.0
     if den == 0:
         raise DomainError("blaschke_eval at the pole -1/conj(b)")
-    return z * (z + b) / den
+    value = z * (z + b) / den
+    if is_infinite(value):
+        raise NumericError(f"blaschke_eval at z={z} leaves double range")
+    return value
 
 
 def blaschke_critical_points(b: complex) -> tuple[complex, complex]:

@@ -249,12 +249,17 @@ def m2_raster(
     values[A == 0] = -1
     idx = np.flatnonzero(A)
     A = A[idx]
-    mod_a = np.abs(A)
+    with np.errstate(over="ignore"):
+        mod_a = np.abs(A)
+        r_out = 1.0 + np.sqrt(1.0 + np.maximum(4.0 * mod_a, 21.0))
+    if np.isinf(r_out).any():
+        # as in trap_radii: R overflows for |a| beyond ~4.5e307
+        raise NumericError(
+            f"trap radius R overflows double precision for |a| = {float(mod_a.max())!r}")
     # Every orbit starts at the critical point -1; the kernel takes over the
     # arrays, so no full-grid copy outlives the first compaction.
-    active = [idx, np.complex128(-1.0), A, np.minimum(0.25, mod_a / 21.0),
-              1.0 + np.sqrt(1.0 + np.maximum(4.0 * mod_a, 21.0))]
-    del idx, A, mod_a
+    active = [idx, np.complex128(-1.0), A, np.minimum(0.25, mod_a / 21.0), r_out]
+    del idx, A, mod_a, r_out
     _trap_iterate(values, active, _f_step, n_max, test_start=False, inner_sign=1)
     return Raster(
         width, height, re_min, re_max, im_min, im_max, values.reshape(height, width),

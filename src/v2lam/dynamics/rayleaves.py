@@ -42,20 +42,17 @@ zero-angle ray) is used and the result may be the mirror image.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ..angles import DomainError, x0_digits
-from .core import apply_f, green_value
+from ..angles import HALF, DomainError, circle_distance, x0_digits
+from .core import _f, _inverse_roots, _require_param, green_value
 from .rays import trace_dynamical_ray, trace_ray_through_point
 
 __all__ = ["RayLeaf", "ray_leaf_endpoints"]
-
-HALF = Fraction(1, 2)
 
 
 @dataclass
@@ -120,13 +117,6 @@ class _Sigma:
         return parity, margin
 
 
-def _sqrt_track(prev: complex | None, disc: complex) -> complex:
-    root = cmath.sqrt(disc)
-    if prev is not None and abs(-root - prev) < abs(root - prev):
-        root = -root
-    return root
-
-
 def _build_sigma(a: complex, upper_pts, s_lo: float, s_anchor: float,
                  sigma_steps: int) -> _Sigma:
     ray0 = trace_dynamical_ray(a, "inf", Fraction(0), s_from=max(8.0, s_anchor + 4.0),
@@ -134,21 +124,13 @@ def _build_sigma(a: complex, upper_pts, s_lo: float, s_anchor: float,
     p1 = [z for _, z, _ in ray0.points]
     s1 = [s for s, _, _ in ray0.points]
     # Pullback branch approaching 0 at deep potential.
-    p2: list[complex] = []
-    root = None
-    for z in p1:
-        root = _sqrt_track(root if root is not None else 1.0, 1.0 + a / z)
-        p2.append(-1.0 + root)
+    p2 = [-1.0 + r for r in _inverse_roots(a, p1, 1.0)]
     # Separatrices of the depth-0 saddle: pullbacks of the upper tail of the
     # ray through the critical value.  The first upper point is -a itself,
     # whose pullback is exactly the saddle -1.
-    da: list[complex] = [-1.0]
-    db: list[complex] = [-1.0]
-    root = None
-    for s, w, _ in upper_pts[1:]:
-        root = _sqrt_track(root, 1.0 + a / w)
-        da.append(-1.0 + root)
-        db.append(-1.0 - root)
+    roots = _inverse_roots(a, [w for _, w, _ in upper_pts[1:]])
+    da: list[complex] = [-1.0] + [-1.0 + r for r in roots]
+    db: list[complex] = [-1.0] + [-1.0 - r for r in roots]
     # Label the separatrix ending near 0 versus the one ending near -2.
     if abs(da[-1]) <= abs(db[-1]):
         d_zero, d_two = da, db
@@ -183,19 +165,9 @@ def _pullback_leg(a: complex, saddle: complex, parent_leg, parent_depth: int):
     infinity-half lie in the 0-half at the same magnitude.
     """
     halve = parent_depth % 2 == 0
-    out = []
-    prev = None
-    for sigma, p in parent_leg:
-        disc = 1.0 + a / p
-        r1 = cmath.sqrt(disc)
-        c1, c2 = -1.0 + r1, -1.0 - r1
-        if prev is None:
-            z = c1 if abs(c1 - saddle) <= abs(c2 - saddle) else c2
-        else:
-            z = c1 if abs(c1 - prev) <= abs(c2 - prev) else c2
-        out.append((sigma * 0.5 if halve else sigma, z))
-        prev = z
-    return out
+    roots = _inverse_roots(a, [p for _, p in parent_leg], saddle + 1.0)
+    return [(sigma * 0.5 if halve else sigma, -1.0 + r)
+            for (sigma, _), r in zip(parent_leg, roots)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +188,7 @@ def _itinerary_bits(sigma: _Sigma, a: complex, z: complex, pot: float,
         if not in_zero_half:
             pot *= 2.0
         in_zero_half = not in_zero_half
-        z = apply_f(a, z)
+        z = _f(a, z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             break
     return bits
@@ -236,11 +208,6 @@ def _interval_from_bits(bits: list[int]) -> tuple[Fraction, Fraction]:
         if b == 1:
             lo, hi = lo + HALF, hi + HALF
     return lo, hi
-
-
-def _circ_dist(u: float, v: float) -> float:
-    d = abs(u - v) % 1.0
-    return min(d, 1.0 - d)
 
 
 def _leg_coordinate(sigma: _Sigma, a: complex, leg, depth: int, s_stop: float,
@@ -265,7 +232,7 @@ def _leg_coordinate(sigma: _Sigma, a: complex, leg, depth: int, s_stop: float,
     width = 2.0 ** (-t_best[1])
     if len(estimates) < 2:
         return t_best[0], True, width
-    spread = _circ_dist(estimates[0][0], estimates[1][0])
+    spread = circle_distance(estimates[0][0], estimates[1][0])
     unresolved = spread > 5e-3
     return t_best[0], unresolved, max(width, spread)
 
@@ -293,9 +260,9 @@ def ray_leaf_endpoints(
     Pass ``theta0`` (the angle whose parameter ray the caller took ``a``
     from) to resolve the global mirror ambiguity of the parametrization.
     """
-    a = complex(a)
     if depth < 0:
         return []
+    a = _require_param(a)
     s_par = green_value(a, -a)
     if not (0.0 < s_par < math.inf):
         raise DomainError("ray leaves require the critical value in the infinity half-basin")
@@ -309,13 +276,10 @@ def ray_leaf_endpoints(
     # Depth-0 legs: the two pullback branches of the lower tail (the exact
     # first point, the critical value itself, pulls back to the saddle and
     # is skipped so the two branches can be told apart).
-    leg_a: list[tuple[float, complex]] = []
-    leg_b: list[tuple[float, complex]] = []
-    root = None
-    for s, w, _ in lower.points[1:]:
-        root = _sqrt_track(root, 1.0 + a / w)
-        leg_a.append((s, -1.0 + root))
-        leg_b.append((s, -1.0 - root))
+    tail = lower.points[1:]
+    roots = _inverse_roots(a, [w for _, w, _ in tail])
+    leg_a = [(s, -1.0 + r) for (s, _, _), r in zip(tail, roots)]
+    leg_b = [(s, -1.0 - r) for (s, _, _), r in zip(tail, roots)]
 
     root_entry: tuple[complex, int, list, list] = (-1.0 + 0.0j, 0, leg_a, leg_b)
     leaves_raw: list[tuple[complex, int, list, list]] = [root_entry]
@@ -323,8 +287,7 @@ def ray_leaf_endpoints(
     for d in range(1, depth + 1):
         nxt = []
         for saddle, pd, la, lb in frontier:
-            disc = 1.0 + a / saddle
-            r = cmath.sqrt(disc)
+            (r,) = _inverse_roots(a, [saddle])
             for q in (-1.0 + r, -1.0 - r):
                 entry = (
                     q,
@@ -376,6 +339,6 @@ def _apply_mirror_calibration(leaves: list[RayLeaf], theta0: Fraction) -> None:
 
 
 def _pair_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    d1 = max(_circ_dist(p[0], q[0]), _circ_dist(p[1], q[1]))
-    d2 = max(_circ_dist(p[0], q[1]), _circ_dist(p[1], q[0]))
+    d1 = max(circle_distance(p[0], q[0]), circle_distance(p[1], q[1]))
+    d2 = max(circle_distance(p[0], q[1]), circle_distance(p[1], q[0]))
     return min(d1, d2)

@@ -30,6 +30,12 @@ Supported traces:
   a real finite-difference step;
 - ``trace_ray_through_point(a, w0, ...)``: the ray passing through a given
   basin point (no angle needed; arguments are measured, not prescribed).
+
+Each tracer walks its potential grid with ``_Marcher.walk``.  Every
+evaluation of phi validates its parameter once (in parameter mode a is the
+Newton unknown) and then iterates the unchecked ``core._f``; pullbacks to
+the 0-side follow one branch with ``core._inverse_roots``.  Invalid
+parameters raise ``DomainError`` from the public tracers.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..angles import DomainError
-from .core import NumericError, apply_F, boettcher_infty, green_value, is_infinite
+from .core import (NumericError, _boettcher, _f, _inverse_roots, _require_param, green_value,
+                   is_infinite)
 
 __all__ = [
     "RayPath",
@@ -106,15 +113,14 @@ class _Marcher:
         self.mode = mode  # "dyn": solve for z at fixed a; "par": solve for a
 
     def phi(self, x: complex, n: int) -> complex:
-        if self.mode == "dyn":
-            a, w = self.a, x
-        else:
-            a, w = x, -x
+        # Validated on every call: in parameter mode x is the Newton unknown a.
+        a, w = (self.a, x) if self.mode == "dyn" else (x, -x)
+        a = _require_param(a)
         for _ in range(n):
-            w = apply_F(a, w)
+            w = _f(a, _f(a, w))
             if is_infinite(w) or w == 0:
                 raise NumericError("ray orbit hit the supercycle")
-        return boettcher_infty(a, w)
+        return _boettcher(a, w)
 
     def anchor(self, x: complex, n: int) -> float:
         if self.theta is not None:
@@ -201,6 +207,14 @@ class _Marcher:
         x, res = self._solve_window(x, n, A, s_cur, s_next)
         return x, res, n, A
 
+    def walk(self, x: complex, res: float, s: float, n: int, A: float, grid: list[float]):
+        """Yield (s, x, residual) along ``grid`` from x solved at s (window n, anchor A)."""
+        for s_next in grid:
+            if s_next != s:
+                x, res, n, A = self.advance(x, s, n, A, s_next)
+                s = s_next
+            yield s, x, res
+
 
 def _geometric_grid(s_from: float, s_to: float, steps: int) -> list[float]:
     if steps < 2:
@@ -215,25 +229,19 @@ def _geometric_grid(s_from: float, s_to: float, steps: int) -> list[float]:
     return out
 
 
-def _seed_infinity(a: complex, theta: Fraction, s: float) -> complex:
-    return 2.0 * cmath.exp(complex(s, TWO_PI * float(theta % 1)))
+def _start_infinity(marcher: _Marcher, theta: Fraction, s: float):
+    """The infinity-ray point solved at potential s0 = max(8, s): (x, res, s0, n, A)."""
+    s0, A = max(8.0, s), _exact_anchor(theta, 0)
+    x = 2.0 * cmath.exp(complex(s0, TWO_PI * float(theta % 1)))
+    x, res = marcher.newton(x, 0, A, s0)
+    return x, res, s0, 0, A
 
 
 def _march_infinity(a: complex, theta: Fraction, grid: list[float]) -> list[tuple[float, complex, float]]:
     """Solve the infinity-ray of exact angle theta on a decreasing grid."""
     marcher = _Marcher(a, theta, "dyn")
-    s0 = max(8.0, grid[0])
-    x = _seed_infinity(a, theta, s0)
-    n, A = 0, _exact_anchor(theta, 0)
-    x, res = marcher.newton(x, n, A, s0)
-    out: list[tuple[float, complex, float]] = []
-    s_cur = s0
-    for s in grid:
-        if s != s_cur:
-            x, res, n, A = marcher.advance(x, s_cur, n, A, s)
-            s_cur = s
-        out.append((s, x, res))
-    return out
+    x, res, s0, n, A = _start_infinity(marcher, theta, grid[0])
+    return list(marcher.walk(x, res, s0, n, A, grid))
 
 
 def _solve_infinity_at(a: complex, theta: Fraction, s_star: float,
@@ -241,18 +249,13 @@ def _solve_infinity_at(a: complex, theta: Fraction, s_star: float,
     """The infinity-ray point of angle theta at one precise potential."""
     marcher = _Marcher(a, theta, "dyn")
     if start is None or start[0] < s_star:
-        s0 = max(8.0, s_star)
-        x = _seed_infinity(a, theta, s0)
-        n, A = 0, _exact_anchor(theta, 0)
-        x, res = marcher.newton(x, n, A, s0)
+        x, res, s0, n, A = _start_infinity(marcher, theta, s_star)
     else:
         s0, x = start
         n = window_exponent(s0)
         A = _exact_anchor(theta, n)
         res = 0.0
-    if s0 == s_star:
-        return x, res
-    x, res, _, _ = marcher.advance(x, s0, n, A, s_star)
+    ((_, x, res),) = marcher.walk(x, res, s0, n, A, [s_star])
     return x, res
 
 
@@ -309,19 +312,11 @@ def trace_dynamical_ray(
         except NumericError:
             pass
 
-    pts: list[tuple[float, complex, float]] = []
-    prev: complex | None = None
-    for s, w, res in inf_pts:
-        if crash is not None and s <= crash[0]:
-            break
-        disc = 1.0 + a / w
-        root = cmath.sqrt(disc)
-        if prev is None:
-            z = -1.0 + root  # deep tail: the +branch tends to 0, not -2
-        else:
-            z = -1.0 + root if abs(prev + 1.0 - root) <= abs(prev + 1.0 + root) else -1.0 - root
-        pts.append((s, z, res))
-        prev = z
+    # Potentials decrease along the grid: keep the points above the crash.
+    kept = [p for p in inf_pts if crash is None or p[0] > crash[0]]
+    # Deep tail: the + branch at the first point tends to 0, not -2.
+    roots = _inverse_roots(a, [w for _, w, _ in kept])
+    pts = [(s, -1.0 + r, res) for (s, _, res), r in zip(kept, roots)]
 
     path = RayPath("dynamical", "0", theta, a, pts)
     if crash is not None:
@@ -369,19 +364,11 @@ def trace_ray_through_point(
 
     up_grid = [s for s in reversed(_geometric_grid(s_up, s0, steps)) if s > s0]
     upper = RayPath("dynamical", "inf", None, a, [(s0, w0, 0.0)])
-    x, s_cur, n, A = w0, s0, n0, A0
-    for s in up_grid:
-        x, res, n, A = marcher.advance(x, s_cur, n, A, s)
-        upper.points.append((s, x, res))
-        s_cur = s
+    upper.points += marcher.walk(w0, 0.0, s0, n0, A0, up_grid)
 
     down_grid = [s for s in _geometric_grid(s0, s_to, steps) if s < s0]
     lower = RayPath("dynamical", "inf", None, a, [(s0, w0, 0.0)])
-    x, s_cur, n, A = w0, s0, n0, A0
-    for s in down_grid:
-        x, res, n, A = marcher.advance(x, s_cur, n, A, s)
-        lower.points.append((s, x, res))
-        s_cur = s
+    lower.points += marcher.walk(w0, 0.0, s0, n0, A0, down_grid)
     _finish_landing(lower)
     return upper, lower, s0
 
@@ -411,18 +398,12 @@ def trace_parameter_ray(
     n, A = 0, _exact_anchor(theta0, 0)
     x, res = marcher.newton(x, n, A, s0)
     path = RayPath("parameter", None, theta0, None)
-    s_cur = s0
-    for s in grid:
-        if s > s_cur:
-            continue
-        try:
-            x, res, n, A = marcher.advance(x, s_cur, n, A, s)
-        except NumericError:
-            path.complete = False
-            path.note = f"parameter-ray Newton stalled at potential {s:.6g}"
-            break
-        path.points.append((s, x, res))
-        s_cur = s
+    try:
+        for point in marcher.walk(x, res, s0, n, A, grid):
+            path.points.append(point)
+    except NumericError:
+        path.complete = False
+        path.note = f"parameter-ray Newton stalled at potential {grid[len(path.points)]:.6g}"
     _finish_landing(path)
     return path
 

@@ -24,10 +24,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .angles import DomainError, angle, require_nonperiodic
+from .angles import HALF, DomainError, angle, require_nonperiodic
 from .measure import h_arc, preimages_of_angle, sigma0_arc
 
-HALF = Fraction(1, 2)
 
 INSIDE = "I"
 OUTSIDE = "O"

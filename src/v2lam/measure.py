@@ -24,16 +24,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .angles import (
+    HALF,
     DomainError,
     angle,
     digit_stream,
     double,
-    is_periodic,
     require_nonperiodic,
     x0_digits,
 )
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .angles import (
     nu_stream,
     require_nonperiodic,
 )
-from .laminations import INSIDE, OUTSIDE, Lamination, build_2L
+from .laminations import INSIDE, OUTSIDE, build_2L
 
 
 # ---------------------------------------------------------------------------

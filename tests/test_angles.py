@@ -4,12 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from v2lam.angles import (
+    HALF,
     DigitStream,
     DomainError,
     _x0_digit_pair,
     angle,
+    circle_distance,
     binary_digit,
     digit_stream,
     double,
@@ -22,6 +26,23 @@ from v2lam.angles import (
     x0_series,
     y0_from_theta,
 )
+
+
+@given(u=st.fractions(), v=st.fractions())
+def test_circle_distance_on_fractions(u, v):
+    # the exact form it replaced in the checks: reduce u - v into [0, 1) first
+    d = angle(u - v)
+    got = circle_distance(u, v)
+    assert isinstance(got, F)
+    assert got == min(d, 1 - d) == circle_distance(v, u)
+    assert 0 <= got <= HALF
+
+
+@given(u=st.floats(-1e6, 1e6), v=st.floats(-1e6, 1e6))
+def test_circle_distance_on_floats(u, v):
+    # the float form it replaced in the ray leaves, bit for bit
+    d = abs(u - v) % 1.0
+    assert repr(circle_distance(u, v)) == repr(min(d, 1.0 - d))
 
 
 def test_double():

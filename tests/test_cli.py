@@ -141,6 +141,29 @@ def test_dyn_raster_refuses_ungriddable_window(tmp_path, capsys, kind, bounds, w
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("bounds", [
+    ("--re-min=1.7976931348623157e308", "--re-max", "1.7976931348623157e308"),
+    ("--re-min=1.7e308", "--re-max", "1.7e308", "--im-min=8e307", "--im-max", "8e307"),
+], ids=["4a-overflow", "abs-a-overflow"])
+@pytest.mark.filterwarnings("error")
+def test_dyn_m2_refuses_overflowing_trap_radius(tmp_path, capsys, bounds):
+    # the window grids, but R = 1 + sqrt(1 + 4|a|) is inf at every pixel
+    out_path = tmp_path / "x.pgm"
+    code, out, err = run(capsys, *WINDOW_RASTERS["m2"], *bounds, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numeric error: trap radius R overflows")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("z", ["1e200,0", "1e200,1e200"])
+def test_dyn_blaschke_non_finite_value_is_numeric_error(capsys, z):
+    code, out, err = run(capsys, "dyn", "blaschke", "--b", "0.5,0", "--z", z)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numeric error:")
+
+
 def test_dyn_fixed_huge_parameter_is_numeric_error(capsys):
     # R = 1 + sqrt(1 + 4|a|) overflows: exit 2, no partial table
     code, out, err = run(capsys, "dyn", "fixed", "--a=1e308,0")

@@ -1,5 +1,4 @@
 import cmath
-import hashlib
 import math
 import random
 
@@ -228,6 +227,9 @@ def test_blaschke_validation():
     assert blaschke_eval(0.5, 0.0) == 0.0
     with pytest.raises(DomainError):
         blaschke_eval(0.5, -2.0)  # the pole -1/conj(b)
+    for z in (1e200, complex(1e200, 1e200), INF, complex(math.nan, 0.0)):
+        with pytest.raises(NumericError):
+            blaschke_eval(0.5, z)  # inf+nani / nan+nani before
 
 
 # ---------------------------------------------------------------------------

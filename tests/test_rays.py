@@ -1,10 +1,16 @@
+import cmath
 import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2lam.angles import DomainError
 from v2lam.dynamics import (
+    INF,
+    apply_F,
+    boettcher_infty,
     critical_value_angle_error,
     green_value,
     ray_leaf_endpoints,
@@ -12,7 +18,8 @@ from v2lam.dynamics import (
     trace_parameter_ray,
     trace_ray_through_point,
 )
-from v2lam.dynamics.core import apply_f
+from v2lam.dynamics.core import _f, _inverse_roots, apply_f
+from v2lam.dynamics.rayleaves import _pullback_leg
 from v2lam.dynamics.rays import window_exponent
 from v2lam.laminations import build_2L
 
@@ -241,3 +248,183 @@ def test_ray_leaf_validation():
     with pytest.raises(DomainError):
         ray_leaf_endpoints(1.0, 1)     # member parameter
     assert ray_leaf_endpoints(6.0, -1) == []
+
+
+def test_parameter_ray_truncates_on_newton_failure(monkeypatch):
+    from v2lam.dynamics.core import NumericError
+    from v2lam.dynamics.rays import _geometric_grid, _Marcher
+
+    newton = _Marcher.newton
+
+    def failing_below_one(self, x, n, A, s):
+        if s < 1.0:
+            raise NumericError("forced failure at potential %.6g" % s)
+        return newton(self, x, n, A, s)
+
+    full = trace_parameter_ray(Fr(1, 6), s_from=8.0, s_to=0.05, steps=40)
+    monkeypatch.setattr(_Marcher, "newton", failing_below_one)
+    p = trace_parameter_ray(Fr(1, 6), s_from=8.0, s_to=0.05, steps=40)
+    grid = _geometric_grid(8.0, 0.05, 40)
+    kept = [s for s in grid if s >= 1.0]
+    assert not p.complete
+    assert [s for s, _, _ in p.points] == kept
+    assert p.points == full.points[:len(kept)]
+    first_below = grid[len(kept)]
+    assert first_below < 1.0
+    assert p.note == "parameter-ray Newton stalled at potential %.6g" % first_below
+    assert p.landing == p.points[-1][1]
+
+
+# ---------------------------------------------------------------------------
+# The unchecked step and the validating edge
+# ---------------------------------------------------------------------------
+
+NAN = complex(math.nan, 0.0)
+EDGE_POINTS = [INF, NAN, complex(0.0, math.inf), 0j, -0.0j, -2 + 0j, 1e151 + 0j,
+               -1e200j, complex(1e150, 1e150), 1e150 + 0j, 1e-300 + 0j, -1 + 0j]
+params = st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
+                            allow_nan=False, allow_infinity=False)
+
+
+def _apply_f_oracle(a, z):
+    """The body apply_f had before the unchecked step was split out."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return 0j
+    if abs(z) > 1e150:
+        return 0j
+    den = z * (z + 2.0)
+    if den == 0:
+        return INF
+    return a / den
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=params, z=st.one_of(st.sampled_from(EDGE_POINTS), st.complex_numbers()))
+def test_unchecked_step_equals_apply_f(a, z):
+    assert repr(_f(a, z)) == repr(apply_f(a, z)) == repr(_apply_f_oracle(a, z))
+
+
+def test_unchecked_step_at_edge_points():
+    for a in (1.0, 3 + 1j, -0.37 - 2.97j, 1e-300, 1e300j):
+        for z in EDGE_POINTS:
+            assert repr(_f(a, z)) == repr(apply_f(a, z)) == repr(_apply_f_oracle(a, z))
+    assert repr(_f(a, _f(a, z))) == repr(apply_F(a, z))
+
+
+@pytest.mark.parametrize("a, message", [
+    (0, "nonzero"), (0j, "nonzero"), (INF, "finite"), (NAN, "finite"),
+    (complex(1.0, -math.inf), "finite"),
+])
+def test_invalid_parameter_raises_domain_error_at_every_edge(a, message):
+    calls = [
+        lambda: apply_f(a, 1.0),
+        lambda: apply_F(a, 1.0),
+        lambda: green_value(a, 3.0),
+        lambda: boettcher_infty(a, 3.0),
+        lambda: trace_dynamical_ray(a, "inf", Fr(1, 3), steps=5),
+        lambda: trace_dynamical_ray(a, "0", Fr(1, 3), steps=5),
+        lambda: trace_ray_through_point(a, 3.0),
+        lambda: critical_value_angle_error(a, Fr(1, 6)),
+        lambda: ray_leaf_endpoints(a, 1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="parameter a must be " + message):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-site branch-tracking loops that core._inverse_roots replaced
+# ---------------------------------------------------------------------------
+
+def _sqrt_track(prev, disc):
+    root = cmath.sqrt(disc)
+    if prev is not None and abs(-root - prev) < abs(root - prev):
+        root = -root
+    return root
+
+
+def _tracked_roots_oracle(a, ws, prev):
+    out = []
+    for w in ws:
+        prev = _sqrt_track(prev, 1.0 + a / w)
+        out.append(prev)
+    return out
+
+
+def _pullback_leg_oracle(a, saddle, parent_leg, parent_depth):
+    halve = parent_depth % 2 == 0
+    out = []
+    prev = None
+    for sigma, p in parent_leg:
+        disc = 1.0 + a / p
+        r1 = cmath.sqrt(disc)
+        c1, c2 = -1.0 + r1, -1.0 - r1
+        if prev is None:
+            z = c1 if abs(c1 - saddle) <= abs(c2 - saddle) else c2
+        else:
+            z = c1 if abs(c1 - prev) <= abs(c2 - prev) else c2
+        out.append((sigma * 0.5 if halve else sigma, z))
+        prev = z
+    return out
+
+
+def _base0_oracle(a, inf_pts, crash_potential):
+    pts = []
+    prev = None
+    for s, w, res in inf_pts:
+        if crash_potential is not None and s <= crash_potential:
+            break
+        disc = 1.0 + a / w
+        root = cmath.sqrt(disc)
+        if prev is None:
+            z = -1.0 + root
+        else:
+            z = -1.0 + root if abs(prev + 1.0 - root) <= abs(prev + 1.0 + root) else -1.0 - root
+        pts.append((s, z, res))
+        prev = z
+    return pts
+
+
+ORACLE_PARAMS = [6.0, -0.37 - 2.97j, -4.0 + 2.0j, 2.0 - 5.0j, "sixth"]
+
+
+@pytest.fixture(scope="module", params=ORACLE_PARAMS, ids=str)
+def oracle_param(request, a_on_sixth_ray):
+    return a_on_sixth_ray if request.param == "sixth" else complex(request.param)
+
+
+def test_base0_branch_matches_oracle(oracle_param):
+    a = oracle_param
+    crashes = 0
+    for theta in (Fr(0), Fr(1, 6), Fr(1, 3), Fr(1, 2), Fr(5, 7)):
+        inf_ray = trace_dynamical_ray(a, "inf", theta, steps=80)
+        ray = trace_dynamical_ray(a, "0", theta, steps=80)
+        want = _base0_oracle(a, inf_ray.points, ray.crash_potential)
+        got = ray.points[:-1] if ray.crashed else ray.points
+        assert repr(got) == repr(want)
+        crashes += ray.crashed
+    if a == 6.0:
+        assert crashes == 1   # the half-turn ray passes through -6
+
+
+def test_inverse_roots_and_pullback_legs_match_oracles(oracle_param):
+    a = oracle_param
+    upper, lower, _ = trace_ray_through_point(a, -a, s_to=1e-4, steps=80)
+    for pts in (upper.points[1:], lower.points[1:]):
+        ws = [w for _, w, _ in pts]
+        for prev in (None, 1.0, 1j):
+            assert repr(_inverse_roots(a, ws, prev)) == repr(_tracked_roots_oracle(a, ws, prev))
+    roots = _tracked_roots_oracle(a, [w for _, w, _ in lower.points[1:]], None)
+    legs = [[(s, -1.0 + sign * r) for (s, _, _), r in zip(lower.points[1:], roots)]
+            for sign in (1, -1)]
+    frontier = [(-1.0 + 0j, 0, legs)]
+    for d in (1, 2):
+        nxt = []
+        for saddle, pd, parent_legs in frontier:
+            r = cmath.sqrt(1.0 + a / saddle)
+            for q in (-1.0 + r, -1.0 - r):
+                new = [_pullback_leg(a, q, leg, pd) for leg in parent_legs]
+                assert repr(new) == repr([_pullback_leg_oracle(a, q, leg, pd)
+                                          for leg in parent_legs])
+                nxt.append((q, d, new))
+        frontier = nxt

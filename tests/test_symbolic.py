@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from v2lam.angles import DigitStream, DomainError, angle, digit_stream, x0_digits
 from v2lam.symbolic import (
     Address,
-    AddressMatchReport,
     Dyadic,
     RegulatedRaySymbol,
     addr_equivalent,
