@@ -7,6 +7,12 @@ floats, for the numerical layer).
 Provides: the doubling map, binary digits and eventually periodic digit streams,
 the nu_m comparison functions, the x0 and y0 angle correspondences, and
 classification of doubling orbits.
+
+A digit stream holds its preperiod and period as packed integers with bit
+lengths, so shifts, canonical forms and values are integer operations.  The
+x0 digits (pairs of a theta0 digit and nu_m) come from one kernel,
+``_interleaved_bit_ints``, which also builds the x0 stream and the critical
+body of :mod:`v2lam.symbolic`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -67,43 +73,74 @@ def nu(theta: Fraction, m: int) -> int:
     return 1 if angle(Fraction(2) ** m * t) >= t else 0
 
 
+def _pack(bits: tuple) -> int:
+    """The bits (each 0 or 1, most significant first) as one integer."""
+    if any(b not in (0, 1) for b in bits):
+        raise DomainError("bits must be 0 or 1")
+    return int("".join("01"[b] for b in bits) or "0", 2)
+
+
+def _rotate(word: int, l: int, s: int) -> int:
+    """The l-bit word rotated left by s (mod l) places."""
+    s %= l
+    return ((word << s) | (word >> (l - s))) & ((1 << l) - 1)
+
+
+def _repeat(word: int, l: int, n: int) -> int:
+    """The first n bits of the l-bit word repeated forever."""
+    while l < n:
+        word = (word << l) | word
+        l *= 2
+    return word >> (l - n)
+
+
+def _alternating(n: int) -> int:
+    """The n-bit word 1010...: ones at the odd (1-indexed) positions."""
+    return ((2 << n) - 1) // 3
+
+
 @dataclass(frozen=True)
 class DigitStream:
     """An eventually periodic bit sequence: finite preperiod + repeating period.
 
-    This is a pure symbol sequence.  Streams produced from angle expansions
-    (digit_stream) never carry an all-ones period; address streams may.
-    Canonical form: shortest period, then shortest preperiod.
+    The preperiod is the p-bit integer ``pre`` and the period the l-bit
+    integer ``per`` (l >= 1), both read most significant bit first, so digit
+    1 is the top bit of ``pre``.  This is a pure symbol sequence.  Streams
+    produced from angle expansions (digit_stream) never carry an all-ones
+    period; address streams may.  Canonical form: shortest period, then
+    shortest preperiod.  ``make`` and ``parse`` validate and canonicalise.
     """
 
-    pre: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.period:
-            raise DomainError("period must be non-empty")
-        if any(b not in (0, 1) for b in self.pre + self.period):
-            raise DomainError("bits must be 0 or 1")
+    pre: int
+    p: int
+    per: int
+    l: int
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def make(pre: Iterable[int], period: Iterable[int]) -> "DigitStream":
-        return DigitStream(tuple(pre), tuple(period)).canonical()
+        """Canonical stream from preperiod and period bit sequences."""
+        pre, period = tuple(pre), tuple(period)
+        if not period:
+            raise DomainError("period must be non-empty")
+        return DigitStream(_pack(pre), len(pre), _pack(period), len(period)).canonical()
 
     def canonical(self) -> "DigitStream":
         """Shortest-period, shortest-preperiod representative (symbolwise)."""
-        per = list(self.period)
-        # minimal period: smallest divisor-length block that tiles the period
-        for d in range(1, len(per) + 1):
-            if len(per) % d == 0 and per == per[: d] * (len(per) // d):
-                per = per[:d]
-                break
-        pre = list(self.pre)
-        while pre and pre[-1] == per[-1]:
-            per = [per[-1]] + per[:-1]
-            pre.pop()
-        return DigitStream(tuple(pre), tuple(per))
+        pre, p, per, l = self.pre, self.p, self.per, self.l
+        # l/q is a period iff the top and bottom l - l/q bits of the period agree
+        for q in _factor_small(l):
+            while l % q == 0 and per >> (l // q) == per & ((1 << (l - l // q)) - 1):
+                per >>= l - l // q
+                l //= q
+        if p:
+            # drop the preperiod's trailing bits that continue the period backwards
+            ends = _repeat(per, l, l * -(-p // l)) & ((1 << p) - 1)
+            diff = pre ^ ends
+            k = (diff & -diff).bit_length() - 1 if diff else p
+            pre, p, per = pre >> k, p - k, _rotate(per, l, -k)
+        return DigitStream(pre, p, per, l)
 
     # -- access -----------------------------------------------------------
 
@@ -111,43 +148,38 @@ class DigitStream:
         """1-indexed digit."""
         if m < 1:
             raise DomainError("digit index must be >= 1")
-        i = m - 1
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.period[(i - len(self.pre)) % len(self.period)]
+        if m <= self.p:
+            return (self.pre >> (self.p - m)) & 1
+        j = (m - 1 - self.p) % self.l
+        return (self.per >> (self.l - 1 - j)) & 1
 
     def prefix(self, n: int) -> list[int]:
         return [self.digit(m) for m in range(1, n + 1)]
 
-    def __iter__(self) -> Iterator[int]:
-        yield from self.pre
-        while True:
-            yield from self.period
-
     def shifted(self, k: int = 1) -> "DigitStream":
-        """Drop the first k symbols."""
-        pre, per = list(self.pre), list(self.period)
-        for _ in range(k):
-            if pre:
-                pre.pop(0)
-            else:
-                per = per[1:] + per[:1]
-        return DigitStream.make(pre, per)
+        """Drop the first k symbols; a canonical stream stays canonical."""
+        if k < 0:
+            raise DomainError("shift must be >= 0")
+        if k <= self.p:
+            return DigitStream(self.pre & ((1 << (self.p - k)) - 1), self.p - k,
+                               self.per, self.l)
+        return DigitStream(0, 0, _rotate(self.per, self.l, k - self.p), self.l)
+
+    def prepended(self, word: int, n: int) -> "DigitStream":
+        """The canonical stream of the n-bit word followed by this stream."""
+        return DigitStream((word << self.p) | self.pre, n + self.p,
+                           self.per, self.l).canonical()
 
     # -- value semantics --------------------------------------------------
 
     def to_fraction(self) -> Fraction:
         """The rational value of 0.<pre><period><period>...; all-ones tails carry."""
-        p, l = len(self.pre), len(self.period)
-        pre_int = int("".join(map(str, self.pre)), 2) if p else 0
-        per_int = int("".join(map(str, self.period)), 2)
-        return Fraction(pre_int, 1 << p) + Fraction(per_int, (1 << p) * ((1 << l) - 1))
+        ones = (1 << self.l) - 1
+        return Fraction(self.pre * ones + self.per, ones << self.p)
 
     def __str__(self) -> str:
-        return "%s(%s)" % (
-            "".join(map(str, self.pre)),
-            "".join(map(str, self.period)),
-        )
+        return "%s(%s)" % (format(self.pre, "0%db" % self.p) if self.p else "",
+                           format(self.per, "0%db" % self.l))
 
     @staticmethod
     def parse(text: str) -> "DigitStream":
@@ -158,27 +190,24 @@ class DigitStream:
         pre_s, per_s = text[:-1].split("(", 1)
         if not per_s or set(pre_s + per_s) - {"0", "1"}:
             raise DomainError("digit stream bits must be 0/1, period non-empty")
-        return DigitStream.make([int(c) for c in pre_s], [int(c) for c in per_s])
+        return DigitStream(int(pre_s or "0", 2), len(pre_s),
+                           int(per_s, 2), len(per_s)).canonical()
 
 
 def digit_stream(theta: Fraction) -> DigitStream:
     """Canonical eventually periodic binary expansion of a rational angle.
 
-    Long division; the remainder cycle makes preperiod and period minimal by
-    construction, and the expansion never ends in all-ones.
+    Long division: for t = num/den in lowest terms the preperiod is e bits,
+    e the power of 2 in den, after which the remainder r cycles with period
+    L; the bits are floor(2^e t) and floor(2^L r/den).  Both lengths are
+    minimal, and the expansion never ends in all-ones.
     """
     t = angle(theta)
     num, den = t.numerator, t.denominator
-    seen: dict[int, int] = {}
-    bits: list[int] = []
-    r = num
-    while r not in seen:
-        seen[r] = len(bits)
-        r *= 2
-        bits.append(r // den)
-        r %= den
-    start = seen[r]
-    return DigitStream(tuple(bits[:start]), tuple(bits[start:])).canonical()
+    e = (den & -den).bit_length() - 1
+    pre, r = divmod(num << e, den)
+    L = _doubling_period(r, den)
+    return DigitStream(pre, e, (r << L) // den, L)
 
 
 @dataclass(frozen=True)
@@ -200,7 +229,7 @@ def orbit_type(theta: Fraction) -> OrbitType:
         tag = "dyadic"
     else:
         tag = "preperiodic"
-    return OrbitType(tag, len(s.pre), len(s.period))
+    return OrbitType(tag, s.p, s.l)
 
 
 def is_periodic(theta: Fraction) -> bool:
@@ -252,40 +281,6 @@ def x0_series(theta0: Fraction, M: int) -> tuple[Fraction, Fraction]:
     return total, total + Fraction(1, 1 << (M + 1))
 
 
-def nu_stream(theta0: Fraction) -> DigitStream:
-    """nu_m(theta0) for m = 1, 2, ... as an eventually periodic stream.
-
-    nu_m depends only on frac(2^m theta0), so it repeats with the doubling
-    orbit: preperiod/period bounded by the digit stream's.
-    """
-    t = angle(theta0)
-    s = digit_stream(t)
-    p, l = len(s.pre), len(s.period)
-    # frac(2^m t) = r_m/den with r_m the doubling-orbit remainder, so each
-    # nu_m is a single small-integer comparison.
-    num, den = t.numerator, t.denominator
-    vals = []
-    r = num
-    for _ in range(p + l):
-        r = (2 * r) % den
-        vals.append(1 if r >= num else 0)
-    return DigitStream.make(vals[:p], vals[p:])
-
-
-def interleave_streams(first: DigitStream, second: DigitStream, lead: tuple[int, ...] = ()
-                       ) -> DigitStream:
-    """Stream lead + a1 b1 a2 b2 ... from streams a, b, canonicalized."""
-    p = max(len(first.pre), len(second.pre))
-    l = math.lcm(len(first.period), len(second.period))
-    pre = list(lead)
-    for m in range(1, p + 1):
-        pre += [first.digit(m), second.digit(m)]
-    per: list[int] = []
-    for m in range(p + 1, p + l + 1):
-        per += [first.digit(m), second.digit(m)]
-    return DigitStream.make(pre, per)
-
-
 try:
     import gmpy2 as _gmpy2
 except ImportError:  # pragma: no cover - optional accelerator
@@ -328,7 +323,15 @@ def _factor_small(n: int) -> dict[int, int]:
 
 
 def _order_of_two(m: int) -> int:
-    """Multiplicative order of 2 modulo odd m > 1 (the doubling period)."""
+    """Multiplicative order of 2 modulo odd m >= 1 (the doubling period).
+
+    Below 2^40, where trial division is quick: Carmichael's exponent,
+    reduced prime by prime.  From 2^40 on, the walk 2^k mod m: its steps
+    never outnumber the period, so it costs no more than the period's bits
+    that every caller then computes.
+    """
+    if m >= 1 << 40:
+        return _doubling_period(1, m)
     lam = 1
     for p, k in _factor_small(m).items():
         lam = math.lcm(lam, (p - 1) * p ** (k - 1))
@@ -339,20 +342,27 @@ def _order_of_two(m: int) -> int:
     return d
 
 
-def _orbit_lengths(den: int) -> tuple[int, int]:
-    """(preperiod, period) of the binary expansion of a reduced p/den."""
-    e = (den & -den).bit_length() - 1
-    m = den >> e
-    return e, (1 if m == 1 else _order_of_two(m))
+def _doubling_period(r: int, den: int) -> int:
+    """Steps of r -> 2r mod den until r comes back (r must lie on a cycle)."""
+    k, v = 1, 2 * r % den
+    while v != r:
+        k, v = k + 1, 2 * v % den
+    return k
 
 
-def _interleaved_bit_ints(num: int, den: int, e: int, L: int) -> tuple[int, int]:
-    """Packed integers (pre, per) of the 2e+2L interleaved digit/nu bits.
+def _interleaved_bit_ints(theta0: Fraction) -> tuple[int, int, int, int]:
+    """The x0 kernel: (pre, e, per, L), the interleaved digit/nu bits packed.
 
-    Bit pairs are (theta digit d_m, nu_m) for m = 1..e+L, split after m = e.
+    Bit pairs are (theta digit d_m, nu_m) for m = 1..e+L, split after m = e
+    into the 2e-bit ``pre`` and the 2L-bit ``per``; e and L are the
+    preperiod and period of theta0, which must not be doubling-periodic.
     The remainders r_m = 2^m num mod den give both: d_m = (2 r_{m-1}) // den
     and nu_m = [r_m >= num].
     """
+    t = require_nonperiodic(theta0)
+    num, den = t.numerator, t.denominator
+    e = (den & -den).bit_length() - 1
+    L = _order_of_two(den >> e)
     n = e + L
     if den < (1 << 31):
         import numpy as np
@@ -383,7 +393,7 @@ def _interleaved_bit_ints(num: int, den: int, e: int, L: int) -> tuple[int, int]
             packed = np.packbits(a)
             return int.from_bytes(packed.tobytes(), "big") >> (-len(a) % 8)
 
-        return bits_to_int(inter[: 2 * e]), bits_to_int(inter[2 * e:])
+        return bits_to_int(inter[: 2 * e]), e, bits_to_int(inter[2 * e:]), L
     pre_i = per_i = 0
     r = num
     for m in range(1, n + 1):
@@ -394,7 +404,7 @@ def _interleaved_bit_ints(num: int, den: int, e: int, L: int) -> tuple[int, int]
             pre_i = (pre_i << 2) | bits
         else:
             per_i = (per_i << 2) | bits
-    return pre_i, per_i
+    return pre_i, e, per_i, L
 
 
 def _x0_digit_pair(theta0: Fraction) -> tuple[int, int]:
@@ -404,12 +414,7 @@ def _x0_digit_pair(theta0: Fraction) -> tuple[int, int]:
     other rationals can cross-multiply with this pair and skip the gcd, which
     is quadratic in CPython and dominates for million-bit denominators.
     """
-    t = require_nonperiodic(theta0)
-    if t == 0:
-        raise DomainError("theta0 must lie in (0,1)")
-    num, den = t.numerator, t.denominator
-    e, L = _orbit_lengths(den)
-    pre_i, per_i = _interleaved_bit_ints(num, den, e, L)
+    pre_i, e, per_i, L = _interleaved_bit_ints(theta0)
     two_l = (1 << (2 * L)) - 1
     return pre_i * two_l + per_i, (1 << (2 * e + 1)) * two_l
 
@@ -426,22 +431,17 @@ def x0_digits(theta0: Fraction) -> Fraction:
 
 def x0_digit_stream(theta0: Fraction) -> DigitStream:
     """The interleaved digit stream of x0 (digit 1 is 0, then theta/nu digits)."""
-    t = require_nonperiodic(theta0)
-    return interleave_streams(digit_stream(t), nu_stream(t), lead=(0,))
+    pre_i, e, per_i, L = _interleaved_bit_ints(theta0)
+    return DigitStream(pre_i, 2 * e + 1, per_i, 2 * L).canonical()
 
 
 def y0_from_theta(theta0: Fraction) -> Fraction:
-    """Exact y0 = 1/3 + sum_{m>=1} theta0[m]/4^m."""
-    t = angle(theta0)
-    s = digit_stream(t)
-    p, l = len(s.pre), len(s.period)
-    total = Fraction(1, 3)
-    for m in range(1, p + 1):
-        if s.digit(m):
-            total += Fraction(1, 1 << (2 * m))
-    tail = Fraction(0)
-    for j in range(1, l + 1):
-        if s.digit(p + j):
-            tail += Fraction(1, 1 << (2 * j))
-    total += tail * Fraction(1, 1 << (2 * p)) / (1 - Fraction(1, 1 << (2 * l)))
-    return angle(total)
+    """Exact y0 = 1/3 + sum_{m>=1} theta0[m]/4^m.
+
+    The preperiod and period bit strings of theta0, read in base 4, are the
+    numerators of that sum over the preperiod and over one period.
+    """
+    s = digit_stream(theta0)
+    ones = (1 << (2 * s.l)) - 1
+    head, tail = int(format(s.pre, "b"), 4), int(format(s.per, "b"), 4)
+    return angle(Fraction(1, 3) + Fraction(head * ones + tail, ones << (2 * s.p)))

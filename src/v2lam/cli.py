@@ -8,7 +8,8 @@ verification suites).
 
 Conventions: long flags only; angles are written ``p/q``; complex numbers
 are written ``re,im`` (use ``--a=-1.5,2`` syntax for negative reals).
-Depth-like flags are capped at 16 and iteration-like flags at 4096 unless
+Depth-like flags are capped at 16, iteration-like flags at 4096, and the
+leaf count a ``lam L``/``L0``/``two-sided`` request predicts at 2^17 unless
 ``--unsafe-limits`` is given.  ``--config PATH`` reads ``key=value`` lines
 (keys are flag names without the dashes) used as defaults.  Exit codes:
 0 success, 1 domain error, 2 numeric failure, 64 usage error (sysexits
@@ -39,6 +40,9 @@ from .dynamics import NumericError
 
 DEPTH_CAP = 16
 ITER_CAP = 4096
+#: Leaves a lamination request may predict: 2^(d+1) - 1 for two-sided and
+#: L0 stay within it up to DEPTH_CAP, the sum of 4^n for L up to depth 8.
+LEAF_BUDGET = 1 << 17
 
 
 class UsageError(Exception):
@@ -121,6 +125,18 @@ def _depth_value(args, field: str = "depth", minimum: int = 0) -> int:
     if d < minimum:
         raise UsageError("%s must be >= %d" % (field, minimum))
     return _capped(d, DEPTH_CAP, field, args)
+
+
+def _leaf_depth(args, branching: int) -> int:
+    """The depth flag, refused when the predicted leaf count exceeds LEAF_BUDGET.
+
+    Layer n of the lamination holds branching**n leaves.  A depth beyond
+    DEPTH_CAP has passed --unsafe-limits already, so its count is not needed.
+    """
+    d = _depth_value(args)
+    n = min(d, DEPTH_CAP) + 1
+    _capped((branching ** n - 1) // (branching - 1), LEAF_BUDGET, "predicted leaf count", args)
+    return d
 
 
 def _fmt_c(z: complex) -> str:
@@ -294,14 +310,14 @@ def _cmd_lam_L0(args) -> int:
 
     cap = None if args.measure_cap is None else _int_value(args.measure_cap, "measure-cap")
     return _emit_lamination(
-        build_L0(_angle_value(args.theta), _depth_value(args), cap), args)
+        build_L0(_angle_value(args.theta), _leaf_depth(args, 2), cap), args)
 
 
 def _cmd_lam_L(args) -> int:
     _req(args, "theta", "depth")
     from .laminations import build_L, mirror_outside
 
-    lam = build_L(_angle_value(args.theta), _depth_value(args))
+    lam = build_L(_angle_value(args.theta), _leaf_depth(args, 4))
     if _truthy(args.mirror):
         lam = mirror_outside(lam)
     return _emit_lamination(lam, args)
@@ -312,7 +328,7 @@ def _cmd_lam_two_sided(args) -> int:
     from .laminations import build_2L
 
     return _emit_lamination(
-        build_2L(_angle_value(args.theta), _depth_value(args)), args)
+        build_2L(_angle_value(args.theta), _leaf_depth(args, 2)), args)
 
 
 def _cmd_lam_quadratic(args) -> int:

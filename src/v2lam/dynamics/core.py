@@ -91,8 +91,11 @@ def apply_F(a: complex, z: complex) -> complex:
 
 def _f(a: complex, z: complex) -> complex:
     """``apply_f`` for a validated parameter and a ``complex`` z (no checks)."""
-    if is_infinite(z) or abs(z) > _HUGE:
-        # Beyond _HUGE, z^2 + 2z would overflow; the true image is ~ a/z^2 ~ 0.
+    # Beyond _HUGE, z^2 + 2z would overflow; the true image is ~ a/z^2 ~ 0.
+    try:
+        if is_infinite(z) or abs(z) > _HUGE:
+            return 0j
+    except OverflowError:  # finite parts whose modulus exceeds the float range
         return 0j
     den = z * (z + 2.0)
     if den == 0:
@@ -259,8 +262,9 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
     ``+inf``.  G ∘ F = 2 G, and on the two half-basins G ∘ f = -G (from the
     0-side) or -2 G (from the infinity-side).
 
-    The iteration closes early once |F^k(z)| leaves [1e-100, 1e100], using
-    the asymptotic normalizations above; otherwise it returns
+    The iteration closes early once |F^k(z)| leaves [1e-100, 1e100], or
+    once the half step a/(w^2+2w) underflows to 0 (tiny |a|, w far out),
+    using the asymptotic normalizations above; otherwise it returns
     2^-n log|F^n(z)|.
     """
     a = _require_param(a)
@@ -281,7 +285,11 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
             return (math.log(mag) + math.log(4.0) - log_a) / (2.0 ** k)
         if k == n:
             return math.log(mag) / (2.0 ** n)
-        w = _f(a, _f(a, w))
+        half = _f(a, w)
+        if half == 0:
+            # not a pole but an underflow: w is deep in the basin of infinity
+            return (math.log(mag) - math.log(2.0)) / (2.0 ** k)
+        w = _f(a, half)
     raise NumericError("green_value: unreachable")
 
 

@@ -131,7 +131,7 @@ def cumulative(theta0: Fraction, t: Fraction, M: Optional[int] = None) -> Fracti
             Fraction(0),
         )
     s = digit_stream(t)
-    P, L = len(s.pre), len(s.period)
+    P, L = s.p, s.l
     # prefix terms m < P, done directly
     total = Fraction(0)
     for m in range(P):

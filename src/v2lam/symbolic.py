@@ -18,9 +18,11 @@ critical itinerary).  The module provides:
 - ``cells_at_depth``: the 2**n depth-n cell labels;
 - ``RegulatedRaySymbol`` with its rewrite rules for images and preimages.
 
-All functions are pure and exact.  Angles and addresses are ``Fraction``s
-and bit tuples; regulated-ray angles are ``Dyadic`` int pairs, on which the
-rewrite rules are digit shifts.
+All functions are pure and exact.  Angles are ``Fraction``s and addresses
+are :class:`~v2lam.angles.DigitStream`s, whose preperiod and period are
+packed integers: flips, shifts and prefix matching are bit operations.
+Regulated-ray angles are ``Dyadic`` int pairs, on which the rewrite rules
+are digit shifts.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from typing import NamedTuple
 from .angles import (
     DigitStream,
     DomainError,
+    _alternating,
+    _interleaved_bit_ints,
+    _repeat,
     angle,
     digit_stream,
-    interleave_streams,
-    nu_stream,
     require_nonperiodic,
 )
 from .laminations import INSIDE, OUTSIDE, build_2L
@@ -71,14 +74,10 @@ class Address:
         return self.stream.shifted(1)
 
     @staticmethod
-    def from_bits(pre, period) -> "Address":
-        return Address(DigitStream.make(pre, period))
-
-    @staticmethod
     def from_leading_body(leading: int, body: DigitStream) -> "Address":
         if leading not in (0, 1):
             raise DomainError("leading bit must be 0 or 1")
-        return Address(DigitStream.make((leading,) + body.pre, body.period))
+        return Address(body.prepended(leading, 1))
 
     def digit(self, m: int) -> int:
         return self.stream.digit(m)
@@ -114,21 +113,16 @@ def shift(x: Address) -> Address:
 # Critical addresses
 
 
-def complement_stream(s: DigitStream) -> DigitStream:
-    """Bitwise complement, as a symbol sequence."""
-    return DigitStream.make(
-        tuple(1 - b for b in s.pre), tuple(1 - b for b in s.period)
-    )
-
-
 def epsilon_star(theta0: Fraction) -> DigitStream:
     """The shared body d of the two critical addresses.
 
     d interleaves the binary digits of theta0 with the complemented nu
-    sequence: d[2m-1] = theta0[m], d[2m] = 1 - nu_m(theta0).
+    sequence: d[2m-1] = theta0[m], d[2m] = 1 - nu_m(theta0).  That is the x0
+    kernel's bit pairs with every second bit flipped.
     """
-    t = require_nonperiodic(theta0)
-    return interleave_streams(digit_stream(t), complement_stream(nu_stream(t)))
+    pre, e, per, L = _interleaved_bit_ints(theta0)
+    return DigitStream(pre ^ (_alternating(2 * e) >> 1), 2 * e,
+                       per ^ (_alternating(2 * L) >> 1), 2 * L).canonical()
 
 
 def critical_address(theta0: Fraction) -> tuple[Address, Address]:
@@ -147,12 +141,12 @@ def critical_address(theta0: Fraction) -> tuple[Address, Address]:
 
 def _flip_odd(s: DigitStream) -> DigitStream:
     """Flip the bits in odd (1-indexed) positions; an exact involution."""
-    p, l = len(s.pre), len(s.period)
+    per, l = s.per, s.l
     if l % 2:
-        l *= 2
-    pre = tuple(s.digit(m) ^ (m & 1) for m in range(1, p + 1))
-    per = tuple(s.digit(m) ^ (m & 1) for m in range(p + 1, p + l + 1))
-    return DigitStream.make(pre, per)
+        per, l = (per << l) | per, 2 * l
+    # the period starts at position p + 1, odd exactly when p is even
+    return DigitStream(s.pre ^ _alternating(s.p), s.p,
+                       per ^ (_alternating(l) >> (s.p & 1)), l).canonical()
 
 
 def angle_to_address(theta: Fraction) -> Address:
@@ -181,11 +175,14 @@ def _first_difference(sx: DigitStream, sy: DigitStream) -> int | None:
     """1-indexed position of the first differing bit, or None if equal."""
     if sx == sy:
         return None
-    bound = max(len(sx.pre), len(sy.pre)) + lcm(len(sx.period), len(sy.period))
-    for m in range(1, bound + 1):
-        if sx.digit(m) != sy.digit(m):
-            return m
-    return None
+    n = max(sx.p, sy.p) + lcm(sx.l, sy.l)
+    diff = _head(sx, n) ^ _head(sy, n)
+    return n + 1 - diff.bit_length() if diff else None
+
+
+def _head(s: DigitStream, n: int) -> int:
+    """The first n >= s.p bits of s, packed."""
+    return (s.pre << (n - s.p)) | _repeat(s.per, s.l, n - s.p)
 
 
 def _is_critical_pair(sx: DigitStream, sy: DigitStream, eps: DigitStream) -> bool:
@@ -199,14 +196,11 @@ def _is_critical_pair(sx: DigitStream, sy: DigitStream, eps: DigitStream) -> boo
 def _angle_reps(t: Fraction) -> list[DigitStream]:
     """All binary expansions of an angle: one, or two for dyadic angles."""
     s = digit_stream(t)
-    reps = [s]
-    t = angle(t)
-    if t == 0:
-        reps.append(DigitStream.make((), (1,)))
-    elif t.denominator & (t.denominator - 1) == 0:
-        # canonical terminating expansion: pre ends in 1, period (0)
-        reps.append(DigitStream.make(s.pre[:-1] + (0,), (1,)))
-    return reps
+    if s.per:
+        return [s]
+    # a terminating expansion pre(0) has pre ending in 1, or is 0 = (0); its
+    # twin is (pre - 1)(1), or (1)
+    return [s, DigitStream(max(s.pre - 1, 0), s.p, 1, 1)]
 
 
 def _representatives(x: Address) -> list[Address]:
@@ -294,16 +288,14 @@ def leaf_addresses_match(theta0: Fraction, depth: int) -> AddressMatchReport:
     nwords = 0
     for k in range(depth + 1):
         side = INSIDE if k % 2 == 0 else OUTSIDE
-        for bits in product((0, 1), repeat=k):
+        for w in range(1 << k):
             nwords += 1
-            tu = address_to_angle(
-                Address(DigitStream.make(bits + (0,) + eps.pre, eps.period)))
-            tv = address_to_angle(
-                Address(DigitStream.make(bits + (1,) + eps.pre, eps.period)))
+            tu, tv = (address_to_angle(Address(eps.prepended((w << 1) | b, k + 1)))
+                      for b in (0, 1))
             if tu == tv:
                 continue
             if not lam.has(side, tu, tv):
-                word_failures.append(("".join(map(str, bits)), tu, tv))
+                word_failures.append((format(w, "0%db" % k) if k else "", tu, tv))
     return AddressMatchReport(count, tuple(leaf_failures), nwords,
                               tuple(word_failures))
 

@@ -1,16 +1,18 @@
 """Exact-angle arithmetic: digits, nu, x0/y0 correspondences, orbit types."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from v2lam.angles import (
     HALF,
     DigitStream,
     DomainError,
+    _order_of_two,
     _x0_digit_pair,
     angle,
     circle_distance,
@@ -19,13 +21,16 @@ from v2lam.angles import (
     double,
     doubling_orbit,
     nu,
-    nu_stream,
     orbit_type,
     x0_digit_stream,
     x0_digits,
     x0_series,
     y0_from_theta,
 )
+from v2lam.symbolic import critical_address
+
+import stream_oracles as oracle
+from stream_oracles import TupleStream, nu_stream
 
 
 @given(u=st.fractions(), v=st.fractions())
@@ -75,7 +80,8 @@ def test_digit_stream_roundtrip_and_agreement():
         for m in range(1, 65):
             assert binary_digit(t, m) == s.digit(m)
         # angle expansions never end in all-ones
-        assert set(s.period) != {1}
+        assert set(TupleStream.of(s).period) != {1}
+        assert TupleStream.of(s) == oracle.digit_stream(t)
 
 
 def test_digit_stream_canonical_minimal():
@@ -150,6 +156,7 @@ def test_x0_digit_pair_matches_reduced_value_and_stream_oracle():
         t = _random_nonperiodic(rng, 2**12)
         num, den = _x0_digit_pair(t)
         assert F(num, den) == x0_digits(t) == x0_digit_stream(t).to_fraction()
+        assert TupleStream.of(x0_digit_stream(t)) == oracle.x0_digit_stream(t)
 
 
 def test_x0_rejects_periodic():
@@ -201,3 +208,108 @@ def _random_nonperiodic(rng, qmax):
         t = F(p, q)
         if t.denominator % 2 == 0:
             return t
+
+
+# ---------------------------------------------------------------------------
+# packed streams against the tuple oracles
+
+bit_lists = st.lists(st.integers(0, 1), max_size=10)
+periods = st.tuples(st.lists(st.integers(0, 1), min_size=1, max_size=6),
+                    st.integers(1, 3)).map(lambda pr: pr[0] * pr[1])
+
+
+@given(pre=bit_lists, per=periods)
+def test_stream_print_parse_round_trip(pre, per):
+    s = DigitStream.make(pre, per)
+    assert str(s) == str(TupleStream.make(pre, per))
+    assert DigitStream.parse(str(s)) == s
+    assert DigitStream.parse(str(TupleStream(tuple(pre), tuple(per)))) == s
+
+
+@given(pre=bit_lists, per=periods, k=st.integers(0, 25), word=bit_lists)
+def test_stream_operations_match_tuple_oracle(pre, per, k, word):
+    s, o = DigitStream.make(pre, per), TupleStream.make(pre, per)
+    assert TupleStream.of(s) == o
+    assert TupleStream(tuple(pre), tuple(per)).packed().canonical() == s
+    assert s.canonical() == s
+    assert [s.digit(m) for m in range(1, 30)] == [o.digit(m) for m in range(1, 30)]
+    assert s.prefix(k) == o.prefix(k)
+    assert TupleStream.of(s.shifted(k)) == o.shifted(k)
+    assert s.shifted(k).canonical() == s.shifted(k)
+    assert s.to_fraction() == o.to_fraction()
+    packed_word = int("".join(map(str, word)) or "0", 2)
+    assert TupleStream.of(s.prepended(packed_word, len(word))) == TupleStream.make(word + pre, per)
+
+
+def test_stream_rejects_bad_bits():
+    with pytest.raises(DomainError):
+        DigitStream.make([0, 2], [1])
+    with pytest.raises(DomainError):
+        DigitStream.make([0, 1], [])
+    with pytest.raises(DomainError):
+        DigitStream.parse("0(012)")
+
+
+@st.composite
+def even_angles(draw, max_den=1 << 24):
+    """n/den with even den <= max_den whose odd part has a short period:
+    any odd part below 2^12, or a Mersenne number 2^k - 1 (period k)."""
+    bits = max_den.bit_length() - 2
+    m = draw(st.one_of(st.integers(0, (1 << min(bits, 11)) - 1).map(lambda i: 2 * i + 1),
+                       st.integers(1, bits).map(lambda k: (1 << k) - 1)))
+    den = m << draw(st.integers(1, (max_den // m).bit_length() - 1))
+    return F(2 * draw(st.integers(0, den // 2 - 1)) + 1, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=even_angles())
+def test_x0_fast_paths_agree_with_interleave_oracle(t):
+    num, den = _x0_digit_pair(t)
+    stream = x0_digit_stream(t)
+    x0 = oracle.x0_digit_stream(t)
+    assert x0_digits(t) == F(num, den) == stream.to_fraction() == x0.to_fraction()
+    assert TupleStream.of(stream) == x0
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=even_angles(1 << 16))
+def test_digit_stream_orbit_type_and_y0_match_long_division(t):
+    s, o = digit_stream(t), oracle.digit_stream(t)
+    assert TupleStream.of(s) == o
+    ot = orbit_type(t)
+    assert (ot.preperiod, ot.period) == (len(o.pre), len(o.period))
+    m = len(o.pre) + len(o.period)
+    y0 = F(1, 3) + sum(F(o.digit(j), 4 ** j) for j in range(1, m + 1))
+    y0 += sum(F(o.digit(j), 4 ** j) for j in range(len(o.pre) + 1, m + 1)) / (4 ** len(o.period) - 1)
+    assert y0_from_theta(t) == y0
+
+
+# ---------------------------------------------------------------------------
+# doubling periods beyond trial division
+
+def test_order_of_two_matches_the_orbit_walk():
+    rng = random.Random(17)
+    for m in [3, 5, 7, 9, 21, 1023, 2047, 3 ** 7] + [rng.randrange(3, 1 << 16, 2) for _ in range(40)]:
+        k, v = 1, 2 % m
+        while v != 1:
+            k, v = k + 1, 2 * v % m
+        assert _order_of_two(m) == k, m
+    # factored below 2^40, walked from 2^40 on
+    assert _order_of_two((1 << 39) - 1) == 39
+    assert _order_of_two((1 << 41) - 1) == 41
+    assert _order_of_two((1 << 61) - 1) == 61
+    assert _order_of_two(((1 << 61) - 1) * ((1 << 89) - 1)) == 61 * 89
+    assert _order_of_two(3 * 5 * ((1 << 61) - 1)) == math.lcm(2, 4, 61)
+
+
+def test_x0_and_critical_address_at_a_61_bit_mersenne_denominator():
+    # 2^61 - 1 is prime: trial division up to its square root never ends
+    t = F(1, 2 * ((1 << 61) - 1))
+    num, den = _x0_digit_pair(t)
+    x0 = oracle.x0_digit_stream(t)
+    assert x0_digits(t) == F(num, den) == x0.to_fraction()
+    assert TupleStream.of(x0_digit_stream(t)) == x0
+    assert str(x0_digit_stream(t)) == "00(" + "10" * 60 + "11)"
+    eps = oracle.epsilon_star(t)
+    assert [TupleStream.of(a.body) for a in critical_address(t)] == [eps, eps]
+    assert str(critical_address(t)[0]) == "0|0(" + "0" * 121 + "1)"

@@ -5,6 +5,7 @@ code and captured output, exactly as a shell user would see them.
 """
 from __future__ import annotations
 
+import math
 import re
 import sys
 
@@ -42,6 +43,16 @@ def test_angle_x0_prints_beyond_int_digit_limit(capsys):
     assert num.isdigit() and den.isdigit() and len(den) > 4300
     assert len(stream) > 8052
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_x0_and_critical_address_at_a_61_bit_mersenne_denominator(capsys):
+    # the odd part 2^61 - 1 is prime, beyond trial division to its square root
+    code, out, _ = run(capsys, "angle", "x0", "--theta", "1/4611686018427387902")
+    assert code == 0
+    assert out.splitlines()[1] == "00(" + "10" * 60 + "11)"
+    code, out, _ = run(capsys, "sym", "critical-address", "--theta", "1/4611686018427387902")
+    assert code == 0
+    assert out.splitlines() == ["%d|0(%s1)" % (b, "0" * 121) for b in (0, 1)]
 
 
 def test_angle_x0_series_enclosure(capsys):
@@ -183,6 +194,18 @@ def test_dyn_fixed_large_parameter_stays_finite(capsys):
     assert "nan" not in out and "inf" not in out
 
 
+def test_dyn_green_tiny_parameter_stays_finite(capsys):
+    # far out, the half step a/(w^2+2w) underflows to 0; G must not become
+    # the pole sentinel inf but equal log|phi|
+    code, out, _ = run(capsys, "dyn", "green", "--a", "1e-300", "--z", "3,1", "--boettcher")
+    assert code == 0
+    g_line, phi_line = out.splitlines()
+    g = float(g_line.split("G = ")[1])
+    phi = complex(phi_line.split("phi = ")[1].replace("i", "j"))
+    assert math.isfinite(g)
+    assert abs(g - math.log(abs(phi))) <= 1e-9 * abs(g)
+
+
 @pytest.mark.parametrize("argv", [
     ("dyn", "m2", "--width", "10", "--height", "10", "--out", "{missing}/x.pgm"),
     ("lam", "two-sided", "--theta", "1/6", "--depth", "2", "--svg", "{missing}/x.svg"),
@@ -225,6 +248,23 @@ def test_depth_cap_enforced(capsys):
     code, _, err = run(capsys, "lam", "L", "--theta", "1/2", "--depth", "20")
     assert code == 64
     assert "--unsafe-limits" in err
+
+
+@pytest.mark.parametrize("argv, leaves", [
+    (("lam", "L", "--theta", "1/2", "--depth", "12"), 22369621),
+    (("lam", "L", "--theta", "1/6", "--depth", "9"), 349525),
+])
+def test_leaf_budget_refuses_before_building(capsys, argv, leaves):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "predicted leaf count %d" % leaves in err and "--unsafe-limits" in err
+
+
+def test_leaf_budget_admits_benchmark_sizes(capsys):
+    code, out, _ = run(capsys, "lam", "L", "--theta", "1/2", "--depth", "6")
+    assert code == 0 and "leaves: 5461" in out
+    code, out, _ = run(capsys, "lam", "L0", "--theta", "1/2", "--depth", "6")
+    assert code == 0 and "leaves: 127" in out
 
 
 def test_iteration_cap_enforced_and_liftable(capsys):

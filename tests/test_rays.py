@@ -281,7 +281,8 @@ def test_parameter_ray_truncates_on_newton_failure(monkeypatch):
 
 NAN = complex(math.nan, 0.0)
 EDGE_POINTS = [INF, NAN, complex(0.0, math.inf), 0j, -0.0j, -2 + 0j, 1e151 + 0j,
-               -1e200j, complex(1e150, 1e150), 1e150 + 0j, 1e-300 + 0j, -1 + 0j]
+               -1e200j, complex(1e150, 1e150), 1e150 + 0j, 1e-300 + 0j, -1 + 0j,
+               complex(1.2711610061536462e308, 1.2711610061536464e308)]
 params = st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
                             allow_nan=False, allow_infinity=False)
 
@@ -290,7 +291,7 @@ def _apply_f_oracle(a, z):
     """The body apply_f had before the unchecked step was split out."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return 0j
-    if abs(z) > 1e150:
+    if abs(z.real) > 1e150 or abs(z.imag) > 1e150 or abs(z) > 1e150:
         return 0j
     den = z * (z + 2.0)
     if den == 0:

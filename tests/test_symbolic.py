@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2lam.angles import DigitStream, DomainError, angle, digit_stream, x0_digits
+from v2lam.angles import DigitStream, DomainError, angle, x0_digits
 from v2lam.symbolic import (
     Address,
     Dyadic,
     RegulatedRaySymbol,
+    _flip_odd,
     addr_equivalent,
     address_to_angle,
     angle_to_address,
@@ -24,6 +25,9 @@ from v2lam.symbolic import (
     regulated_ray_preimage,
     shift,
 )
+
+import stream_oracles as oracle
+from stream_oracles import TupleStream
 
 
 def addr(pre, period):
@@ -172,13 +176,13 @@ def test_rule2_common_prefix_pair():
 
 def test_rule3_critical_pair():
     for t in (F(1, 6), F(5, 12)):
-        eps = epsilon_star(t)
+        eps = TupleStream.of(epsilon_star(t))
         for w in ((), (0,), (0, 1), (1, 1, 0)):
             x = addr(w + (0,) + eps.pre, eps.period)
             y = addr(w + (1,) + eps.pre, eps.period)
             assert addr_equivalent(x, y, t)
     # but not for a different generator whose eps differs
-    eps = epsilon_star(F(1, 6))
+    eps = TupleStream.of(epsilon_star(F(1, 6)))
     x = addr((0,) + eps.pre, eps.period)
     y = addr((1,) + eps.pre, eps.period)
     assert not addr_equivalent(x, y, F(3, 10))
@@ -198,7 +202,7 @@ def test_reflexive():
 def test_dyadic_generator_closure_class():
     # For theta0 = 1/2 the critical pair endpoints are dyadic angles, so the
     # class of the critical value has four addresses; all pairs must relate.
-    eps = epsilon_star(F(1, 2))
+    eps = TupleStream.of(epsilon_star(F(1, 2)))
     members = [
         addr((0,) + eps.pre, eps.period),   # 0·eps  (angle 3/4)
         addr((1,) + eps.pre, eps.period),   # 1·eps  (angle 1/4)
@@ -218,17 +222,17 @@ def _universe(max_pre=6, max_per=4):
         for pre in product((0, 1), repeat=lp):
             for ll in range(1, max_per + 1):
                 for per in product((0, 1), repeat=ll):
-                    s = DigitStream.make(pre, per)
+                    s = TupleStream.make(pre, per)
                     if len(s.pre) <= max_pre and len(s.period) <= max_per:
-                        seen[s] = Address(s)
+                        seen[s] = Address(s.packed())
     return list(seen.values())
 
 
 def _critical_keys(a, eps):
     """Independent decomposition oracle: the (w, b) splits of a as w·b·eps."""
     keys = set()
-    for rep_angle_stream in _angle_reps_oracle(address_to_angle(a)):
-        s = _flip_oracle(rep_angle_stream)
+    for rep_angle_stream in oracle.angle_reps(address_to_angle(a)):
+        s = oracle.flip_odd(rep_angle_stream)
         hits = []
         for k in range(1, len(s.pre) + len(s.period) + 1):
             if s.shifted(k) == eps:
@@ -240,25 +244,6 @@ def _critical_keys(a, eps):
     return keys
 
 
-def _angle_reps_oracle(t):
-    s = digit_stream(t)
-    reps = [s]
-    if t == 0:
-        reps.append(DigitStream.make((), (1,)))
-    elif t.denominator & (t.denominator - 1) == 0:
-        reps.append(DigitStream.make(s.pre[:-1] + (0,), (1,)))
-    return reps
-
-
-def _flip_oracle(s):
-    p, l = len(s.pre), len(s.period)
-    if l % 2:
-        l *= 2
-    return DigitStream.make(
-        tuple(s.digit(m) ^ (m & 1) for m in range(1, p + 1)),
-        tuple(s.digit(m) ^ (m & 1) for m in range(p + 1, p + l + 1)))
-
-
 @pytest.mark.parametrize("theta0", [F(1, 2), F(1, 6)])
 def test_equivalence_relation_brute_force(theta0):
     """The relation is an equivalence on the full small-address universe.
@@ -268,7 +253,7 @@ def test_equivalence_relation_brute_force(theta0):
     decision procedure must say True exactly within classes.
     """
     universe = _universe(6, 4)
-    eps = epsilon_star(theta0)
+    eps = TupleStream.of(epsilon_star(theta0))
     assert len(eps.pre) > 0  # decomposition uniqueness needs non-periodic eps
 
     parent = list(range(len(universe)))
@@ -328,16 +313,16 @@ def test_equivalence_relation_brute_force(theta0):
 def test_shift_compatibility_sweep():
     """x ~ y implies shift(x) ~ shift(y), away from the omega pair."""
     theta0 = F(1, 6)
-    eps = epsilon_star(theta0)
+    eps = TupleStream.of(epsilon_star(theta0))
     omega = {DigitStream.make((), (0, 1)), DigitStream.make((), (1, 0))}
     pairs = []
     # same-angle pairs for a spread of dyadic angles
     for den_exp in range(1, 6):
         for num in range(1, 1 << den_exp, 2):
             t = F(num, 1 << den_exp)
-            reps = _angle_reps_oracle(t)
-            pairs.append((Address(_flip_oracle(reps[0])),
-                          Address(_flip_oracle(reps[1]))))
+            reps = oracle.angle_reps(t)
+            pairs.append((Address(oracle.flip_odd(reps[0]).packed()),
+                          Address(oracle.flip_odd(reps[1]).packed())))
     # critical pairs
     for w in ((), (0,), (1,), (0, 1), (1, 1, 0), (0, 0, 1, 0)):
         pairs.append((addr(w + (0,) + eps.pre, eps.period),
@@ -347,6 +332,50 @@ def test_shift_compatibility_sweep():
         if x.stream in omega or y.stream in omega:
             continue
         assert addr_equivalent(shift(x), shift(y), theta0)
+
+
+# ---------------------------------------------------------------------------
+# Packed addresses against the tuple oracles
+
+bit_lists = st.lists(st.integers(0, 1), max_size=8)
+periods = st.lists(st.integers(0, 1), min_size=1, max_size=6)
+
+
+@given(lead=st.integers(0, 1), pre=bit_lists, per=periods)
+def test_address_print_parse_round_trip_property(lead, pre, per):
+    a = Address.from_leading_body(lead, DigitStream.make(pre, per))
+    assert TupleStream.of(a.stream) == TupleStream.make([lead] + pre, per)
+    assert str(a) == "%d|%s" % (lead, TupleStream.make(pre, per))
+    assert Address.parse(str(a)) == a
+    assert (a.leading, a.body) == (lead, DigitStream.make(pre, per))
+
+
+@given(pre=bit_lists, per=periods)
+def test_flip_odd_matches_oracle_and_is_an_involution(pre, per):
+    s = DigitStream.make(pre, per)
+    flipped = _flip_odd(s)
+    assert TupleStream.of(flipped) == oracle.flip_odd(TupleStream.make(pre, per))
+    assert _flip_odd(flipped) == s
+
+
+@given(e=st.integers(1, 10), m=st.integers(0, 500), data=st.data())
+def test_epsilon_star_matches_interleave_oracle(e, m, data):
+    den = (2 * m + 1) << e
+    t = F(2 * data.draw(st.integers(0, den // 2 - 1)) + 1, den)
+    assert TupleStream.of(epsilon_star(t)) == oracle.epsilon_star(t)
+
+
+@settings(max_examples=150)
+@given(theta0=st.sampled_from([F(1, 2), F(1, 6), F(5, 12), F(3, 10), F(7, 20)]),
+       w=bit_lists, pre=bit_lists, per=periods, data=st.data())
+def test_addr_equivalent_is_symmetric(theta0, w, pre, per, data):
+    eps = TupleStream.of(epsilon_star(theta0))
+    # one side is a critical-pair half w·b·eps, so related pairs occur
+    x = addr(w + [data.draw(st.integers(0, 1))] + list(eps.pre), eps.period)
+    y = data.draw(st.sampled_from([
+        addr(pre, per), addr(w + [0] + list(eps.pre), eps.period),
+        addr(w + [1] + list(eps.pre), eps.period), x.shift()]))
+    assert addr_equivalent(x, y, theta0) == addr_equivalent(y, x, theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +407,23 @@ def test_leaf_addresses_match_negative_depth_vacuous():
 def test_leaf_addresses_match_rejects_periodic():
     with pytest.raises(DomainError):
         leaf_addresses_match(F(1, 3), 2)
+
+
+def test_leaf_addresses_match_reports_word_failures(monkeypatch):
+    # compared against the lamination of another generator, the words fail;
+    # each failure names its word w and the angles of w0·eps and w1·eps
+    import v2lam.symbolic as symbolic
+    from v2lam.laminations import build_2L
+
+    monkeypatch.setattr(symbolic, "build_2L", lambda t, depth: build_2L(F(1, 6), depth))
+    rep = leaf_addresses_match(F(1, 2), 4)
+    assert not rep.ok and rep.words_checked == 31
+    eps = TupleStream.of(epsilon_star(F(1, 2)))
+    assert {len(w) for w, _, _ in rep.word_failures} == set(range(5))
+    for w, tu, tv in rep.word_failures:
+        bits = tuple(int(c) for c in w)
+        assert tu == address_to_angle(addr(bits + (0,) + eps.pre, eps.period))
+        assert tv == address_to_angle(addr(bits + (1,) + eps.pre, eps.period))
 
 
 # ---------------------------------------------------------------------------
