@@ -2,7 +2,9 @@
 
 Angles are rationals in [0,1) represented by fractions.Fraction ("CircleAngle").
 Everything here is exact; no floating point (``circle_distance`` also takes
-floats, for the numerical layer).
+floats, for the numerical layer).  ``angle`` returns a Fraction already in
+[0,1) as it is, so layers that work on integers over a shared denominator
+pay for one Fraction per output and none for re-normalising it.
 
 Provides: the doubling map, binary digits and eventually periodic digit streams,
 the nu_m comparison functions, the x0 and y0 angle correspondences, and
@@ -30,10 +32,14 @@ class DomainError(ValueError):
 def angle(value) -> Fraction:
     """Parse/normalize an angle into a Fraction in [0,1).
 
-    Accepts Fraction, int, or a string like "5/12" or "0.25".
+    Accepts Fraction, int, or a string like "5/12" or "0.25".  A Fraction
+    already in [0,1) is returned as it is, not rebuilt.
     """
-    f = Fraction(value)
-    return f - (f.numerator // f.denominator)
+    f = value if type(value) is Fraction else Fraction(value)
+    n, d = f.numerator, f.denominator
+    if 0 <= n < d:
+        return f
+    return f - (n // d)
 
 
 #: The half turn.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from fractions import Fraction
 
@@ -1005,6 +1006,12 @@ def _build_parser() -> _Parser:
     return top
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser without config defaults, built on first use and reused."""
+    return _build_parser()
+
+
 # ---------------------------------------------------------------------------
 # config + entry point
 # ---------------------------------------------------------------------------
@@ -1048,10 +1055,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, cfg = _extract_config(argv)
-        parser = _build_parser()
         if cfg:
+            # config values become parser defaults, so they get a parser of their own
+            parser = _build_parser()
             for p in parser.all_parsers:
                 p.set_defaults(**cfg)
+        else:
+            parser = _shared_parser()
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

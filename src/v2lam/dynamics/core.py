@@ -54,10 +54,26 @@ class NumericError(RuntimeError):
 #: Sentinel for the point at infinity on the Riemann sphere.
 INF = complex(math.inf, 0.0)
 
-# Beyond this modulus, z^2 + 2z overflows double precision or loses all
-# relative accuracy; such points are numerically indistinguishable from
-# infinity, so f sends them straight to f(INF) = 0.
+# Beyond this modulus, z^2 + 2z may overflow double precision, so f divides
+# by z and by z + 2 in turn; that quotient can only underflow, and is 0 only
+# where the image a/(z^2 + 2z) is below the float range.
 _HUGE = 1e150
+
+
+def _abs(z: complex) -> float:
+    """|z|, or inf where finite parts give a modulus beyond the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _log_abs(z: complex) -> float:
+    """log|z| for a finite nonzero z, also where |z| exceeds the float range."""
+    try:
+        return math.log(abs(z))
+    except OverflowError:
+        return math.log(abs(z / 2.0)) + math.log(2.0)
 
 
 def is_infinite(z: complex) -> bool:
@@ -91,12 +107,14 @@ def apply_F(a: complex, z: complex) -> complex:
 
 def _f(a: complex, z: complex) -> complex:
     """``apply_f`` for a validated parameter and a ``complex`` z (no checks)."""
-    # Beyond _HUGE, z^2 + 2z would overflow; the true image is ~ a/z^2 ~ 0.
-    try:
-        if is_infinite(z) or abs(z) > _HUGE:
-            return 0j
-    except OverflowError:  # finite parts whose modulus exceeds the float range
+    if is_infinite(z):
         return 0j
+    try:
+        huge = abs(z) > _HUGE
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        huge = True
+    if huge:
+        return a / z / (z + 2.0)
     den = z * (z + 2.0)
     if den == 0:
         return INF
@@ -243,7 +261,7 @@ def attracted_to_supercycle(a: complex, z: complex, n_max: int = 512) -> tuple[b
     rho, r_out = trap_radii(a)
     z = complex(z)
     for k in range(n_max + 1):
-        if is_infinite(z) or abs(z) >= r_out or abs(z) <= rho:
+        if is_infinite(z) or not rho < _abs(z) < r_out:
             return True, k
         z = _f(a, z)
     return False, None
@@ -264,8 +282,9 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
 
     The iteration closes early once |F^k(z)| leaves [1e-100, 1e100], or
     once the half step a/(w^2+2w) underflows to 0 (tiny |a|, w far out),
-    using the asymptotic normalizations above; otherwise it returns
-    2^-n log|F^n(z)|.
+    or once it overflows or F(w) underflows (huge |a|, w not a pole) with
+    log|F(w)| computed from logarithms, using the asymptotic normalizations
+    above; otherwise it returns 2^-n log|F^n(z)|.
     """
     a = _require_param(a)
     z = complex(z)
@@ -278,9 +297,9 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
             return math.inf
         if w == 0:
             return -math.inf
-        mag = abs(w)
+        mag = _abs(w)
         if mag > 1e100:
-            return (math.log(mag) - math.log(2.0)) / (2.0 ** k)
+            return (_log_abs(w) - math.log(2.0)) / (2.0 ** k)
         if mag < 1e-100:
             return (math.log(mag) + math.log(4.0) - log_a) / (2.0 ** k)
         if k == n:
@@ -289,7 +308,16 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
         if half == 0:
             # not a pole but an underflow: w is deep in the basin of infinity
             return (math.log(mag) - math.log(2.0)) / (2.0 ** k)
+        if is_infinite(half) and w * (w + 2.0) != 0:
+            # not a pole but an overflow: F(w) ~ a/half^2 lies deep in the
+            # basin of 0, with log|half| = log|a| - log|w| - log|w + 2|
+            log_fw = log_a - 2.0 * (log_a - math.log(mag) - _log_abs(w + 2.0))
+            return (log_fw + math.log(4.0) - log_a) / (2.0 ** (k + 1))
         w = _f(a, half)
+        if w == 0 and not is_infinite(half):
+            # not a preimage of 0 but an underflow of a/(half^2 + 2 half)
+            log_fw = log_a - _log_abs(half) - _log_abs(half + 2.0)
+            return (log_fw + math.log(4.0) - log_a) / (2.0 ** (k + 1))
     raise NumericError("green_value: unreachable")
 
 
@@ -298,7 +326,9 @@ def boettcher_infty(a: complex, z: complex, max_iter: int = 64) -> complex:
 
     Computed from the telescoping product
     phi(z) = (z/2) * prod_k (2 F(w_k) / w_k^2)^(2^-(k+1)) with w_0 = z,
-    stopping once |w_k| > 1e15.  Valid for z deep in the basin of infinity
+    stopping once |w_k| > 1e15 or once the half step a/(w_k^2+2w_k)
+    underflows to 0 (w_k deep in the basin of infinity, as in
+    ``green_value``).  Valid for z deep in the basin of infinity
     (the product factors must stay near 1); raises ``NumericError`` when z
     is too close to the Julia set for the principal-branch product to be
     trustworthy.
@@ -315,11 +345,22 @@ def _boettcher(a: complex, z: complex, max_iter: int = 64) -> complex:
     log_phi = cmath.log(z / 2.0)
     w = z
     for k in range(max_iter):
-        if abs(w) > 1e15:
+        try:
+            far = abs(w) > 1e15
+        except OverflowError:  # finite parts whose modulus exceeds the float range
+            far = True
+        if far:
             return cmath.exp(log_phi)
-        fw = _f(a, _f(a, w))
+        half = _f(a, w)
+        if half == 0:
+            # not a pole but an underflow: w is deep in the basin of infinity,
+            # where phi(w) ~ w/2, as in green_value
+            return cmath.exp(log_phi)
+        fw = _f(a, half)
         if is_infinite(fw) or fw == 0:
             raise NumericError("boettcher_infty: orbit hit the supercycle exactly")
+        if w * w == 0:
+            raise NumericError("boettcher_infty: point is not in the basin of infinity")
         ratio = 2.0 * fw / (w * w)
         # The principal log is only the right branch when the factor has not
         # wound around 0; near the Julia set this fails and phi is undefined.
@@ -366,12 +407,15 @@ def blaschke_critical_points(b: complex) -> tuple[complex, complex]:
     """The two critical points of B_b, ordered with |c1| < 1 < |c2|.
 
     They are (-1 ± sqrt(1 - |b|^2)) / conj(b); their product has modulus 1
-    (they are symmetric in the unit circle).
+    (they are symmetric in the unit circle).  Raises ``NumericError`` when
+    the outer one leaves double range (|b| below ~1e-308).
     """
     b = _require_blaschke_param(b)
     s = math.sqrt(1.0 - abs(b) ** 2)
     c1 = (-1.0 + s) / b.conjugate()
     c2 = (-1.0 - s) / b.conjugate()
+    if is_infinite(c2):
+        raise NumericError(f"Blaschke critical point -2/conj(b) leaves double range for b={b}")
     if abs(c1) >= 1.0:
         c1, c2 = c2, c1
     return c1, c2

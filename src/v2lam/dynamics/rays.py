@@ -384,7 +384,8 @@ def trace_parameter_ray(
     Solves phi_a(F_a^n(-a)) = exp(2^n s + 2 pi i frac(2^n theta0)) for the
     parameter a along a decreasing geometric grid of potentials, with the
     same sliding window as dynamical rays.  On persistent Newton failure
-    the path is truncated (``complete=False``) rather than raising.  The
+    the path is truncated (``complete=False``) rather than raising, unless
+    not even the first grid point was reached (``NumericError``).  The
     final point is reported as ``landing`` with a step-difference error
     heuristic.
     """
@@ -404,6 +405,8 @@ def trace_parameter_ray(
     except NumericError:
         path.complete = False
         path.note = f"parameter-ray Newton stalled at potential {grid[len(path.points)]:.6g}"
+        if not path.points:
+            raise NumericError(path.note) from None
     _finish_landing(path)
     return path
 

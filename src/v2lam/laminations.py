@@ -13,8 +13,9 @@ Builders produce:
 * invariant quadratic laminations generated by a diameter-like major chord,
 * the basilica lamination and matings of two inside laminations.
 
-All endpoint arithmetic is exact; crossing sweeps run on integers over a
-common denominator for speed.
+All endpoint arithmetic is exact and runs on integers over one shared
+denominator: the pullback builders carry arc starts as integers and build
+each endpoint Fraction once, and the crossing sweeps compare integers.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .angles import HALF, DomainError, angle, require_nonperiodic
-from .measure import h_arc, preimages_of_angle, sigma0_arc
+from .angles import HALF, DomainError, angle, require_nonperiodic, x0_digits
+from .measure import h_arc, preimages_of_angle
 
 
 INSIDE = "I"
@@ -214,58 +215,71 @@ def build_L0(theta0: Fraction, depth: int, M: Optional[int] = None) -> Laminatio
     return lam
 
 
-def _arc_preimages_quad(start: Fraction, length: Fraction):
-    """Components of the t -> 4t preimage of the ccw arc (start, start+length)."""
-    for k in range(4):
-        yield (angle((start + k) / 4), length / 4)
+def _half_arc_pullbacks(lam: Lamination, theta0: Fraction, depth: int, bits: int,
+                        pull, sides: tuple[str, ...]) -> Lamination:
+    """Add to lam the bridges over the pullbacks of the half-arc (x0, x0 + 1/2).
+
+    Each pullback step divides the arc length by 2^bits.  Arc starts are
+    integers over the one denominator D = den(x0) * 2^(bits*depth + 1), on
+    which every layer's common arc length is an integer too; pull(starts,
+    length, D) gives the next layer's starts in insertion order.  Layer n
+    leaves take side sides[n % len(sides)], and each endpoint Fraction is
+    built once.
+    """
+    x0 = x0_digits(theta0)
+    e = bits * depth + 1
+    D = x0.denominator << e
+    starts, length = [x0.numerator << e], D >> 1
+    for n in range(depth + 1):
+        side = sides[n % len(sides)]
+        for s in starts:
+            lam.add(Leaf(Fraction(s, D), Fraction((s + length) % D, D), side, n))
+        if n < depth:
+            starts = pull(starts, length, D)
+            length >>= bits
+    return lam
 
 
-def _arc_preimages_neg2(start: Fraction, length: Fraction):
-    """Components of the t -> -2t preimage of the ccw arc (start, start+length)."""
-    s = angle((1 - start - length) / 2)
-    yield (s, length / 2)
-    yield (angle(s + HALF), length / 2)
+def _quad_pull(starts: list[int], length: int, D: int) -> list[int]:
+    """Starts of the t -> 4t preimages of the arcs (s, s + length) over D."""
+    return [(s + k * D) >> 2 for s in starts for k in range(4)]
+
+
+def _neg2_pull(starts: list[int], length: int, D: int) -> list[int]:
+    """Starts of the t -> -2t preimages of the arcs (s, s + length) over D."""
+    half, out = D >> 1, []
+    for s in starts:
+        x = ((D - s - length) % (2 * D)) >> 1
+        out += (x, (x + half) % D)
+    return out
 
 
 def build_L(theta0: Fraction, depth: int) -> Lamination:
     """Bridges over all n-fold quadrupling preimages of the half-arc, n <= depth.
 
     Layer n holds 4^n inside leaves, each subtending an arc of length
-    (1/2) * 4^-n; the system is invariant under the antipodal map.
+    (1/2) * 4^-n; the system is invariant under the antipodal map.  The
+    arcs are carried as integers over one denominator.
     """
     t0 = require_nonperiodic(theta0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    sigma = sigma0_arc(t0)
     lam = Lamination(kind="L", generator=t0, depth=depth)
-    layer = [(sigma.start, sigma.length)]
-    for n in range(depth + 1):
-        for start, length in layer:
-            lam.add(Leaf(start, angle(start + length), INSIDE, n))
-        if n < depth:
-            layer = [p for arc in layer for p in _arc_preimages_quad(*arc)]
-    return lam
+    return _half_arc_pullbacks(lam, t0, depth, 2, _quad_pull, (INSIDE,))
 
 
 def build_2L(theta0: Fraction, depth: int) -> Lamination:
     """Bridges over all n-fold preimages of the half-arc under t -> -2t.
 
     Layer n holds 2^n leaves of arc length (1/2) * 2^-n, inside for even n
-    and outside for odd n.
+    and outside for odd n.  The arcs are carried as integers over one
+    denominator.
     """
     t0 = require_nonperiodic(theta0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    sigma = sigma0_arc(t0)
     lam = Lamination(kind="twoSided", generator=t0, depth=depth)
-    layer = [(sigma.start, sigma.length)]
-    for n in range(depth + 1):
-        side = INSIDE if n % 2 == 0 else OUTSIDE
-        for start, length in layer:
-            lam.add(Leaf(start, angle(start + length), side, n))
-        if n < depth:
-            layer = [p for arc in layer for p in _arc_preimages_neg2(*arc)]
-    return lam
+    return _half_arc_pullbacks(lam, t0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
 
 
 def mirror_outside(lam: Lamination) -> Lamination:

@@ -13,12 +13,12 @@ no atom, so F(0) = 0 and 0 is (the center of) its own h-preimage.  (If the
 construction were extended to theta0 = 0, the atom at angle 0 would be split
 symmetrically around 0; periodic theta0 is rejected here.)
 
-All arithmetic is exact (Fractions).
+All arithmetic is exact: the cumulative function sums integers over one
+shared denominator and reduces them into one Fraction at the end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -112,6 +112,14 @@ def mu_weight(z: Fraction, theta0: Fraction, M: Optional[int] = None) -> Fractio
     return w
 
 
+def _counts_base4(a: int, b: int, Q: int, n: int) -> int:
+    """sum_{m<n} N_m 4^(n-1-m), N_m = ceil((2^m a - b)/Q) preimages below t = a/Q."""
+    acc = 0
+    for m in range(n):
+        acc = 4 * acc - ((b - (a << m)) // Q)
+    return acc
+
+
 def cumulative(theta0: Fraction, t: Fraction, M: Optional[int] = None) -> Fraction:
     """F(t) = measure of [0, t), exactly.
 
@@ -119,33 +127,34 @@ def cumulative(theta0: Fraction, t: Fraction, M: Optional[int] = None) -> Fracti
     M=None it is the full measure, summed in closed form using the eventual
     periodicity of the doubling orbit of t.  The depth-m term counts
     preimages (theta0+k)/2^m below t: N_m = ceil(2^m t - theta0), never
-    needing clamping for t, theta0 in [0,1).
+    needing clamping for t, theta0 in [0,1).  With t = p/q and theta0 =
+    p0/q0 every term is an integer over q*q0 times a power of 4, so the sum
+    is accumulated as one integer and reduced once.
     """
     t0 = require_nonperiodic(theta0)
     t = angle(t)
+    p, q, p0, q0 = t.numerator, t.denominator, t0.numerator, t0.denominator
+    Q, a, b = q * q0, p * q0, p0 * q           # t = a/Q, theta0 = b/Q
     if M is not None:
         if M < 0:
             raise DomainError("depth cap must be >= 0")
-        return sum(
-            (Fraction(math.ceil(t * (1 << m) - t0), 2 * 4**m) for m in range(M + 1)),
-            Fraction(0),
-        )
+        # F_M = sum_m N_m / (2 4^m) = (sum_m N_m 4^(M-m)) / (2 4^M)
+        return Fraction(_counts_base4(a, b, Q, M + 1), 2 << (2 * M))
     s = digit_stream(t)
     P, L = s.p, s.l
-    # prefix terms m < P, done directly
-    total = Fraction(0)
-    for m in range(P):
-        total += Fraction(math.ceil(t * (1 << m) - t0), 2 * 4**m)
+    # prefix terms m < P: sum N_m / (2 4^m) = 2 pre / 4^P
+    pre = _counts_base4(a, b, Q, P)
     # tail m >= P: N_m = 2^m t - theta0 + c_m with c_m = frac(theta0 - 2^m t),
-    # and c_m is L-periodic in m from m = P on.
-    total += t * Fraction(1, 1 << P)                      # sum 2^m t/(2 4^m)
-    total -= t0 * Fraction(2, 3) * Fraction(1, 4**P)      # sum theta0/(2 4^m)
-    ctail = Fraction(0)
-    for j in range(L):
-        c = angle(t0 - Fraction(2) ** (P + j) * t)
-        ctail += c * Fraction(1, 4**j)
-    total += HALF * Fraction(1, 4**P) * ctail / (1 - Fraction(1, 4**L))
-    return total
+    # and c_m = C_j / Q is L-periodic in m from m = P on (j = m - P).  The
+    # tail sums to t/2^P - (2/3) theta0/4^P + 2 tail / (Q 4^P (4^L - 1)),
+    # tail = sum_j C_j 4^(L-1-j).
+    r, tail = (a << P) % Q, 0
+    for _ in range(L):
+        tail = 4 * tail + (b - r) % Q
+        r = (2 * r) % Q
+    ones = (1 << (2 * L)) - 1                  # 4^L - 1
+    num = 3 * ones * (2 * pre * Q + (a << P)) - 2 * b * ones + 6 * tail
+    return Fraction(num, 3 * Q * ones << (2 * P))
 
 
 def truncation_width(M: Optional[int]) -> Fraction:

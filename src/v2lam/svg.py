@@ -42,9 +42,9 @@ def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
     cx = cy = size / 2.0
     r = float(radius)
 
-    def pt(t: Fraction) -> tuple[float, float]:
+    def unit(t: Fraction) -> tuple[float, float]:
         a = 2.0 * math.pi * float(t)
-        return (cx + r * math.cos(a), cy - r * math.sin(a))
+        return math.cos(a), math.sin(a)
 
     def color(leaf) -> str:
         if color_by_depth:
@@ -61,12 +61,16 @@ def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
     ]
 
     groups = {INSIDE: [], "O": []}
+    width = _fmt(stroke_width)
     for leaf in lam:
-        ux, uy = pt(leaf.a)
-        vx, vy = pt(leaf.b)
-        stroke = ' stroke="%s" stroke-width="%s" fill="none"' % (
-            color(leaf), _fmt(stroke_width))
-        antipodal = (leaf.b - leaf.a) == Fraction(1, 2)
+        (cu, su), (cv, sv) = unit(leaf.a), unit(leaf.b)
+        ux, uy = cx + r * cu, cy - r * su
+        vx, vy = cx + r * cv, cy - r * sv
+        stroke = ' stroke="%s" stroke-width="%s" fill="none"' % (color(leaf), width)
+        # b - a == 1/2, cross-multiplied on integers
+        a, b = leaf.a, leaf.b
+        antipodal = (2 * (b.numerator * a.denominator - a.numerator * b.denominator)
+                     == a.denominator * b.denominator)
         if antipodal and leaf.side == INSIDE:
             el = '<line x1="%s" y1="%s" x2="%s" y2="%s"%s/>' % (
                 _fmt(ux), _fmt(uy), _fmt(vx), _fmt(vy), stroke)
@@ -79,9 +83,7 @@ def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
         else:
             # circle orthogonal to the unit circle through both endpoints:
             # center (u+v)/(1 + Re(u conj(v))) in unit coordinates
-            au, av = 2.0 * math.pi * float(leaf.a), 2.0 * math.pi * float(leaf.b)
-            u = complex(math.cos(au), math.sin(au))
-            v = complex(math.cos(av), math.sin(av))
+            u, v = complex(cu, su), complex(cv, sv)
             den = 1.0 + (u * v.conjugate()).real
             c = (u + v) / den
             rad = abs(u - c)

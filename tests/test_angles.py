@@ -50,6 +50,30 @@ def test_circle_distance_on_floats(u, v):
     assert repr(circle_distance(u, v)) == repr(min(d, 1.0 - d))
 
 
+def test_angle_returns_a_normalised_fraction_unchanged():
+    for f in (F(0), F(5, 12), F(1, 2), F(999, 1000)):
+        assert angle(f) is f
+    f = F(17, 12)
+    assert angle(f) == F(5, 12) and angle(f) is not f
+
+
+def test_angle_parses_and_normalises_as_before():
+    cases = [("5/12", F(5, 12)), ("0.25", F(1, 4)), (" 17/12 ", F(5, 12)), ("-1/3", F(2, 3)),
+             (3, F(0)), (-7, F(0)), (F(-1, 3), F(2, 3)), (F(-7, 4), F(1, 4)), (F(3), F(0)),
+             (True, F(0)), (0.75, F(3, 4)), (-0.25, F(3, 4))]
+    for value, want in cases:
+        got = angle(value)
+        assert type(got) is F and got == want
+        assert got == F(value) - (F(value).numerator // F(value).denominator)
+
+
+@given(f=st.fractions())
+def test_angle_of_a_fraction_lies_in_the_unit_interval(f):
+    got = angle(f)
+    assert 0 <= got < 1 and (f - got).denominator == 1
+    assert angle(got) is got
+
+
 def test_double():
     assert double(F(1, 3)) == F(2, 3)
     assert double(F(3, 4)) == F(1, 2)

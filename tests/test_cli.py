@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from v2lam import cli
 from v2lam.cli import main
 
 
@@ -206,6 +207,69 @@ def test_dyn_green_tiny_parameter_stays_finite(capsys):
     assert abs(g - math.log(abs(phi))) <= 1e-9 * abs(g)
 
 
+def test_dyn_green_huge_parameter_stays_finite(capsys):
+    # f(z) ~ 3.5e302 is no point at infinity for a = 1e300: F(z) ~ 8e-306
+    code, out, _ = run(capsys, "dyn", "green", "--a", "1e300", "--z", "0.001,0.001")
+    assert code == 0
+    g = float(out.split("G = ")[1])
+    assert math.isfinite(g)
+    log_f = math.log(1e300) - 2 * math.log(abs(1e300 / (0.001 + 0.001j) / (2.001 + 0.001j)))
+    assert abs(g - (log_f + math.log(4.0) - math.log(1e300)) / 2) <= 1e-12 * abs(g)
+
+
+def test_dyn_boettcher_closes_where_the_half_step_underflows(capsys):
+    code, out, _ = run(capsys, "dyn", "green", "--a", "1e-300", "--z", "10", "--boettcher")
+    assert code == 0
+    g_line, phi_line = out.splitlines()
+    g = float(g_line.split("G = ")[1])
+    phi = complex(phi_line.split("phi = ")[1].replace("i", "j"))
+    assert math.isfinite(g) and math.isfinite(phi.real) and math.isfinite(phi.imag)
+    assert abs(g - math.log(abs(phi))) <= 1e-9 * abs(g)
+
+
+# Every numeric dyn command over extreme magnitudes: each run exits 0 with
+# only finite numbers in its output, 2 for a numeric failure, or 1 for a
+# domain error, and never raises.  Exact poles (z = 0, -2), where G = -inf
+# is the documented value, are left out.
+_SWEEP_A = ["1e-320", "1e-300", "1e-100", "1", "-0.37,-2.97", "1e100", "1e200", "1e300",
+            "1e300,1e300"]
+_SWEEP_Z = ["1e-320", "1e-99", "1e-90", "0.001,0.001", "-2.000000000000001", "3,1", "10",
+            "1e100", "1e200,1e200", "1.7e308,1.7e308"]
+_SWEEP = [
+    *[("dyn", "green", "--a=" + a, "--z=" + z, "--boettcher", "--trap")
+      for a in _SWEEP_A for z in _SWEEP_Z],
+    ("dyn", "green", "--a", "1e300", "--z", "0.001,0.001"),
+    ("dyn", "green", "--a", "1e-300", "--z", "10", "--boettcher"),
+    *[("dyn", "fixed", "--a=" + a) for a in _SWEEP_A],
+    *[("dyn", "julia", "--a=" + a, "--width", "6", "--height", "6", "--n-max", "50")
+      for a in _SWEEP_A],
+    *[("dyn", "ray", "--a=" + a, "--base", base, "--theta", "1/3", "--steps", "20")
+      for a in _SWEEP_A for base in ("inf", "0")],
+    *[("dyn", "blaschke", "--b=" + b, "--z=" + z)
+      for b in ("1e-320", "0.5", "0.999999,0", "1e-300,1e-300") for z in _SWEEP_Z],
+    *[("dyn", "m2", "--width", "6", "--height", "6", "--n-max", "50", *w)
+      for w in (("--re-min=-1e300", "--re-max=1e300"), ("--re-min=1e-320", "--re-max=2e-320"),
+                ("--im-min=-1e-300", "--im-max=1e-300"))],
+    *[(*cmd, "--s-from", s_from, "--s-to", s_to, "--steps", "20")
+      for cmd in (("dyn", "param-ray", "--theta", "1/6"),
+                  ("dyn", "ray", "--a=1", "--base", "inf", "--theta", "1/6"))
+      for s_from, s_to in (("1e-300", "1e-320"), ("700", "0.5"), ("5", "1e-12"))],
+]
+
+
+def test_numeric_commands_never_print_a_non_finite_value(tmp_path, capsys):
+    non_finite = re.compile(r"inf(?!inity)|nan", re.IGNORECASE)
+    for argv in _SWEEP:
+        if argv[1] == "m2":
+            argv += ("--out", str(tmp_path / "x.pgm"))
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert not non_finite.search(out), (argv, out)
+        else:
+            assert err.startswith("numeric error:" if code == 2 else "error:"), (argv, err)
+
+
 @pytest.mark.parametrize("argv", [
     ("dyn", "m2", "--width", "10", "--height", "10", "--out", "{missing}/x.pgm"),
     ("lam", "two-sided", "--theta", "1/6", "--depth", "2", "--svg", "{missing}/x.svg"),
@@ -303,6 +367,23 @@ def test_config_equals_form_and_other_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, "--config=" + str(cfg), "angle", "x0")
     assert code == 0
     assert out.splitlines()[0] == "11/60"
+
+
+def test_config_defaults_do_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("theta = 1/2\ndepth = 3\n")
+    for _ in range(2):
+        code, out, _ = run(capsys, "--config", str(cfg), "lam", "L0")
+        assert code == 0
+        assert "leaves: 15" in out
+        # the same command without the config still lacks its required flags
+        code, out, err = run(capsys, "lam", "L0")
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: --theta is required (give the flag or a config default)")
+    code, out, _ = run(capsys, "lam", "L0", "--theta", "1/2", "--depth", "1")
+    assert code == 0
+    assert "leaves: 3" in out
+    assert cli._shared_parser() is cli._shared_parser()
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

@@ -1,7 +1,10 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import exact_oracles as oracle
 from v2lam.angles import DomainError
 from v2lam.laminations import (
     INSIDE,
@@ -245,3 +248,27 @@ def test_render_svg():
     doc = render_svg(lam)
     assert doc.count("<line") + doc.count("<path") == len(lam)
     assert doc == render_svg(build_2L(Fr(1, 2), 4))  # deterministic
+
+
+# ---------------------------------------------------------------------------
+# integer builders against their Fraction oracles
+# ---------------------------------------------------------------------------
+
+def _same_lamination(fast, slow):
+    assert fast.to_text() == slow.to_text()
+    assert [l.depth for l in fast] == [l.depth for l in slow]
+    assert (fast.kind, fast.generator, fast.depth) == (slow.kind, slow.generator, slow.depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=oracle.even_generators(), depth=st.integers(0, 9))
+def test_build_2L_matches_fraction_oracle(t, depth):
+    _same_lamination(build_2L(t, depth), oracle.build_2L(t, depth))
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=oracle.even_generators(), depth=st.integers(0, 5))
+def test_build_L_matches_fraction_oracle(t, depth):
+    lam = build_L(t, depth)
+    _same_lamination(lam, oracle.build_L(t, depth))
+    _same_lamination(mirror_outside(lam), mirror_outside(oracle.build_L(t, depth)))

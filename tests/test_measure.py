@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import exact_oracles as oracle
 from v2lam.angles import DomainError, x0_digits
 from v2lam.measure import (
     Arc,
@@ -143,3 +146,18 @@ def test_semiconjugacy_defects():
 
 def test_arc_str():
     assert str(Arc(Fr(1, 16), Fr(3, 16))) == "[1/16, 3/16)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(t0=oracle.even_generators(), t=st.fractions(min_value=-2, max_value=2, max_denominator=600),
+       M=st.one_of(st.none(), st.integers(0, 40)))
+def test_cumulative_matches_fraction_oracle(t0, t, M):
+    assert cumulative(t0, t, M) == oracle.cumulative(t0, t, M)
+
+
+def test_cumulative_matches_fraction_oracle_on_every_cap():
+    rng = random.Random(9)
+    for _ in range(20):
+        t0, t = _random_nonperiodic(rng, 200), Fr(rng.randrange(1000), 1000)
+        for M in [None, *range(41)]:
+            assert cumulative(t0, t, M) == oracle.cumulative(t0, t, M)

@@ -288,11 +288,13 @@ params = st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
 
 
 def _apply_f_oracle(a, z):
-    """The body apply_f had before the unchecked step was split out."""
+    """f_a(z) = a/(z^2 + 2z) on the sphere, spelled out: infinity maps to 0,
+    the poles to INF, and beyond |z| = 1e150, where z^2 + 2z may overflow,
+    a is divided by z and by z + 2 in turn."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return 0j
     if abs(z.real) > 1e150 or abs(z.imag) > 1e150 or abs(z) > 1e150:
-        return 0j
+        return a / z / (z + 2.0)
     den = z * (z + 2.0)
     if den == 0:
         return INF
@@ -303,6 +305,16 @@ def _apply_f_oracle(a, z):
 @given(a=params, z=st.one_of(st.sampled_from(EDGE_POINTS), st.complex_numbers()))
 def test_unchecked_step_equals_apply_f(a, z):
     assert repr(_f(a, z)) == repr(apply_f(a, z)) == repr(_apply_f_oracle(a, z))
+
+
+def test_unchecked_step_beyond_the_overflow_radius():
+    # a/(z^2 + 2z) is far from negligible for huge a, and 0 only on underflow
+    for a, z in ((1e300, 3.5e302 + 0j), (1e300j, 1e200 - 1e200j), (1e300, 1e160 + 1e160j)):
+        w = _f(a, z)
+        assert w != 0 and math.isfinite(w.real) and math.isfinite(w.imag)
+        assert abs(w * z * z / a - 1.0) < 1e-12
+    assert _f(1e-300, 1e200 + 0j) == 0
+    assert _f(1.0, complex(1.2711610061536462e308, 1.2711610061536464e308)) == 0
 
 
 def test_unchecked_step_at_edge_points():
