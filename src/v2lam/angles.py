@@ -287,33 +287,6 @@ def x0_series(theta0: Fraction, M: int) -> tuple[Fraction, Fraction]:
     return total, total + Fraction(1, 1 << (M + 1))
 
 
-try:
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - optional accelerator
-    _gmpy2 = None
-
-
-def _reduced_fraction(num: int, den: int) -> Fraction:
-    """Fraction(num, den) for positive ints, reduced in GMP when worthwhile.
-
-    CPython's builtin gcd is quadratic in the operand size; the digit
-    assembly below can produce million-bit numerators, where GMP's
-    subquadratic gcd is orders of magnitude faster.
-    """
-    if _gmpy2 is None or den.bit_length() < 4096:
-        return Fraction(num, den)
-    n, d = _gmpy2.mpz(num), _gmpy2.mpz(den)
-    g = _gmpy2.gcd(n, d)
-    n, d = int(n // g), int(d // g)
-    try:
-        f = Fraction.__new__(Fraction)
-        f._numerator = n
-        f._denominator = d
-        return f
-    except AttributeError:  # pragma: no cover - unexpected Fraction internals
-        return Fraction(n, d)
-
-
 def _factor_small(n: int) -> dict[int, int]:
     """Prime factorization by trial division (intended for n up to ~2^40)."""
     fac: dict[int, int] = {}
@@ -432,7 +405,7 @@ def x0_digits(theta0: Fraction) -> Fraction:
     identity does not apply.  The digits are generated in bulk from the
     doubling-orbit remainders, so large denominators stay fast.
     """
-    return _reduced_fraction(*_x0_digit_pair(theta0))
+    return Fraction(*_x0_digit_pair(theta0))
 
 
 def x0_digit_stream(theta0: Fraction) -> DigitStream:

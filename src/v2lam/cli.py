@@ -549,11 +549,11 @@ def _cmd_dyn_julia(args) -> int:
 
 def _cmd_dyn_fixed(args) -> int:
     _req(args, "a")
-    from .dynamics import fixed_points, multiplier, trap_radii
+    from .dynamics import fixed_point_multiplier, fixed_points, trap_radii
 
     a = _complex_value(args.a, "a")
     # Compute everything first, so a numeric failure prints no partial table.
-    rows = [(z, multiplier(a, z)) for z in fixed_points(a)]
+    rows = [(z, fixed_point_multiplier(a, z)) for z in fixed_points(a)]
     rho, r_out = trap_radii(a)
     for z, m in rows:
         print("z = %s  multiplier = %s" % (_fmt_c(z), _fmt_c(m)))

@@ -26,6 +26,7 @@ from .core import (
     blaschke_critical_points,
     blaschke_eval,
     boettcher_infty,
+    fixed_point_multiplier,
     fixed_points,
     green_value,
     is_infinite,
@@ -51,6 +52,7 @@ __all__ = [
     "blaschke_critical_points",
     "blaschke_eval",
     "boettcher_infty",
+    "fixed_point_multiplier",
     "fixed_points",
     "green_value",
     "is_infinite",

@@ -37,6 +37,7 @@ __all__ = [
     "apply_f",
     "apply_F",
     "fixed_points",
+    "fixed_point_multiplier",
     "multiplier",
     "trap_radii",
     "attracted_to_supercycle",
@@ -141,30 +142,59 @@ def _inverse_roots(a: complex, ws, prev: complex | None = None) -> list[complex]
 def fixed_points(a: complex) -> list[complex]:
     """The three finite fixed points of f_a, i.e. roots of z^3 + 2z^2 = a.
 
-    Roots are Newton-polished to residual |z^3 + 2z^2 - a| below
-    1e-10 * max(1, |a|) and returned sorted by (real, imag).
+    Roots are Newton-polished to a residual |z^3 + 2z^2 - a| below 1e-10
+    times the size of the terms, |z|^2 (|z| + 2) + |a|, and returned sorted
+    by (real, imag).  Raises ``NumericError`` when a root misses that
+    tolerance or rounds onto a pole (0 or -2), as the root -2 + a/4 + ...
+    does for real a with |a| below about 1e-15.
     """
     import numpy as np
 
     a = _require_param(a)
     roots = np.roots([1.0, 2.0, 0.0, -a])
-    tol = 1e-10 * max(1.0, abs(a))
     out: list[complex] = []
     for r in roots:
         z = complex(r)
         for _ in range(8):
             p = z * z * z + 2.0 * z * z - a
-            if abs(p) < 1e-2 * tol:
+            if abs(p) < 1e-12 * _cubic_scale(a, z):
                 break
             dp = 3.0 * z * z + 4.0 * z
             if dp == 0:
                 break
             z = z - p / dp
-        if abs(z * z * z + 2.0 * z * z - a) >= tol:
+        if abs(z * z * z + 2.0 * z * z - a) >= 1e-10 * _cubic_scale(a, z):
             raise NumericError(f"fixed-point residual above tolerance for a={a}")
+        if z == 0 or z == -2:
+            raise NumericError(f"a fixed point of f_a rounds onto a pole for a={a}")
         out.append(z)
     out.sort(key=lambda w: (w.real, w.imag))
     return out
+
+
+def _cubic_scale(a: complex, z: complex) -> float:
+    """Size of the terms of z^3 + 2z^2 - a, the scale of its rounding error."""
+    return abs(z) ** 2 * (abs(z) + 2.0) + abs(a)
+
+
+def fixed_point_multiplier(a: complex, z: complex) -> complex:
+    """f_a'(z) at a fixed point z of f_a.
+
+    Away from the pole -2 this is ``multiplier``.  Within 1e-3 of -2 (the
+    fixed point -2 + a/4 + ... for |a| below about 4e-3) the quotient
+    -a(2z+2)/(z^2+2z)^2 multiplies the rounding error of z by about
+    4/|z + 2|; there the fixed-point identity z^2 + 2z = a/z gives the
+    multiplier as -2z * (z(z+1)/a), accurate to a few roundings.  Raises
+    ``NumericError`` when the value is not finite.
+    """
+    a = _require_param(a)
+    z = complex(z)
+    if abs(z + 2.0) >= 1e-3:
+        return multiplier(a, z)
+    d = -2.0 * z * (z * (z + 1.0) / a)
+    if is_infinite(d):
+        raise NumericError(f"multiplier of f_a at z={z} overflows double precision")
+    return d
 
 
 def multiplier(a: complex, z: complex) -> complex:

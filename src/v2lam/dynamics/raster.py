@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..angles import DomainError
-from .core import NumericError, _certify_trap_once, fixed_points, multiplier, trap_radii
+from .core import NumericError, _certify_trap_once, fixed_point_multiplier, fixed_points, trap_radii
 
 __all__ = [
     "Raster",
@@ -321,14 +321,8 @@ def _julia_escape(a, width, height, re_min, re_max, im_min, im_max, n_max):
 
 
 def _julia_inverse(a, width, height, re_min, re_max, im_min, im_max, points, seed):
-    start = None
-    for z in fixed_points(a):
-        try:
-            if abs(multiplier(a, z)) > 1.0 + 1e-9:
-                start = z
-                break
-        except DomainError:
-            continue
+    start = next((z for z in fixed_points(a) if abs(fixed_point_multiplier(a, z)) > 1.0 + 1e-9),
+                 None)
     if start is None:
         raise NumericError("no repelling fixed point found for inverse iteration")
     rng = random.Random(seed)

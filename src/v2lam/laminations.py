@@ -15,11 +15,15 @@ Builders produce:
 
 All endpoint arithmetic is exact and runs on integers over one shared
 denominator: the pullback builders carry arc starts as integers and build
-each endpoint Fraction once, and the crossing sweeps compare integers.
+each endpoint Fraction once.  Each chord concept is written once: one
+crossing predicate (_chords_cross), one sorted sweep counting crossing
+pairs (_crossings), and one conversion of Fractions to integers over their
+common denominator (_over_common_denominator).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -143,53 +147,62 @@ class Lamination:
 # crossing predicates
 
 
-def _strictly_inside(x: Fraction, start: Fraction, length: Fraction) -> bool:
-    d = angle(x - start)
-    return Fraction(0) < d < length
+def _chords_cross(lo1, hi1, lo2, hi2) -> bool:
+    """Strict interleaving of the chords lo1 < hi1 and lo2 < hi2 (any ordered
+    type); chords that share an endpoint never cross."""
+    return lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1
+
+
+def _crossings(chords: Iterable[tuple[int, int]]) -> int:
+    """Number of crossing pairs among the chords (lo, hi), lo < hi.
+
+    One sweep by increasing lo (ties by decreasing hi, so equal-lo chords
+    never count): a chord crosses exactly the earlier chords whose hi lies
+    strictly between its own lo and hi.
+    """
+    his, bad = [], 0
+    for lo, hi in sorted(chords, key=lambda c: (c[0], -c[1])):
+        bad += bisect_left(his, hi) - bisect_right(his, lo)
+        insort(his, hi)
+    return bad
+
+
+def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den): the Fractions xs as integers over their least common
+    denominator (den = 1 for no xs)."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _int_chords(leaves: Sequence[Leaf]) -> list[tuple[int, int]]:
+    """The leaves' (a, b) endpoint pairs as integers over one denominator."""
+    ints, _ = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
+    return list(zip(ints[::2], ints[1::2]))
 
 
 def pairs_cross(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction) -> bool:
-    """Strict interleaving of {a1,b1} and {a2,b2}; shared endpoints never cross."""
-    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-        return False
-    length = angle(b1 - a1)
-    return _strictly_inside(a2, a1, length) != _strictly_inside(b2, a1, length)
+    """Strict interleaving of {a1,b1} and {a2,b2} on the circle, endpoints
+    taken mod 1; shared endpoints never cross."""
+    lo1, hi1 = sorted((angle(a1), angle(b1)))
+    lo2, hi2 = sorted((angle(a2), angle(b2)))
+    return _chords_cross(lo1, hi1, lo2, hi2)
 
 
 def leaves_cross(l1: Leaf, l2: Leaf) -> bool:
     return pairs_cross(l1.a, l1.b, l2.a, l2.b)
 
 
-def _int_endpoints(leaves: Sequence[Leaf]) -> tuple[list[tuple[int, int]], int]:
-    """Endpoints as integers over the common denominator (for fast sweeps)."""
-    if not leaves:
-        return [], 1
-    d = lcm(*[x.denominator for l in leaves for x in (l.a, l.b)])
-    out = []
-    for l in leaves:
-        p, q = l.a.numerator * (d // l.a.denominator), l.b.numerator * (d // l.b.denominator)
-        out.append((p, q) if p <= q else (q, p))
-    return out, d
-
-
 def count_same_side_crossings(lam: Lamination) -> tuple[int, int]:
-    """(number of crossing same-side pairs, number of pairs examined)."""
-    bad = 0
-    checked = 0
+    """(number of crossing same-side pairs, number of pairs examined).
+
+    Every same-side pair counts as examined; the crossings are counted by
+    one sorted sweep per side.
+    """
+    bad = checked = 0
     for side in (INSIDE, OUTSIDE):
-        pts, _ = _int_endpoints(lam.side_leaves(side))
-        n = len(pts)
-        checked += n * (n - 1) // 2
-        for i in range(n):
-            a1, b1 = pts[i]
-            for j in range(i + 1, n):
-                a2, b2 = pts[j]
-                if a1 in (a2, b2) or b1 in (a2, b2):
-                    continue
-                in1 = a1 < a2 < b1
-                in2 = a1 < b2 < b1
-                if in1 != in2:
-                    bad += 1
+        leaves = lam.side_leaves(side)
+        bad += _crossings(_int_chords(leaves))
+        checked += len(leaves) * (len(leaves) - 1) // 2
     return bad, checked
 
 
@@ -370,19 +383,15 @@ def _orbit_admits(a: int, b: int, l0a: int, l0b: int, den: int) -> bool:
     """Integer-angle core of the membership test: no forward doubling image
     of the chord {a/den, b/den} strictly crosses {l0a/den, l0b/den}."""
     seen = set()
-    while True:
-        if a == b:
-            return True
+    while a != b:
         lo, hi = (a, b) if a < b else (b, a)
-        if not (lo in (l0a, l0b) or hi in (l0a, l0b)):
-            in1 = lo < l0a < hi
-            in2 = lo < l0b < hi
-            if in1 != in2:
-                return False
+        if _chords_cross(lo, hi, l0a, l0b):
+            return False
         if (lo, hi) in seen:
             return True
         seen.add((lo, hi))
         a, b = (2 * a) % den, (2 * b) % den
+    return True
 
 
 def leaf_in_quadratic_lamination(y0: Fraction, leaf: Leaf | tuple) -> bool:
@@ -397,14 +406,8 @@ def leaf_in_quadratic_lamination(y0: Fraction, leaf: Leaf | tuple) -> bool:
     else:
         a, b = (angle(x) for x in leaf)
     major = quadratic_major(y0)
-    den = lcm(a.denominator, b.denominator, major.a.denominator, major.b.denominator)
-    return _orbit_admits(
-        a.numerator * (den // a.denominator),
-        b.numerator * (den // b.denominator),
-        major.a.numerator * (den // major.a.denominator),
-        major.b.numerator * (den // major.b.denominator),
-        den,
-    )
+    (ia, ib, l0a, l0b), den = _over_common_denominator([a, b, major.a, major.b])
+    return _orbit_admits(ia, ib, l0a, l0b, den)
 
 
 def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
@@ -429,10 +432,7 @@ def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
             for t in preimages_of_angle(e, k):
                 first_depth.setdefault(t, k)
     points = sorted(first_depth)
-    den = lcm(*[t.denominator for t in points]) if points else 1
-    ints = [t.numerator * (den // t.denominator) for t in points]
-    l0a = major.a.numerator * (den // major.a.denominator)
-    l0b = major.b.numerator * (den // major.b.denominator)
+    (l0a, l0b, *ints), den = _over_common_denominator([major.a, major.b, *points])
     lam = Lamination(kind="quadratic", generator=y0, depth=depth)
     lam.add(major)
     n = len(points)
@@ -446,37 +446,30 @@ def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
 
 def build_basilica(depth: int) -> Lamination:
     """Iterated doubling-preimages of the chord {1/3, 2/3}, keeping the
-    endpoint pairing that halves both angles together, filtered for
-    non-crossing against the accumulated set."""
+    endpoint pairing that halves both angles together, minus the preimages
+    that cross {1/3, 2/3}.
+
+    That one test is the whole non-crossing filter (Thurston's pullback
+    argument for invariant laminations).  A halves-together preimage lies in
+    one half of the circle, where doubling keeps cyclic order.  If a
+    candidate crossed a kept leaf of depth >= 1, that leaf would lie in the
+    same half (chords in opposite halves cannot cross), so doubling both
+    would make the candidate's kept parent cross that leaf's parent, a kept
+    leaf of lower depth; by induction on the depth no such pair exists.
+    Angles are integers over den = 3 * 2^depth.
+    """
     if depth < 0:
         raise DomainError("depth must be >= 0")
     lam = Lamination(kind="basilica", generator=Fraction(1, 3), depth=depth)
     lam.add(Leaf(Fraction(1, 3), Fraction(2, 3), INSIDE, 0))
-    # integer angles over denominator 3 * 2^depth for the crossing filter
     den = 3 << depth
-    accum = [(den // 3, 2 * den // 3)]
-    layer = accum[:]
+    major = (den // 3, 2 * den // 3)
+    layer = [major]
     for n in range(1, depth + 1):
-        nxt = []
-        seen_keys = set()
-        for (a, b) in layer:
-            for k in (0, 1):
-                ca, cb = (a + k * den) // 2, (b + k * den) // 2
-                lo, hi = (ca, cb) if ca <= cb else (cb, ca)
-                if (lo, hi) in seen_keys:
-                    continue
-                if any(
-                    lo not in (u, v) and hi not in (u, v)
-                    and ((u < lo < v) != (u < hi < v))
-                    for (u, v) in accum
-                ):
-                    continue
-                seen_keys.add((lo, hi))
-                nxt.append((lo, hi))
-        for (lo, hi) in nxt:
+        halves = (((a + k * den) >> 1, (b + k * den) >> 1) for a, b in layer for k in (0, 1))
+        layer = list(dict.fromkeys(c for c in halves if not _chords_cross(*c, *major)))
+        for lo, hi in layer:
             lam.add(Leaf(Fraction(lo, den), Fraction(hi, den), INSIDE, n))
-        accum.extend(nxt)
-        layer = nxt
     return lam
 
 
@@ -506,11 +499,10 @@ def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tupl
     """
     if isinstance(leaves, Lamination):
         leaves = leaves.leaves
-    chords = sorted({(l.a, l.b) if l.a <= l.b else (l.b, l.a) for l in leaves})
-    for i, c1 in enumerate(chords):
-        for c2 in chords[i + 1:]:
-            if pairs_cross(*c1, *c2):
-                raise DomainError("crossing chords: %s/%s and %s/%s" % (*c1, *c2))
+    bad = _crossings(_int_chords(leaves))
+    if bad:
+        raise DomainError("crossing chord pairs: %d" % bad)
+    chords = sorted({(l.a, l.b) for l in leaves})
     if not chords:
         return [[("arc", Fraction(0), Fraction(0))]]
 

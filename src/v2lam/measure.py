@@ -28,7 +28,7 @@ from .angles import (
     DomainError,
     angle,
     digit_stream,
-    double,
+    doubling_orbit,
     require_nonperiodic,
     x0_digits,
 )
@@ -71,23 +71,10 @@ def _hit_depths(z: Fraction, theta0: Fraction, M: Optional[int]):
     arithmetic progression m0 + j*L of hits inside the orbit cycle (only
     possible for periodic theta0), or None.
     """
-    z = angle(z)
     t0 = angle(theta0)
-    seen: dict[Fraction, int] = {}
-    orbit: list[Fraction] = []
-    u = z
-    while u not in seen:
-        seen[u] = len(orbit)
-        orbit.append(u)
-        u = double(u)
-    cyc_start = seen[u]
-    L = len(orbit) - cyc_start
-    finite = [m for m in range(cyc_start) if orbit[m] == t0]
-    cycle_hit = None
-    for m in range(cyc_start, len(orbit)):
-        if orbit[m] == t0:
-            cycle_hit = (m, L)
-            break
+    pre, cyc = doubling_orbit(z)
+    finite = [m for m, u in enumerate(pre) if u == t0]
+    cycle_hit = (len(pre) + cyc.index(t0), len(cyc)) if t0 in cyc else None
     if M is not None:
         hits = [m for m in finite if m <= M]
         if cycle_hit is not None:

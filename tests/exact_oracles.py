@@ -1,8 +1,15 @@
-"""Fraction-arithmetic forms of the exact lamination and measure builders.
+"""Slow forms of the exact lamination and measure code, kept as oracles.
 
-These are the forms ``v2lam.laminations.build_2L``/``build_L`` and
-``v2lam.measure.cumulative`` had before they ran on integers over one shared
-denominator: every arc start, arc length and partial sum is a ``Fraction``.
+* ``build_L``/``build_2L``/``cumulative``: the forms the library's builders
+  and ``v2lam.measure.cumulative`` had before they ran on integers over one
+  shared denominator; every arc start, arc length and partial sum is a
+  ``Fraction``.
+* ``pairs_cross``, ``crossings``/``count_same_side_crossings`` and
+  ``build_basilica``: the crossing predicate on arc lengths, the O(n^2)
+  pair scan, and the basilica filter that tests every candidate against the
+  whole accumulated leaf set, as they were before the library's one
+  predicate and one sorted sweep.
+
 Tests compare the library against them, on generators drawn by
 ``even_generators``.
 """
@@ -13,7 +20,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from v2lam.angles import HALF, angle, digit_stream, require_nonperiodic
+from v2lam.angles import HALF, DomainError, angle, digit_stream, require_nonperiodic
 from v2lam.laminations import INSIDE, OUTSIDE, Lamination, Leaf
 from v2lam.measure import sigma0_arc
 
@@ -77,6 +84,87 @@ def cumulative(theta0: Fraction, t: Fraction, M=None) -> Fraction:
         ctail += c * Fraction(1, 4**j)
     total += HALF * Fraction(1, 4**P) * ctail / (1 - Fraction(1, 4**L))
     return total
+
+
+def _strictly_inside(x: Fraction, start: Fraction, length: Fraction) -> bool:
+    d = angle(x - start)
+    return Fraction(0) < d < length
+
+
+def pairs_cross(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction) -> bool:
+    """Strict interleaving of {a1,b1} and {a2,b2}, tested on the ccw arc from a1.
+
+    Shared endpoints are recognised only when equal as given, so callers pass
+    angles already reduced mod 1.
+    """
+    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+        return False
+    length = angle(b1 - a1)
+    return _strictly_inside(a2, a1, length) != _strictly_inside(b2, a1, length)
+
+
+def crossings(pts) -> int:
+    """Crossing pairs among integer chords (lo, hi), lo < hi, by testing every pair."""
+    bad = 0
+    n = len(pts)
+    for i in range(n):
+        a1, b1 = pts[i]
+        for j in range(i + 1, n):
+            a2, b2 = pts[j]
+            if a1 in (a2, b2) or b1 in (a2, b2):
+                continue
+            in1 = a1 < a2 < b1
+            in2 = a1 < b2 < b1
+            if in1 != in2:
+                bad += 1
+    return bad
+
+
+def count_same_side_crossings(lam: Lamination) -> tuple[int, int]:
+    """(crossing same-side pairs, pairs examined), every pair scanned."""
+    bad = 0
+    checked = 0
+    for side in (INSIDE, OUTSIDE):
+        leaves = lam.side_leaves(side)
+        d = math.lcm(*[x.denominator for l in leaves for x in (l.a, l.b)])
+        pts = [(l.a.numerator * (d // l.a.denominator), l.b.numerator * (d // l.b.denominator))
+               for l in leaves]
+        checked += len(pts) * (len(pts) - 1) // 2
+        bad += crossings(pts)
+    return bad, checked
+
+
+def build_basilica(depth: int) -> Lamination:
+    """Basilica preimages filtered against every accumulated leaf."""
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
+    lam = Lamination(kind="basilica", generator=Fraction(1, 3), depth=depth)
+    lam.add(Leaf(Fraction(1, 3), Fraction(2, 3), INSIDE, 0))
+    den = 3 << depth
+    accum = [(den // 3, 2 * den // 3)]
+    layer = accum[:]
+    for n in range(1, depth + 1):
+        nxt = []
+        seen_keys = set()
+        for (a, b) in layer:
+            for k in (0, 1):
+                ca, cb = (a + k * den) // 2, (b + k * den) // 2
+                lo, hi = (ca, cb) if ca <= cb else (cb, ca)
+                if (lo, hi) in seen_keys:
+                    continue
+                if any(
+                    lo not in (u, v) and hi not in (u, v)
+                    and ((u < lo < v) != (u < hi < v))
+                    for (u, v) in accum
+                ):
+                    continue
+                seen_keys.add((lo, hi))
+                nxt.append((lo, hi))
+        for (lo, hi) in nxt:
+            lam.add(Leaf(Fraction(lo, den), Fraction(hi, den), INSIDE, n))
+        accum.extend(nxt)
+        layer = nxt
+    return lam
 
 
 @st.composite

@@ -13,6 +13,7 @@ import pytest
 
 from v2lam import cli
 from v2lam.cli import main
+from v2lam.dynamics import fixed_points
 
 
 def run(capsys, *argv):
@@ -193,6 +194,34 @@ def test_dyn_fixed_large_parameter_stays_finite(capsys):
     assert len(mults) == 3
     assert all(abs(m + 2.0) < 1e-9 for m in mults)
     assert "nan" not in out and "inf" not in out
+
+
+def _fixed_rows(out):
+    rows = [ln.split("z = ")[1].split("  multiplier = ") for ln in out.splitlines()
+            if ln.startswith("z = ")]
+    return [tuple(complex(v.replace("i", "j")) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("a, code", [("1e-15", 0), ("1e-8", 0), ("-1e-15", 0),
+                                     ("1e-100", 2), ("1e-320", 2), ("1e-300,1e-300", None)])
+def test_dyn_fixed_tiny_parameter(capsys, a, code):
+    # the fixed point -2 + a/4 + ... sits next to the pole -2: the computed
+    # points are never poles, and the printed multipliers follow the
+    # fixed-point identity f_a'(z) = -2z^2(z+1)/a; where the point rounds
+    # onto -2 the run exits 2
+    got, out, err = run(capsys, "dyn", "fixed", "--a=" + a)
+    assert got in (0, 2) and (code is None or got == code)
+    if got == 2:
+        assert out == "" and err.startswith("numeric error:")
+        return
+    av = complex(*map(float, a.split(","))) if "," in a else complex(float(a))
+    assert all(z != 0 and z != -2 for z in fixed_points(av))
+    rows = _fixed_rows(out)
+    assert len(rows) == 3
+    for z, m in rows:
+        assert math.isfinite(abs(z)) and math.isfinite(abs(m))
+        want = -2 * z * z * (z + 1) / av
+        assert abs(m - want) <= 1e-9 * abs(want)
 
 
 def test_dyn_green_tiny_parameter_stays_finite(capsys):

@@ -1,10 +1,14 @@
-"""Source hygiene: no imported name goes unused in ``src/`` or ``tests/``.
+"""Source hygiene, checked on the ``ast`` of each module.
 
-A stand-in for a linter's unused-import rule.  Each module is parsed with
-``ast``; a name bound by ``import`` or ``from ... import`` counts as used
-when it appears as a ``Name`` anywhere in the module, as the base of an
-attribute access, or as a string in ``__all__``.  ``from __future__``
-imports are exempt.
+* No imported name goes unused in ``src/`` or ``tests/`` (a stand-in for a
+  linter's unused-import rule): a name bound by ``import`` or
+  ``from ... import`` counts as used when it appears as a ``Name`` anywhere
+  in the module, as the base of an attribute access, or as a string in
+  ``__all__``.  ``from __future__`` imports are exempt.
+* No module in ``src/`` builds a ``Fraction`` behind its constructor's back:
+  no assignment to a ``_numerator`` or ``_denominator`` attribute and no
+  call of ``Fraction.__new__``.  Fast paths come from better
+  representations, not from writes to private attributes.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SRC_FILES = [p for p in FILES if p.is_relative_to(ROOT / "src")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +50,29 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def fraction_internals(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += ["%s (line %d)" % (t.attr, node.lineno) for t in targets
+                      if isinstance(t, ast.Attribute) and t.attr in ("_numerator", "_denominator")]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "Fraction"):
+            found.append("Fraction.__new__ (line %d)" % node.lineno)
+    return sorted(found)
+
+
+def test_scan_finds_fraction_internals():
+    src = ("f = Fraction.__new__(Fraction)\nf._numerator = 1\nf._denominator: int = 2\n"
+           "g = Fraction(1, 2)\nn = g._numerator\nsetattr(g, 'x', 1)\n")
+    assert fraction_internals(src) == [
+        "Fraction.__new__ (line 1)", "_denominator (line 3)", "_numerator (line 2)"]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_fraction_internals(path):
+    assert fraction_internals(path.read_text(encoding="utf-8")) == []

@@ -11,6 +11,7 @@ from v2lam.laminations import (
     OUTSIDE,
     Lamination,
     Leaf,
+    _crossings,
     build_2L,
     build_basilica,
     build_L,
@@ -44,6 +45,9 @@ def test_leaves_cross():
     assert pairs_cross(Fr(0), Fr(1, 2), Fr(1, 4), Fr(3, 4))
     assert not pairs_cross(Fr(0), Fr(1, 4), Fr(1, 2), Fr(3, 4))
     assert not pairs_cross(Fr(0), Fr(1, 4), Fr(0), Fr(1, 2))
+    # endpoints are reduced mod 1 first: 1 and 0 are one shared endpoint
+    assert not pairs_cross(Fr(0), Fr(1, 2), Fr(1), Fr(1, 4))
+    assert pairs_cross(Fr(-1), Fr(1, 2), Fr(5, 4), Fr(7, 4))
     assert leaves_cross(Leaf(Fr(0), Fr(1, 2)), Leaf(Fr(1, 4), Fr(3, 4)))
 
 
@@ -227,8 +231,11 @@ def test_complementary_regions():
     # every listed region alternates to include at least one circle arc
     for cycle in regions:
         assert any(kind == "arc" for kind, *_ in cycle)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="crossing chord pairs: 1$"):
         complementary_regions([Leaf(Fr(0), Fr(1, 2)), Leaf(Fr(1, 4), Fr(3, 4))])
+    with pytest.raises(DomainError, match="crossing chord pairs: 3$"):
+        complementary_regions([Leaf(Fr(0), Fr(1, 2)), Leaf(Fr(1, 4), Fr(3, 4)),
+                               Leaf(Fr(1, 8), Fr(5, 8))])
 
 
 def test_leaf_text_roundtrip():
@@ -272,3 +279,51 @@ def test_build_L_matches_fraction_oracle(t, depth):
     lam = build_L(t, depth)
     _same_lamination(lam, oracle.build_L(t, depth))
     _same_lamination(mirror_outside(lam), mirror_outside(oracle.build_L(t, depth)))
+
+
+# ---------------------------------------------------------------------------
+# the crossing predicate, the sorted sweep and the basilica filter against
+# their O(n^2) oracles
+# ---------------------------------------------------------------------------
+
+_chord = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda c: c[0] != c[1]).map(
+    lambda c: (min(c), max(c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chords=st.lists(_chord, max_size=40), repeat=st.integers(0, 40))
+def test_crossings_match_pair_scan(chords, repeat):
+    # 13 endpoint values force shared endpoints and nested chords; the
+    # repeated prefix adds duplicate chords
+    chords = chords + chords[:repeat]
+    assert _crossings(chords) == oracle.crossings(chords)
+
+
+_turns = st.builds(Fr, st.integers(-24, 48), st.integers(1, 8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a1=_turns, b1=_turns, a2=_turns, b2=_turns)
+def test_pairs_cross_matches_arc_oracle(a1, b1, a2, b2):
+    # endpoints outside [0, 1) and coinciding mod 1 included
+    reduced = [Fr(x) % 1 for x in (a1, b1, a2, b2)]
+    assert pairs_cross(a1, b1, a2, b2) == oracle.pairs_cross(*reduced)
+    assert pairs_cross(a1, b1, a2, b2) == pairs_cross(a2, b2, b1, a1)
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_basilica_matches_accumulated_filter(depth):
+    _same_lamination(build_basilica(depth), oracle.build_basilica(depth))
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=oracle.even_generators(), depth=st.integers(0, 10))
+def test_count_same_side_crossings_matches_pair_scan(t, depth):
+    for lam in (build_2L(t, depth), build_L(t, depth // 2)):
+        assert count_same_side_crossings(lam) == oracle.count_same_side_crossings(lam)
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_count_crossings_of_collapsing_quadratic_matches_pair_scan(depth):
+    lam = build_quadratic_lamination(Fr(0), depth)
+    assert count_same_side_crossings(lam) == oracle.count_same_side_crossings(lam)
