@@ -20,7 +20,6 @@ from typing import Callable
 
 from .angles import DomainError, _x0_digit_pair, circle_distance, x0_digits, x0_series
 from .laminations import (
-    INSIDE,
     build_2L,
     build_L,
     check_two_sided_invariance,
@@ -164,7 +163,7 @@ def _check_construction_equivalence(p: CheckParams) -> str:
     for t0 in p.thetas:
         for d in range(min(p.depth, 8) + 1):
             two = build_2L(t0, d).key_set()
-            ins = frozenset((INSIDE, l.a, l.b) for l in build_L(t0, d // 2))
+            ins = build_L(t0, d // 2).key_set()
             outs = mirror_outside(build_L(t0, (d + 1) // 2)).key_set()
             _need(two == (ins | outs),
                   "leaf sets differ at theta0=%s depth=%d" % (t0, d))

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
+import json
 import sys
 from fractions import Fraction
 
@@ -557,6 +559,10 @@ def _cmd_dyn_fixed(args) -> int:
     rho, r_out = trap_radii(a)
     for z, m in rows:
         print("z = %s  multiplier = %s" % (_fmt_c(z), _fmt_c(m)))
+        if _fmt_c(z) in ("-2+0i", "-2-0i"):
+            # the point -2 + a/4 + ... prints as the pole; z + 2 = a/z^2 by
+            # z^2 (z + 2) = a, to a few roundings
+            print("    z + 2 = %s" % _fmt_c(a / (z * z)))
     print("trap rho = %.12g  R = %.12g" % (rho, r_out))
     return 0
 
@@ -694,7 +700,7 @@ def _cmd_check(args) -> int:
     results = run_suite(groups, params)
     ok = True
     for r in results:
-        print(r.line())
+        print(json.dumps(dataclasses.asdict(r)) if _truthy(args.json) else r.line())
         print("check %02d took %.2fs" % (r.number, r.seconds), file=sys.stderr)
         ok = ok and r.ok
     return 0 if ok else 1
@@ -1000,6 +1006,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", default="512")
     p.add_argument("--steps", default="200")
     p.add_argument("--leaf-depth", default="3")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object per check: number, name, group, ok, "
+                        "detail, seconds")
     p.set_defaults(func=_cmd_check)
 
     top.all_parsers = tuple(registry)

@@ -144,9 +144,11 @@ def fixed_points(a: complex) -> list[complex]:
 
     Roots are Newton-polished to a residual |z^3 + 2z^2 - a| below 1e-10
     times the size of the terms, |z|^2 (|z| + 2) + |a|, and returned sorted
-    by (real, imag).  Raises ``NumericError`` when a root misses that
-    tolerance or rounds onto a pole (0 or -2), as the root -2 + a/4 + ...
-    does for real a with |a| below about 1e-15.
+    by (real, imag).  The root within 1e-3 of the pole -2 (|a| below about
+    4e-3) is found as -2 + w by a contraction on w (``_near_pole_root``),
+    which already meets the tolerance.  Raises ``NumericError`` when a root
+    misses that tolerance or rounds onto a pole (0 or -2), as the root
+    -2 + a/4 + ... does for real a with |a| below about 4e-16.
     """
     import numpy as np
 
@@ -155,6 +157,8 @@ def fixed_points(a: complex) -> list[complex]:
     out: list[complex] = []
     for r in roots:
         z = complex(r)
+        if abs(z + 2.0) < 1e-3:
+            z = _near_pole_root(a)
         for _ in range(8):
             p = z * z * z + 2.0 * z * z - a
             if abs(p) < 1e-12 * _cubic_scale(a, z):
@@ -170,6 +174,24 @@ def fixed_points(a: complex) -> list[complex]:
         out.append(z)
     out.sort(key=lambda w: (w.real, w.imag))
     return out
+
+
+def _near_pole_root(a: complex) -> complex:
+    """The fixed point -2 + w next to the pole -2, for |a| below about 4e-3.
+
+    z^2 (z + 2) = a reads w = a / (w - 2)^2 in w = z + 2.  Iterated from
+    w = 0 this is a contraction with factor about |a|/4, so w is found to
+    full relative accuracy in a few steps; polishing the root of the cubic
+    instead loses it, since that root carries an absolute error of one
+    rounding of 2.
+    """
+    w = 0j
+    for _ in range(16):
+        nxt = a / ((w - 2.0) * (w - 2.0))
+        if nxt == w:
+            break
+        w = nxt
+    return w - 2.0
 
 
 def _cubic_scale(a: complex, z: complex) -> float:

@@ -11,14 +11,23 @@ Builders produce:
 * the outside mirror of an inside lamination (endpoint angles doubled and
   negated),
 * invariant quadratic laminations generated by a diameter-like major chord,
+  found by pulling admitted chords back along doubling,
 * the basilica lamination and matings of two inside laminations.
 
-All endpoint arithmetic is exact and runs on integers over one shared
-denominator: the pullback builders carry arc starts as integers and build
-each endpoint Fraction once.  Each chord concept is written once: one
-crossing predicate (_chords_cross), one sorted sweep counting crossing
-pairs (_crossings), and one conversion of Fractions to integers over their
-common denominator (_over_common_denominator).
+A ``Lamination`` stores integer chords over one denominator ``den``: a map
+(side, lo, hi) -> depth with 0 <= lo < hi < den meaning the chord
+{lo/den, hi/den}.  Building, deduplication, the crossing sweep, the
+invariance check, complementary regions, the leaf file and the SVG all run
+on these integers.  ``Leaf``, the validating Fraction form of one chord, is
+built only at the edge: when a caller iterates a lamination (``__iter__``,
+``leaves``, ``side_leaves``), when ``Lamination.from_text`` parses a leaf
+file, and for single chords tested by ``pairs_cross``/``leaves_cross`` and
+``leaf_in_quadratic_lamination``.  Laminations built from Fractions
+(``from_text``, the ``leaves`` argument, ``build_L0``) and ``mate`` rescale
+once to the lcm of the denominators they meet.  Each chord concept is
+written once: one crossing predicate (_chords_cross), one sorted sweep
+counting crossing pairs (_crossings), and one conversion of Fractions to
+integers over their common denominator (_over_common_denominator).
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .angles import HALF, DomainError, angle, require_nonperiodic, x0_digits
 from .measure import h_arc, preimages_of_angle
@@ -72,66 +81,98 @@ class Leaf:
         return "%s %s %s" % (self.side, self.a, self.b)
 
 
+def _turns_text(x: int, den: int) -> str:
+    """str(Fraction(x, den)) for 0 <= x < den."""
+    if not x:
+        return "0"
+    g = gcd(x, den)
+    return "%d/%d" % (x // g, den // g)
+
+
 class Lamination:
     """Finite leaf set with a kind tag, generator data, and build depth.
 
-    Leaves are deduplicated by (side, endpoints); a leaf reachable at two
+    ``chords`` maps (side, lo, hi) to the leaf depth, lo < hi being integers
+    in [0, den) for the chord {lo/den, hi/den}.  A chord reachable at two
     depths keeps the smaller depth.  Iteration order is insertion order,
-    which builders keep deterministic.
+    which builders keep deterministic.  ``leaves`` (Leaf objects over any
+    denominators) are rescaled once to the lcm of ``den`` and theirs.
     """
 
     KINDS = ("L0", "L", "twoSided", "quadratic", "basilica", "mating", "file")
 
     def __init__(self, kind: str = "file", generator=None, depth: int = 0,
-                 leaves: Iterable[Leaf] = ()):
+                 leaves: Iterable[Leaf] = (), den: int = 1):
         self.kind = kind
         self.generator = generator
         self.depth = depth
-        self._by_key: dict[tuple, Leaf] = {}
-        for leaf in leaves:
-            self.add(leaf)
+        leaves = list(leaves)
+        ints, common = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
+        self.den = lcm(den, common)
+        self.chords: dict[tuple[str, int, int], int] = {}
+        k = self.den // common
+        for i, l in enumerate(leaves):
+            self.add(l.side, ints[2 * i] * k, ints[2 * i + 1] * k, l.depth)
 
-    def add(self, leaf: Leaf) -> None:
-        old = self._by_key.get(leaf.key)
-        if old is None or leaf.depth < old.depth:
-            self._by_key[leaf.key] = leaf
+    def add(self, side: str, a: int, b: int, depth: int) -> None:
+        """Add the chord {a/den, b/den} on side; a != b are integers in [0, den)."""
+        key = (side, a, b) if a < b else (side, b, a)
+        old = self.chords.get(key)
+        if old is None or depth < old:
+            self.chords[key] = depth
+
+    def _leaf(self, key: tuple[str, int, int], depth: int) -> Leaf:
+        side, a, b = key
+        return Leaf(Fraction(a, self.den), Fraction(b, self.den), side, depth)
 
     @property
     def leaves(self) -> list[Leaf]:
-        return list(self._by_key.values())
+        return list(self)
 
-    def __iter__(self):
-        return iter(self._by_key.values())
+    def __iter__(self) -> Iterator[Leaf]:
+        return (self._leaf(key, d) for key, d in self.chords.items())
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self.chords)
 
     def __contains__(self, item) -> bool:
+        """A Leaf, or an integer key (side, lo, hi) over den."""
         if isinstance(item, Leaf):
-            return item.key in self._by_key
-        return tuple(item) in self._by_key
+            return self.has(item.side, item.a, item.b)
+        return tuple(item) in self.chords
 
-    def has(self, side: str, a: Fraction, b: Fraction) -> bool:
-        a, b = angle(a), angle(b)
-        if b < a:
-            a, b = b, a
-        return (side, a, b) in self._by_key
+    def _scaled(self, x) -> Optional[int]:
+        """The angle x as an integer over den, or None when it is not one."""
+        x = angle(x)
+        n, r = divmod(x.numerator * self.den, x.denominator)
+        return None if r else n
+
+    def has(self, side: str, a, b) -> bool:
+        """Whether the chord between the angles a and b is a leaf of side.
+
+        An endpoint that is not an integer over den is on no leaf.
+        """
+        ia, ib = self._scaled(a), self._scaled(b)
+        if ia is None or ib is None:
+            return False
+        return ((side, ia, ib) if ia < ib else (side, ib, ia)) in self.chords
 
     def side_leaves(self, side: str) -> list[Leaf]:
-        return [l for l in self if l.side == side]
+        return [self._leaf(key, d) for key, d in self.chords.items() if key[0] == side]
 
     def key_set(self) -> frozenset:
-        return frozenset(self._by_key)
-
-    def max_depth(self) -> int:
-        return max((l.depth for l in self), default=-1)
+        """{(side, a, b)} with Fraction endpoints a < b."""
+        den = self.den
+        return frozenset((s, Fraction(a, den), Fraction(b, den)) for s, a, b in self.chords)
 
     def to_text(self) -> str:
-        return "".join("%s\n" % l for l in self)
+        den = self.den
+        return "".join("%s %s %s\n" % (s, _turns_text(a, den), _turns_text(b, den))
+                       for s, a, b in self.chords)
 
     @classmethod
     def from_text(cls, text: str, kind: str = "file") -> "Lamination":
-        lam = cls(kind=kind)
+        leaves = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -139,8 +180,8 @@ class Lamination:
             parts = line.split()
             if len(parts) != 3:
                 raise DomainError("bad leaf line: %r" % line)
-            lam.add(Leaf(angle(parts[1]), angle(parts[2]), parts[0]))
-        return lam
+            leaves.append(Leaf(angle(parts[1]), angle(parts[2]), parts[0]))
+        return cls(kind=kind, leaves=leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +215,6 @@ def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _int_chords(leaves: Sequence[Leaf]) -> list[tuple[int, int]]:
-    """The leaves' (a, b) endpoint pairs as integers over one denominator."""
-    ints, _ = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
-    return list(zip(ints[::2], ints[1::2]))
-
-
 def pairs_cross(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction) -> bool:
     """Strict interleaving of {a1,b1} and {a2,b2} on the circle, endpoints
     taken mod 1; shared endpoints never cross."""
@@ -200,9 +235,9 @@ def count_same_side_crossings(lam: Lamination) -> tuple[int, int]:
     """
     bad = checked = 0
     for side in (INSIDE, OUTSIDE):
-        leaves = lam.side_leaves(side)
-        bad += _crossings(_int_chords(leaves))
-        checked += len(leaves) * (len(leaves) - 1) // 2
+        chords = [(a, b) for s, a, b in lam.chords if s == side]
+        bad += _crossings(chords)
+        checked += len(chords) * (len(chords) - 1) // 2
     return bad, checked
 
 
@@ -220,33 +255,37 @@ def build_L0(theta0: Fraction, depth: int, M: Optional[int] = None) -> Laminatio
     t0 = require_nonperiodic(theta0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    lam = Lamination(kind="L0", generator=t0, depth=depth)
-    for m in range(depth + 1):
-        for t in preimages_of_angle(t0, m):
-            ha = h_arc(t, t0, M)
-            lam.add(Leaf(ha.start, ha.end, INSIDE, m))
+    arcs = [(h_arc(t, t0, M), m) for m in range(depth + 1) for t in preimages_of_angle(t0, m)]
+    ints, den = _over_common_denominator([x for ha, _ in arcs for x in (ha.start, ha.end)])
+    lam = Lamination(kind="L0", generator=t0, depth=depth, den=den)
+    for i, (_, m) in enumerate(arcs):
+        a, b = ints[2 * i], ints[2 * i + 1]
+        if a == b:
+            raise DomainError("leaf endpoints must be distinct")
+        lam.add(INSIDE, a, b, m)
     return lam
 
 
-def _half_arc_pullbacks(lam: Lamination, theta0: Fraction, depth: int, bits: int,
+def _half_arc_pullbacks(kind: str, theta0: Fraction, depth: int, bits: int,
                         pull, sides: tuple[str, ...]) -> Lamination:
-    """Add to lam the bridges over the pullbacks of the half-arc (x0, x0 + 1/2).
+    """The bridges over the pullbacks of the half-arc (x0, x0 + 1/2).
 
     Each pullback step divides the arc length by 2^bits.  Arc starts are
     integers over the one denominator D = den(x0) * 2^(bits*depth + 1), on
     which every layer's common arc length is an integer too; pull(starts,
     length, D) gives the next layer's starts in insertion order.  Layer n
-    leaves take side sides[n % len(sides)], and each endpoint Fraction is
-    built once.
+    leaves take side sides[n % len(sides)].
     """
     x0 = x0_digits(theta0)
     e = bits * depth + 1
     D = x0.denominator << e
+    lam = Lamination(kind=kind, generator=theta0, depth=depth, den=D)
+    add = lam.add
     starts, length = [x0.numerator << e], D >> 1
     for n in range(depth + 1):
         side = sides[n % len(sides)]
         for s in starts:
-            lam.add(Leaf(Fraction(s, D), Fraction((s + length) % D, D), side, n))
+            add(side, s, (s + length) % D, n)
         if n < depth:
             starts = pull(starts, length, D)
             length >>= bits
@@ -277,8 +316,7 @@ def build_L(theta0: Fraction, depth: int) -> Lamination:
     t0 = require_nonperiodic(theta0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    lam = Lamination(kind="L", generator=t0, depth=depth)
-    return _half_arc_pullbacks(lam, t0, depth, 2, _quad_pull, (INSIDE,))
+    return _half_arc_pullbacks("L", t0, depth, 2, _quad_pull, (INSIDE,))
 
 
 def build_2L(theta0: Fraction, depth: int) -> Lamination:
@@ -291,8 +329,7 @@ def build_2L(theta0: Fraction, depth: int) -> Lamination:
     t0 = require_nonperiodic(theta0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    lam = Lamination(kind="twoSided", generator=t0, depth=depth)
-    return _half_arc_pullbacks(lam, t0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
+    return _half_arc_pullbacks("twoSided", t0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
 
 
 def mirror_outside(lam: Lamination) -> Lamination:
@@ -301,12 +338,13 @@ def mirror_outside(lam: Lamination) -> Lamination:
     Degenerate images (antipodal endpoint pairs) are dropped; duplicates are
     coalesced keeping the smaller depth.
     """
-    out = Lamination(kind=lam.kind, generator=lam.generator, depth=lam.depth)
-    for l in lam.side_leaves(INSIDE):
-        ia, ib = angle(-2 * l.a), angle(-2 * l.b)
-        if ia == ib:
-            continue
-        out.add(Leaf(ia, ib, OUTSIDE, l.depth))
+    den = lam.den
+    out = Lamination(kind=lam.kind, generator=lam.generator, depth=lam.depth, den=den)
+    for (side, a, b), d in lam.chords.items():
+        if side == INSIDE:
+            ia, ib = -2 * a % den, -2 * b % den
+            if ia != ib:
+                out.add(OUTSIDE, ia, ib, d)
     return out
 
 
@@ -324,12 +362,6 @@ class InvarianceReport:
         return not self.failures
 
 
-def _neg2_images(a: Fraction) -> tuple[Fraction, Fraction]:
-    """The two solutions w of -2w = a (mod 1)."""
-    w = angle((1 - a) / 2)
-    return (w, angle(w + HALF))
-
-
 def check_two_sided_invariance(lam: Lamination, depth: int) -> InvarianceReport:
     """Verify forward, antipodal, and backward conditions on leaves of
     depth <= depth, on both sides symmetrically.
@@ -341,31 +373,38 @@ def check_two_sided_invariance(lam: Lamination, depth: int) -> InvarianceReport:
       opposite side.
 
     The lamination should be built to depth+1 so backward partners exist.
+    Images, antipodes and preimages are integers over D = 2*den; one with
+    an odd integer is not over den, so it is on no leaf.
     """
+    den, chords = lam.den, lam.chords
+    D = 2 * den
     flip = {INSIDE: OUTSIDE, OUTSIDE: INSIDE}
+
+    def has(side: str, u: int, v: int) -> bool:
+        if u & 1 or v & 1:
+            return False
+        u, v = u >> 1, v >> 1
+        return ((side, u, v) if u < v else (side, v, u)) in chords
+
     failures: list[tuple[Leaf, str]] = []
     checked = 0
-    for leaf in lam:
-        if leaf.depth > depth:
+    for key, d in chords.items():
+        if d > depth:
             continue
         checked += 1
-        other = flip[leaf.side]
+        side, a, b = key
+        other = flip[side]
         # forward
-        ia, ib = angle(-2 * leaf.a), angle(-2 * leaf.b)
-        if ia != ib and not lam.has(other, ia, ib):
-            failures.append((leaf, "forward"))
+        fa, fb = -4 * a % D, -4 * b % D
+        if fa != fb and not has(other, fa, fb):
+            failures.append((lam._leaf(key, d), "forward"))
         # antipodal
-        if not lam.has(leaf.side, angle(leaf.a + HALF), angle(leaf.b + HALF)):
-            failures.append((leaf, "antipodal"))
-        # backward
-        cands = [
-            (w1, w2)
-            for w1 in _neg2_images(leaf.a)
-            for w2 in _neg2_images(leaf.b)
-            if w1 != w2
-        ]
-        if not any(lam.has(other, w1, w2) for w1, w2 in cands):
-            failures.append((leaf, "backward"))
+        if not has(side, (2 * a + den) % D, (2 * b + den) % D):
+            failures.append((lam._leaf(key, d), "antipodal"))
+        # backward: the solutions w of -2w = t are (1 - t)/2 and (1 - t)/2 + 1/2
+        pa, pb = (den - a, (D - a) % D), (den - b, (D - b) % D)
+        if not any(has(other, w1, w2) for w1 in pa for w2 in pb if w1 != w2):
+            failures.append((lam._leaf(key, d), "backward"))
     return InvarianceReport(checked, failures)
 
 
@@ -421,26 +460,57 @@ def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
     and diagonals of one class cross each other.  For such generators deep
     truncations are chord systems of the quotient rather than non-crossing
     laminations; count_same_side_crossings reports the overlap honestly.
+
+    The admitted set is found by pullback, in time that scales with its
+    size rather than with all pairs of points.  Write P for the point set
+    and fd(t) for the least k at which t appears; the only points with
+    fd = 0 are the major's endpoints, and fd(t) >= 1 puts 2t in P with
+    fd(2t) < fd(t).  A chord {p, q} with 2p != 2q is admitted iff it does
+    not cross the major and its image {2p, 2q} is admitted, since the
+    image's orbit is the rest of the chord's orbit.  A chord with 2p = 2q
+    is a diameter, and every diameter but the major crosses the major.  So
+    the chords with an endpoint of fd 0, tested by their orbit walks, seed
+    the whole set: a worklist pulls each admitted chord back through the
+    <= 4 pairs of its endpoints' halves that lie in P and do not cross the
+    major, and by induction on max(fd(p), fd(q)) the image of every other
+    admitted chord is admitted, and pulled back, before it (Thurston's
+    pullback argument, "On the geometry and dynamics of iterated rational
+    maps").  Angles are integers over den = den(y0) * 2^(depth+1); leaves
+    are emitted in point order, the major first.
     """
     y0 = angle(y0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    major = quadratic_major(y0)
-    first_depth: dict[Fraction, int] = {}
+    den = y0.denominator << (depth + 1)
+    half = den >> 1
+    l0a = y0.numerator << depth
+    l0b = l0a + half
+    first_depth: dict[int, int] = {}
     for k in range(depth + 1):
-        for e in major.endpoints:
-            for t in preimages_of_angle(e, k):
-                first_depth.setdefault(t, k)
-    points = sorted(first_depth)
-    (l0a, l0b, *ints), den = _over_common_denominator([major.a, major.b, *points])
-    lam = Lamination(kind="quadratic", generator=y0, depth=depth)
-    lam.add(major)
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _orbit_admits(ints[i], ints[j], l0a, l0b, den):
-                lam.add(Leaf(points[i], points[j], INSIDE,
-                             max(first_depth[points[i]], first_depth[points[j]])))
+        for m in range(2 << k):
+            first_depth.setdefault((l0a + m * half) >> k, k)
+
+    def halves(u: int) -> list[int]:
+        """The points of P that double to u (an odd u has no halves over den)."""
+        return [] if u & 1 else [h for h in (u >> 1, (u + den) >> 1) if h in first_depth]
+
+    admitted = {(p, q) if p < q else (q, p)
+                for p in (l0a, l0b) for q in first_depth
+                if q != p and _orbit_admits(p, q, l0a, l0b, den)}
+    work = list(admitted)
+    while work:
+        u, v = work.pop()
+        for p in halves(u):
+            for q in halves(v):
+                c = (p, q) if p < q else (q, p)
+                if c not in admitted and not _chords_cross(*c, l0a, l0b):
+                    admitted.add(c)
+                    work.append(c)
+
+    lam = Lamination(kind="quadratic", generator=y0, depth=depth, den=den)
+    lam.add(INSIDE, l0a, l0b, 0)
+    for p, q in sorted(admitted):
+        lam.add(INSIDE, p, q, max(first_depth[p], first_depth[q]))
     return lam
 
 
@@ -460,27 +530,29 @@ def build_basilica(depth: int) -> Lamination:
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    lam = Lamination(kind="basilica", generator=Fraction(1, 3), depth=depth)
-    lam.add(Leaf(Fraction(1, 3), Fraction(2, 3), INSIDE, 0))
     den = 3 << depth
+    lam = Lamination(kind="basilica", generator=Fraction(1, 3), depth=depth, den=den)
     major = (den // 3, 2 * den // 3)
+    lam.add(INSIDE, *major, 0)
     layer = [major]
     for n in range(1, depth + 1):
         halves = (((a + k * den) >> 1, (b + k * den) >> 1) for a, b in layer for k in (0, 1))
         layer = list(dict.fromkeys(c for c in halves if not _chords_cross(*c, *major)))
         for lo, hi in layer:
-            lam.add(Leaf(Fraction(lo, den), Fraction(hi, den), INSIDE, n))
+            lam.add(INSIDE, lo, hi, n)
     return lam
 
 
 def mate(L1: Lamination, L2: Lamination) -> Lamination:
     """Two-sided mating: L1 inside; L2 outside with angles negated mod 1."""
+    den = lcm(L1.den, L2.den)
     out = Lamination(kind="mating", generator=(L1.generator, L2.generator),
-                     depth=max(L1.depth, L2.depth))
-    for l in L1.side_leaves(INSIDE):
-        out.add(Leaf(l.a, l.b, INSIDE, l.depth))
-    for l in L2.side_leaves(INSIDE):
-        out.add(Leaf(angle(-l.a), angle(-l.b), OUTSIDE, l.depth))
+                     depth=max(L1.depth, L2.depth), den=den)
+    for lam, side, sign in ((L1, INSIDE, 1), (L2, OUTSIDE, -1)):
+        k = sign * (den // lam.den)
+        for (s, a, b), d in lam.chords.items():
+            if s == INSIDE:
+                out.add(side, a * k % den, b * k % den, d)
     return out
 
 
@@ -493,16 +565,20 @@ def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tupl
 
     Returns the regions that touch the circle, each as a boundary cycle of
     ("chord", from_angle, to_angle) and ("arc", from_angle, to_angle) edges
-    in counterclockwise walk order.  Pure-chord pockets (faces meeting the
-    circle in no arc, only at vertices) are not listed.  The empty
-    arrangement yields the single full-disk region.
+    in counterclockwise walk order, angles as Fractions.  Pure-chord
+    pockets (faces meeting the circle in no arc, only at vertices) are not
+    listed.  The empty arrangement yields the single full-disk region.
     """
     if isinstance(leaves, Lamination):
-        leaves = leaves.leaves
-    bad = _crossings(_int_chords(leaves))
+        den = leaves.den
+        ends = [(a, b) for _, a, b in leaves.chords]
+    else:
+        ints, den = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
+        ends = list(zip(ints[::2], ints[1::2]))
+    bad = _crossings(ends)
     if bad:
         raise DomainError("crossing chord pairs: %d" % bad)
-    chords = sorted({(l.a, l.b) for l in leaves})
+    chords = sorted(set(ends))
     if not chords:
         return [[("arc", Fraction(0), Fraction(0))]]
 
@@ -512,15 +588,16 @@ def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tupl
 
     # Half-edges: ("chord", i, j) from verts[i] to verts[j], and ("arc", i)
     # the ccw circle arc from verts[i] to its circular successor, plus the
-    # reversed arc ("rarc", i).  Departure directions (in turns, exact):
-    # chord i->j: (t_i + t_j')/2 + 1/4 with t_j' the ccw lift of t_j;
-    # ccw arc at t: t + 1/4; cw arc at t: t + 3/4.
-    outgoing: dict[int, list[tuple[Fraction, tuple]]] = {i: [] for i in range(nvert)}
+    # reversed arc ("rarc", i).  Departure directions, in turns as integers
+    # over 4*den: chord i->j: (t_i + t_j')/2 + 1/4 with t_j' the ccw lift of
+    # t_j; ccw arc at t: t + 1/4; cw arc at t: t + 3/4.
+    den4 = 4 * den
+    outgoing: dict[int, list[tuple[int, tuple]]] = {i: [] for i in range(nvert)}
 
-    def chord_dir(i: int, j: int) -> Fraction:
+    def chord_dir(i: int, j: int) -> int:
         ti = verts[i]
-        tj = ti + angle(verts[j] - ti)
-        return angle((ti + tj) / 2 + Fraction(1, 4))
+        tj = ti + (verts[j] - ti) % den
+        return (2 * (ti + tj) + den) % den4
 
     half_edges: list[tuple] = []
     for (a, b) in chords:
@@ -532,21 +609,14 @@ def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tupl
     for i in range(nvert):
         h = ("arc", i)                      # ccw from verts[i]
         half_edges.append(h)
-        outgoing[i].append((angle(verts[i] + Fraction(1, 4)), h))
+        outgoing[i].append(((4 * verts[i] + den) % den4, h))
         h = ("rarc", i)                     # cw from successor back to verts[i]
         half_edges.append(h)
         succ = (i + 1) % nvert
-        outgoing[succ].append((angle(verts[succ] + Fraction(3, 4)), h))
+        outgoing[succ].append(((4 * verts[succ] + 3 * den) % den4, h))
 
     for i in range(nvert):
         outgoing[i].sort()
-
-    def head(h: tuple) -> int:
-        if h[0] == "chord":
-            return h[2]
-        if h[0] == "arc":
-            return (h[1] + 1) % nvert
-        return h[1]
 
     def twin(h: tuple) -> tuple:
         if h[0] == "chord":
@@ -564,6 +634,7 @@ def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tupl
         v, pos = ring_pos[back]
         return outgoing[v][pos - 1][1]  # next clockwise from the reversed edge
 
+    turns = [Fraction(v, den) for v in verts]
     seen: set[tuple] = set()
     regions = []
     for start in half_edges:
@@ -581,9 +652,9 @@ def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tupl
         walk = []
         for e in cycle:
             if e[0] == "chord":
-                walk.append(("chord", verts[e[1]], verts[e[2]]))
+                walk.append(("chord", turns[e[1]], turns[e[2]]))
             else:
                 i = e[1]
-                walk.append(("arc", verts[i], verts[(i + 1) % nvert]))
+                walk.append(("arc", turns[i], turns[(i + 1) % nvert]))
         regions.append(walk)
     return regions

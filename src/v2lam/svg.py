@@ -13,7 +13,6 @@ places, so identical input produces byte-identical documents.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .laminations import INSIDE, Lamination
 
@@ -42,14 +41,14 @@ def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
     cx = cy = size / 2.0
     r = float(radius)
 
-    def unit(t: Fraction) -> tuple[float, float]:
-        a = 2.0 * math.pi * float(t)
+    def unit(t: float) -> tuple[float, float]:
+        a = 2.0 * math.pi * t
         return math.cos(a), math.sin(a)
 
-    def color(leaf) -> str:
+    def color(side: str, depth: int) -> str:
         if color_by_depth:
-            return DEPTH_PALETTE[leaf.depth % len(DEPTH_PALETTE)]
-        return DEFAULT_INSIDE if leaf.side == INSIDE else DEFAULT_OUTSIDE
+            return DEPTH_PALETTE[depth % len(DEPTH_PALETTE)]
+        return DEFAULT_INSIDE if side == INSIDE else DEFAULT_OUTSIDE
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -62,16 +61,15 @@ def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
 
     groups = {INSIDE: [], "O": []}
     width = _fmt(stroke_width)
-    for leaf in lam:
-        (cu, su), (cv, sv) = unit(leaf.a), unit(leaf.b)
+    n = lam.den
+    for (side, a, b), depth in lam.chords.items():
+        # int true division is correctly rounded, so a / n == float(Fraction(a, n))
+        (cu, su), (cv, sv) = unit(a / n), unit(b / n)
         ux, uy = cx + r * cu, cy - r * su
         vx, vy = cx + r * cv, cy - r * sv
-        stroke = ' stroke="%s" stroke-width="%s" fill="none"' % (color(leaf), width)
-        # b - a == 1/2, cross-multiplied on integers
-        a, b = leaf.a, leaf.b
-        antipodal = (2 * (b.numerator * a.denominator - a.numerator * b.denominator)
-                     == a.denominator * b.denominator)
-        if antipodal and leaf.side == INSIDE:
+        stroke = ' stroke="%s" stroke-width="%s" fill="none"' % (color(side, depth), width)
+        antipodal = 2 * (b - a) == n
+        if antipodal and side == INSIDE:
             el = '<line x1="%s" y1="%s" x2="%s" y2="%s"%s/>' % (
                 _fmt(ux), _fmt(uy), _fmt(vx), _fmt(vy), stroke)
         elif antipodal:
@@ -92,12 +90,12 @@ def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
             cross = (ux - px) * (vy - py) - (uy - py) * (vx - px)
             sweep = 1 if cross > 0 else 0
             large = 0
-            if leaf.side != INSIDE:
+            if side != INSIDE:
                 large, sweep = 1, 1 - sweep
             el = '<path d="M %s %s A %s %s 0 %d %d %s %s"%s/>' % (
                 _fmt(ux), _fmt(uy), _fmt(pr), _fmt(pr), large, sweep,
                 _fmt(vx), _fmt(vy), stroke)
-        groups[INSIDE if leaf.side == INSIDE else "O"].append(el)
+        groups[INSIDE if side == INSIDE else "O"].append(el)
 
     lines.append('<g id="inside">')
     lines.extend(groups[INSIDE])

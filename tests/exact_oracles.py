@@ -1,9 +1,15 @@
 """Slow forms of the exact lamination and measure code, kept as oracles.
 
+* ``Lamination``: the leaf store as it was before the library's integer
+  chords, one validating ``Leaf`` per leaf keyed by ``(side, a, b)`` with
+  ``Fraction`` endpoints; ``mirror_outside``, ``check_two_sided_invariance``
+  and ``mate`` run on it with ``Fraction`` arithmetic.
 * ``build_L``/``build_2L``/``cumulative``: the forms the library's builders
   and ``v2lam.measure.cumulative`` had before they ran on integers over one
   shared denominator; every arc start, arc length and partial sum is a
   ``Fraction``.
+* ``build_quadratic_lamination``: the O(n^2) loop that walks the doubling
+  orbit of every pair of points, as it was before the library's pullback.
 * ``pairs_cross``, ``crossings``/``count_same_side_crossings`` and
   ``build_basilica``: the crossing predicate on arc lengths, the O(n^2)
   pair scan, and the basilica filter that tests every candidate against the
@@ -21,8 +27,149 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from v2lam.angles import HALF, DomainError, angle, digit_stream, require_nonperiodic
-from v2lam.laminations import INSIDE, OUTSIDE, Lamination, Leaf
-from v2lam.measure import sigma0_arc
+from v2lam.laminations import (
+    INSIDE,
+    OUTSIDE,
+    InvarianceReport,
+    Leaf,
+    _orbit_admits,
+    _over_common_denominator,
+    quadratic_major,
+)
+from v2lam.measure import preimages_of_angle, sigma0_arc
+
+
+class Lamination:
+    """Leaves deduplicated by (side, Fraction a, Fraction b), keeping the
+    smaller depth; iteration in insertion order."""
+
+    def __init__(self, kind: str = "file", generator=None, depth: int = 0, leaves=()):
+        self.kind = kind
+        self.generator = generator
+        self.depth = depth
+        self._by_key: dict[tuple, Leaf] = {}
+        for leaf in leaves:
+            self.add(leaf)
+
+    def add(self, leaf: Leaf) -> None:
+        old = self._by_key.get(leaf.key)
+        if old is None or leaf.depth < old.depth:
+            self._by_key[leaf.key] = leaf
+
+    @property
+    def leaves(self) -> list[Leaf]:
+        return list(self._by_key.values())
+
+    def __iter__(self):
+        return iter(self._by_key.values())
+
+    def __len__(self) -> int:
+        return len(self._by_key)
+
+    def __contains__(self, leaf: Leaf) -> bool:
+        return leaf.key in self._by_key
+
+    def has(self, side: str, a: Fraction, b: Fraction) -> bool:
+        a, b = angle(a), angle(b)
+        if b < a:
+            a, b = b, a
+        return (side, a, b) in self._by_key
+
+    def side_leaves(self, side: str) -> list[Leaf]:
+        return [l for l in self if l.side == side]
+
+    def key_set(self) -> frozenset:
+        return frozenset(self._by_key)
+
+    def to_text(self) -> str:
+        return "".join("%s\n" % l for l in self)
+
+    @classmethod
+    def from_text(cls, text: str, kind: str = "file") -> "Lamination":
+        lam = cls(kind=kind)
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise DomainError("bad leaf line: %r" % line)
+            lam.add(Leaf(angle(parts[1]), angle(parts[2]), parts[0]))
+        return lam
+
+
+def mirror_outside(lam) -> Lamination:
+    """Each inside leaf {a,b} to the outside leaf {-2a, -2b}, on Fractions."""
+    out = Lamination(kind=lam.kind, generator=lam.generator, depth=lam.depth)
+    for l in lam.side_leaves(INSIDE):
+        ia, ib = angle(-2 * l.a), angle(-2 * l.b)
+        if ia == ib:
+            continue
+        out.add(Leaf(ia, ib, OUTSIDE, l.depth))
+    return out
+
+
+def _neg2_images(a: Fraction) -> tuple[Fraction, Fraction]:
+    """The two solutions w of -2w = a (mod 1)."""
+    w = angle((1 - a) / 2)
+    return (w, angle(w + HALF))
+
+
+def check_two_sided_invariance(lam: Lamination, depth: int) -> InvarianceReport:
+    """The forward, antipodal and backward conditions, on Fractions."""
+    flip = {INSIDE: OUTSIDE, OUTSIDE: INSIDE}
+    failures: list[tuple[Leaf, str]] = []
+    checked = 0
+    for leaf in lam:
+        if leaf.depth > depth:
+            continue
+        checked += 1
+        other = flip[leaf.side]
+        ia, ib = angle(-2 * leaf.a), angle(-2 * leaf.b)
+        if ia != ib and not lam.has(other, ia, ib):
+            failures.append((leaf, "forward"))
+        if not lam.has(leaf.side, angle(leaf.a + HALF), angle(leaf.b + HALF)):
+            failures.append((leaf, "antipodal"))
+        cands = [(w1, w2) for w1 in _neg2_images(leaf.a) for w2 in _neg2_images(leaf.b)
+                 if w1 != w2]
+        if not any(lam.has(other, w1, w2) for w1, w2 in cands):
+            failures.append((leaf, "backward"))
+    return InvarianceReport(checked, failures)
+
+
+def mate(L1, L2) -> Lamination:
+    """L1's inside leaves inside; L2's inside leaves negated, outside."""
+    out = Lamination(kind="mating", generator=(L1.generator, L2.generator),
+                     depth=max(L1.depth, L2.depth))
+    for l in L1.side_leaves(INSIDE):
+        out.add(Leaf(l.a, l.b, INSIDE, l.depth))
+    for l in L2.side_leaves(INSIDE):
+        out.add(Leaf(angle(-l.a), angle(-l.b), OUTSIDE, l.depth))
+    return out
+
+
+def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
+    """Every pair of points tested by its own doubling-orbit walk."""
+    y0 = angle(y0)
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
+    major = quadratic_major(y0)
+    first_depth: dict[Fraction, int] = {}
+    for k in range(depth + 1):
+        for e in major.endpoints:
+            for t in preimages_of_angle(e, k):
+                first_depth.setdefault(t, k)
+    points = sorted(first_depth)
+    (l0a, l0b, *ints), den = _over_common_denominator([major.a, major.b, *points])
+    lam = Lamination(kind="quadratic", generator=y0, depth=depth)
+    lam.add(major)
+    n = len(points)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _orbit_admits(ints[i], ints[j], l0a, l0b, den):
+                lam.add(Leaf(points[i], points[j], INSIDE,
+                             max(first_depth[points[i]], first_depth[points[j]])))
+    return lam
 
 
 def _arc_preimages_quad(start: Fraction, length: Fraction):

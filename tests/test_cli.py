@@ -5,6 +5,7 @@ code and captured output, exactly as a shell user would see them.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -107,6 +108,22 @@ def test_check_stdout_is_deterministic(capsys):
     assert first[1] == second[1]
     # the timings go to stderr, one line per check
     assert re.fullmatch(r"(check \d{2} took \d+\.\d\ds\n){2}", second[2])
+
+
+def test_check_json_prints_one_object_per_check(capsys):
+    text = run(capsys, "check", "lam")
+    code, out, err = run(capsys, "check", "lam", "--json")
+    assert code == text[0] == 0
+    objs = [json.loads(line) for line in out.splitlines()]
+    assert [(o["number"], o["name"], o["group"], o["ok"]) for o in objs] == [
+        (4, "disjoint-bridges", "lam", True), (5, "two-sided-invariance", "lam", True),
+        (6, "construction-equivalence", "lam", True)]
+    assert all(set(o) == {"number", "name", "group", "ok", "detail", "seconds"} for o in objs)
+    assert all(isinstance(o["seconds"], float) and o["seconds"] >= 0 for o in objs)
+    # the same verdicts and details as the text lines
+    for o, line in zip(objs, text[1].splitlines()):
+        assert line == "ok   check %02d %-22s [lam] %s" % (o["number"], o["name"], o["detail"])
+    assert re.fullmatch(r"(check \d{2} took \d+\.\d\ds\n){3}", err)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +239,29 @@ def test_dyn_fixed_tiny_parameter(capsys, a, code):
         assert math.isfinite(abs(z)) and math.isfinite(abs(m))
         want = -2 * z * z * (z + 1) / av
         assert abs(m - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("a, w", [("0,1e-40", 2.5e-41), ("0,1e-25", 2.5e-26),
+                                  ("0,-1e-30", -2.5e-31), ("1e-20,1e-20", 2.5e-21)])
+def test_dyn_fixed_near_pole_point_keeps_its_offset(capsys, a, w):
+    # z = -2 + w with w = a/4 + O(a^2): Im z = Im w is accurate to its last
+    # printed digit, and the multiplier 8/a - 4 + O(a) keeps its real part
+    code, out, err = run(capsys, "dyn", "fixed", "--a=" + a)
+    assert code == 0, err
+    z, m = _fixed_rows(out)[0]
+    assert z.real == -2 and abs(z.imag - w) <= 1e-11 * abs(w)
+    av = complex(*map(float, a.split(",")))
+    assert abs(m.real - (8 / av - 4).real) <= 1e-9 * max(1.0, abs((8 / av).real))
+
+
+@pytest.mark.parametrize("a, w", [("1e-15", "2.5e-16+0i"), ("-1e-12", "-2.5e-13+0i")])
+def test_dyn_fixed_prints_the_offset_of_a_point_printed_as_the_pole(capsys, a, w):
+    code, out, _ = run(capsys, "dyn", "fixed", "--a=" + a)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("z = -2+0i  multiplier = ")
+    assert lines[1] == "    z + 2 = " + w
+    assert len(_fixed_rows(out)) == 3
 
 
 def test_dyn_green_tiny_parameter_stays_finite(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
+from v2lam import laminations
 from v2lam.angles import DomainError
 from v2lam.laminations import (
     INSIDE,
@@ -258,27 +259,147 @@ def test_render_svg():
 
 
 # ---------------------------------------------------------------------------
-# integer builders against their Fraction oracles
+# the integer store and its builders against the Fraction store and builders
 # ---------------------------------------------------------------------------
 
 def _same_lamination(fast, slow):
     assert fast.to_text() == slow.to_text()
+    assert [l.key for l in fast] == [l.key for l in slow]
     assert [l.depth for l in fast] == [l.depth for l in slow]
     assert (fast.kind, fast.generator, fast.depth) == (slow.kind, slow.generator, slow.depth)
+    assert len(fast) == len(slow)
+
+
+def _probes(lam, limit=40):
+    """Endpoint pairs to ask has() about: each leaf's own, its antipode, its
+    t -> -2t image, and pairs with one endpoint off the leaf's denominator."""
+    for l in lam.leaves[:limit]:
+        yield l.a, l.b
+        yield l.a + Fr(1, 2), l.b + Fr(1, 2)
+        yield -2 * l.a, -2 * l.b
+        yield l.a / 3, l.b
+        yield l.a, l.b + Fr(1, 2 * l.b.denominator + 1)
+        yield l.b, l.a + 1
+
+
+def _same_answers(fast, slow):
+    _same_lamination(fast, slow)
+    for a, b in _probes(slow):
+        if Fr(a) % 1 != Fr(b) % 1:
+            for side in (INSIDE, OUTSIDE):
+                assert fast.has(side, a, b) == slow.has(side, a, b), (side, a, b)
+
+
+def _same_report(fast, slow):
+    assert fast.checked == slow.checked
+    assert fast.failures == slow.failures
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=oracle.even_generators(), depth=st.integers(0, 9))
 def test_build_2L_matches_fraction_oracle(t, depth):
-    _same_lamination(build_2L(t, depth), oracle.build_2L(t, depth))
+    fast, slow = build_2L(t, depth), oracle.build_2L(t, depth)
+    _same_answers(fast, slow)
+    for at in (depth - 1, depth):  # passing, and failing backward on the top layer
+        _same_report(check_two_sided_invariance(fast, at),
+                     oracle.check_two_sided_invariance(slow, at))
 
 
 @settings(max_examples=30, deadline=None)
 @given(t=oracle.even_generators(), depth=st.integers(0, 5))
 def test_build_L_matches_fraction_oracle(t, depth):
-    lam = build_L(t, depth)
-    _same_lamination(lam, oracle.build_L(t, depth))
-    _same_lamination(mirror_outside(lam), mirror_outside(oracle.build_L(t, depth)))
+    # L(depth) and its mirror, the one-sided halves of 2L up to depth 10
+    fast, slow = build_L(t, depth), oracle.build_L(t, depth)
+    _same_answers(fast, slow)
+    _same_answers(mirror_outside(fast), oracle.mirror_outside(slow))
+
+
+_y0s = st.builds(Fr, st.integers(0, 63), st.integers(1, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(y0=_y0s, depth=st.integers(0, 7))
+def test_quadratic_pullback_matches_pair_loop(y0, depth):
+    _same_answers(build_quadratic_lamination(y0, depth),
+                  oracle.build_quadratic_lamination(y0, depth))
+
+
+@settings(max_examples=30, deadline=None)
+@given(outer=_y0s, inner=st.none() | _y0s, depth=st.integers(0, 5))
+def test_mate_and_text_round_trip_match_fraction_oracle(outer, inner, depth):
+    if inner is None:
+        fast_in, slow_in = build_basilica(depth), oracle.build_basilica(depth)
+    else:
+        fast_in = build_quadratic_lamination(inner, depth)
+        slow_in = oracle.build_quadratic_lamination(inner, depth)
+    fast = mate(fast_in, build_quadratic_lamination(outer, depth))
+    slow = oracle.mate(slow_in, oracle.build_quadratic_lamination(outer, depth))
+    _same_answers(fast, slow)
+    text = fast.to_text()
+    again = Lamination.from_text(text)
+    _same_answers(again, oracle.Lamination.from_text(text))
+    assert again.key_set() == fast.key_set() == slow.key_set()
+
+
+_leaf = st.builds(
+    lambda a, b, side, depth: (a, b, side, depth),
+    st.builds(Fr, st.integers(0, 23), st.integers(1, 12)),
+    st.builds(Fr, st.integers(0, 23), st.integers(1, 12)),
+    st.sampled_from((INSIDE, OUTSIDE)), st.integers(0, 3),
+).filter(lambda l: l[0] % 1 != l[1] % 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(_leaf, max_size=24), depth=st.integers(-1, 3))
+def test_leaf_sets_match_fraction_oracle(items, depth):
+    # odd and mixed denominators, repeated chords at several depths
+    leaves = [Leaf(a, b, side, d) for a, b, side, d in items]
+    fast, slow = Lamination(leaves=leaves), oracle.Lamination(leaves=leaves)
+    _same_answers(fast, slow)
+    assert all((l in fast) == (l in slow) for l in leaves)
+    _same_report(check_two_sided_invariance(fast, depth),
+                 oracle.check_two_sided_invariance(slow, depth))
+    _same_answers(mirror_outside(fast), oracle.mirror_outside(slow))
+    assert count_same_side_crossings(fast) == oracle.count_same_side_crossings(slow)
+
+
+def test_building_and_emitting_construct_no_leaf(monkeypatch):
+    # Leaf objects are the edge form of a chord; the builders, the reports
+    # and both writers run on integer chords
+    calls = []
+    post_init = Leaf.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Leaf, "__post_init__", counting)
+    lam = build_2L(Fr(5, 12), 10)
+    lam.to_text()
+    render_svg(lam, color_by_depth=True)
+    count_same_side_crossings(lam)
+    assert check_two_sided_invariance(lam, 9).ok
+    for other in (build_L(Fr(5, 12), 4), mirror_outside(build_L(Fr(5, 12), 4)),
+                  build_quadratic_lamination(Fr(1, 7), 5), build_basilica(5)):
+        other.to_text()
+        render_svg(other)
+    assert calls == []
+    assert len(list(lam)) == len(calls) == 2047  # the counter does count
+
+
+def test_quadratic_builder_walks_orbits_only_from_the_major(monkeypatch):
+    # of the about n^2 / 2 pairs of the n <= 2^(depth+2) points, only the
+    # <= 2n with an endpoint on the major chord are tested by orbit walks
+    walks = []
+    orbit_admits = laminations._orbit_admits
+
+    def counting(*args):
+        walks.append(args)
+        return orbit_admits(*args)
+
+    monkeypatch.setattr(laminations, "_orbit_admits", counting)
+    lam = build_quadratic_lamination(Fr(1, 7), 8)
+    assert len(lam) > 1000 and 0 < len(walks) <= 2 * 2 ** 10
 
 
 # ---------------------------------------------------------------------------
