@@ -226,7 +226,7 @@ def _check_regulated_rays(p: CheckParams) -> str:
 def _check_dynamics_sanity(p: CheckParams) -> str:
     import cmath
 
-    from .dynamics import boettcher_infty, fixed_points, green_value, multiplier
+    from .dynamics import apply_F, boettcher_infty, fixed_points, green_value, multiplier
 
     mults = [multiplier(1.0, z) for z in fixed_points(1.0)]
     golden = 1.0 - math.sqrt(5.0)
@@ -248,8 +248,7 @@ def _check_dynamics_sanity(p: CheckParams) -> str:
                   "Green asymptote fails at a=%r" % a)
             w = 40.0 * cmath.exp(1j * arg)
             ph = boettcher_infty(a, w)
-            fw = a / (w * w + 2 * w)
-            phF = boettcher_infty(a, a / (fw * fw + 2 * fw))
+            phF = boettcher_infty(a, apply_F(a, w))
             _need(abs(phF - ph * ph) < 1e-9 * max(1.0, abs(ph) ** 2),
                   "Boettcher equation fails at a=%r" % a)
     return "multiplier, Vieta x100, Green asymptote, Boettcher"

@@ -98,6 +98,20 @@ def _complex_value(text, what: str) -> complex:
     raise UsageError("bad complex for %s: %r (write re,im)" % (what, text))
 
 
+def _chord_value(text, what: str) -> tuple[Fraction, Fraction]:
+    pair = str(text).split(",")
+    if len(pair) != 2:
+        raise UsageError("bad chord for %s: %r (write a/b,c/d)" % (what, text))
+    return _angle_value(pair[0]), _angle_value(pair[1])
+
+
+def _count_value(text, what: str) -> int:
+    n = _int_value(text, what)
+    if n < 0:
+        raise UsageError("%s must be >= 0" % what)
+    return n
+
+
 def _truthy(v) -> bool:
     if isinstance(v, bool):
         return v
@@ -148,10 +162,10 @@ def _fmt_c(z: complex) -> str:
 
 @contextlib.contextmanager
 def _int_str_digits_unlimited():
-    """Lift Python's int-to-str digit limit (3.10.7 and later) for the block only.
+    """Lift Python's int/str digit limit (3.10.7 and later) for the block only.
 
-    Long periods give exact x0 values with more digits than the default
-    limit of 4300 allows; the process-wide limit is restored afterwards.
+    Long periods give exact values with more digits than the default limit
+    of 4300 allows; the process-wide limit is restored afterwards.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -182,11 +196,10 @@ def _cmd_angle_x0(args) -> int:
     if args.terms is not None:
         m = _int_value(args.terms, "terms")
         enclosure = x0_series(theta, m) + (m + 1,)
-    with _int_str_digits_unlimited():
-        print(x0)
-        print(stream)
-        if enclosure is not None:
-            print("enclosure [%s, %s] width 2^-%d" % enclosure)
+    print(x0)
+    print(stream)
+    if enclosure is not None:
+        print("enclosure [%s, %s] width 2^-%d" % enclosure)
     return 0
 
 
@@ -207,16 +220,14 @@ def _cmd_angle_nu(args) -> int:
 def _cmd_angle_digits(args) -> int:
     _req(args, "theta")
     theta = _angle_value(args.theta)
-    sh = _int_value(args.shift, "shift")
-    if sh < 0:
-        raise UsageError("shift must be >= 0")
-    for _ in range(sh):
-        theta = (2 * theta) % 1
+    sh = _count_value(args.shift, "shift")
+    n = None if args.count is None else _count_value(args.count, "count")
+    den = theta.denominator
+    theta = Fraction(theta.numerator * pow(2, sh, den) % den, den)  # frac(2^sh theta)
     s = digit_stream(theta)
     print(theta)
     print(s)
-    if args.count is not None:
-        n = _int_value(args.count, "count")
+    if n is not None:
         print("".join(str(b) for b in s.prefix(n)))
     return 0
 
@@ -340,10 +351,7 @@ def _cmd_lam_quadratic(args) -> int:
     _req(args, "y0")
     y0 = _angle_value(args.y0)
     if args.leaf is not None:
-        pair = str(args.leaf).split(",")
-        if len(pair) != 2:
-            raise UsageError("--leaf wants two angles a/b,c/d")
-        leaf = Leaf(_angle_value(pair[0]), _angle_value(pair[1]))
+        leaf = Leaf(*_chord_value(args.leaf, "leaf"))
         print("member" if leaf_in_quadratic_lamination(y0, leaf) else "non-member")
         return 0
     _req(args, "depth")
@@ -400,14 +408,9 @@ def _cmd_lam_cross(args) -> int:
     _req(args, "leaf1", "leaf2")
     from .laminations import Leaf, leaves_cross
 
-    def leaf_of(text, side):
-        pair = str(text).split(",")
-        if len(pair) != 2:
-            raise UsageError("leaf wants two angles a/b,c/d")
-        return Leaf(_angle_value(pair[0]), _angle_value(pair[1]), side)
-
-    l1 = leaf_of(args.leaf1, str(args.side))
-    l2 = leaf_of(args.leaf2, str(args.side))
+    side = str(args.side)
+    l1 = Leaf(*_chord_value(args.leaf1, "leaf1"), side)
+    l2 = Leaf(*_chord_value(args.leaf2, "leaf2"), side)
     print("cross" if leaves_cross(l1, l2) else "disjoint")
     return 0
 
@@ -437,25 +440,19 @@ def _cmd_sym_equiv(args) -> int:
 
 
 def _cmd_sym_angle_to_address(args) -> int:
-    from .symbolic import Address, address_to_angle, angle_to_address, shift
+    from .symbolic import Address, address_to_angle, angle_to_address
 
-    sh = _int_value(args.shift, "shift")
-    if sh < 0:
-        raise UsageError("shift must be >= 0")
+    sh = _count_value(args.shift, "shift")
     if args.address is not None:
         if args.theta is not None:
             raise UsageError("give either --theta or --address, not both")
         a = Address.parse(str(args.address))
-        for _ in range(sh):
-            a = shift(a)
-        print(address_to_angle(a))
+        print(address_to_angle(Address(a.stream.shifted(sh))))
         return 0
     if args.theta is None:
         raise UsageError("angle-to-address needs --theta or --address")
     a = angle_to_address(_angle_value(args.theta))
-    for _ in range(sh):
-        a = shift(a)
-    print(a)
+    print(Address(a.stream.shifted(sh)))
     return 0
 
 
@@ -579,16 +576,16 @@ def _cmd_dyn_green(args) -> int:
 
     a = _complex_value(args.a, "a")
     z = _complex_value(args.z, "z")
-    n = _int_value(args.n, "n")
+    n = _count_value(args.n, "n")
+    orbit = _count_value(args.orbit, "orbit")
     print("G = %.15g" % green_value(a, z, n))
     if _truthy(args.boettcher):
         print("phi = %s" % _fmt_c(boettcher_infty(a, z)))
     if _truthy(args.trap):
         hit, k = attracted_to_supercycle(a, z)
         print("attracted: %s%s" % (hit, "" if k is None else " at step %d" % k))
-    k = _int_value(args.orbit, "orbit")
     w = z
-    for i in range(k):
+    for i in range(orbit):
         w = apply_f(a, w)
         print("f^%d = %s" % (i + 1, "inf" if is_infinite(w) else _fmt_c(w)))
     return 0
@@ -832,10 +829,7 @@ def _build_parser() -> _Parser:
     p = _sub(lsub, "quadratic", "quadratic-polynomial lamination (or one-leaf test)",
              "v2lam lam quadratic --y0 1/3 --depth 5", registry)
     p.add_argument("--y0")
-    p.add_argument("--depth")
-    p.add_argument("--svg")
-    p.add_argument("--leaves")
-    p.add_argument("--color-by-depth", action="store_true")
+    lam_common(p, theta=False)
     p.add_argument("--leaf", help="test membership of one chord a/b,c/d instead")
     p.set_defaults(func=_cmd_lam_quadratic)
 
@@ -1072,7 +1066,8 @@ def main(argv=None) -> int:
         else:
             parser = _shared_parser()
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _int_str_digits_unlimited():
+            return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         print("run 'v2lam --help' for the flag grammar", file=sys.stderr)

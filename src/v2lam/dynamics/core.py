@@ -28,6 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from ..angles import DomainError
 
 __all__ = [
@@ -146,17 +148,20 @@ def fixed_points(a: complex) -> list[complex]:
     times the size of the terms, |z|^2 (|z| + 2) + |a|, and returned sorted
     by (real, imag).  The root within 1e-3 of the pole -2 (|a| below about
     4e-3) is found as -2 + w by a contraction on w (``_near_pole_root``),
-    which already meets the tolerance.  Raises ``NumericError`` when a root
-    misses that tolerance or rounds onto a pole (0 or -2), as the root
-    -2 + a/4 + ... does for real a with |a| below about 4e-16.
+    and the pair ±sqrt(a/2) + ... within 1e-3 of the pole 0 (|a| below about
+    2e-6) by a contraction on z (``_near_zero_root``); both already meet the
+    tolerance.  Raises ``NumericError`` when a root misses that tolerance or
+    rounds onto a pole (0 or -2), as the root -2 + a/4 + ... does for real a
+    with |a| below about 4e-16.
     """
-    import numpy as np
-
     a = _require_param(a)
-    roots = np.roots([1.0, 2.0, 0.0, -a])
+    roots = [complex(r) for r in np.roots([1.0, 2.0, 0.0, -a])]
+    if sum(abs(z) < 1e-3 for z in roots) == 2:
+        # np.roots returns this pair as exactly 0 for |a| below about 1e-50,
+        # where the Newton polish cannot move, so both are found anew
+        roots = [max(roots, key=abs), _near_zero_root(a, 1.0), _near_zero_root(a, -1.0)]
     out: list[complex] = []
-    for r in roots:
-        z = complex(r)
+    for z in roots:
         if abs(z + 2.0) < 1e-3:
             z = _near_pole_root(a)
         for _ in range(8):
@@ -185,13 +190,27 @@ def _near_pole_root(a: complex) -> complex:
     instead loses it, since that root carries an absolute error of one
     rounding of 2.
     """
-    w = 0j
+    return _contract_from_zero(lambda w: a / ((w - 2.0) * (w - 2.0))) - 2.0
+
+
+def _near_zero_root(a: complex, sign: float) -> complex:
+    """The fixed point sign * sqrt(a/2) + ... next to the pole 0, for |a| below about 2e-6.
+
+    z^2 (z + 2) = a reads z = sign * sqrt(a / (z + 2)), a contraction with
+    factor about |z|/4.
+    """
+    return _contract_from_zero(lambda z: sign * cmath.sqrt(a / (z + 2.0)))
+
+
+def _contract_from_zero(step) -> complex:
+    """Iterate a contraction from 0 until it stops moving (at most 16 steps)."""
+    z = 0j
     for _ in range(16):
-        nxt = a / ((w - 2.0) * (w - 2.0))
-        if nxt == w:
+        nxt = step(z)
+        if nxt == z:
             break
-        w = nxt
-    return w - 2.0
+        z = nxt
+    return z
 
 
 def _cubic_scale(a: complex, z: complex) -> float:
@@ -264,14 +283,18 @@ def trap_radii(a: complex) -> tuple[float, float]:
     grid of radii and arguments.  Raises ``NumericError`` when R overflows
     double precision (|a| beyond ~4.5e307).
     """
-    a = _require_param(a)
-    m = abs(a)
-    rho = min(0.25, m / 21.0)
-    big = max(4.0 * m, 21.0)
-    r_out = 1.0 + math.sqrt(1.0 + big)
-    if math.isinf(r_out):
-        raise NumericError(f"trap radius R overflows double precision for |a| = {m!r}")
-    return rho, r_out
+    rho, r_out = _trap_radii_of_modulus(abs(_require_param(a)))
+    return float(rho), float(r_out)
+
+
+def _trap_radii_of_modulus(m):
+    """``trap_radii`` as a function of m = |a|: a float, or an array of moduli."""
+    with np.errstate(over="ignore"):
+        r_out = 1.0 + np.sqrt(1.0 + np.maximum(4.0 * m, 21.0))
+    if np.isinf(r_out).any():
+        raise NumericError(
+            f"trap radius R overflows double precision for |a| = {float(np.max(m))!r}")
+    return np.minimum(0.25, m / 21.0), r_out
 
 
 _trap_certified = False
@@ -336,9 +359,12 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
     once the half step a/(w^2+2w) underflows to 0 (tiny |a|, w far out),
     or once it overflows or F(w) underflows (huge |a|, w not a pole) with
     log|F(w)| computed from logarithms, using the asymptotic normalizations
-    above; otherwise it returns 2^-n log|F^n(z)|.
+    above; otherwise it returns 2^-n log|F^n(z)|.  Raises ``DomainError``
+    for n < 0.
     """
     a = _require_param(a)
+    if n < 0:
+        raise DomainError("green_value needs n >= 0")
     z = complex(z)
     log_a = math.log(abs(a))
     w = z
@@ -373,7 +399,11 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
     raise NumericError("green_value: unreachable")
 
 
-def boettcher_infty(a: complex, z: complex, max_iter: int = 64) -> complex:
+#: Steps of F the Boettcher product may take before it gives up.
+_BOETTCHER_STEPS = 64
+
+
+def boettcher_infty(a: complex, z: complex) -> complex:
     """Boettcher coordinate phi at infinity: phi(z) ~ z/2, phi(F(z)) = phi(z)^2.
 
     Computed from the telescoping product
@@ -385,10 +415,10 @@ def boettcher_infty(a: complex, z: complex, max_iter: int = 64) -> complex:
     is too close to the Julia set for the principal-branch product to be
     trustworthy.
     """
-    return _boettcher(_require_param(a), complex(z), max_iter)
+    return _boettcher(_require_param(a), complex(z))
 
 
-def _boettcher(a: complex, z: complex, max_iter: int = 64) -> complex:
+def _boettcher(a: complex, z: complex) -> complex:
     """``boettcher_infty`` for a validated parameter and a ``complex`` z."""
     if is_infinite(z):
         raise DomainError("boettcher_infty requires a finite point")
@@ -396,7 +426,7 @@ def _boettcher(a: complex, z: complex, max_iter: int = 64) -> complex:
         raise DomainError("boettcher_infty requires a point in the basin of infinity")
     log_phi = cmath.log(z / 2.0)
     w = z
-    for k in range(max_iter):
+    for k in range(_BOETTCHER_STEPS):
         try:
             far = abs(w) > 1e15
         except OverflowError:  # finite parts whose modulus exceeds the float range

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..angles import DomainError
-from .core import NumericError, _certify_trap_once, fixed_point_multiplier, fixed_points, trap_radii
+from .core import (NumericError, _certify_trap_once, _trap_radii_of_modulus, fixed_point_multiplier,
+                   fixed_points, trap_radii)
 
 __all__ = [
     "Raster",
@@ -49,8 +50,8 @@ __all__ = [
 class Raster:
     """A rectangular grid of int32 classification values with its geometry.
 
-    Pixel centers: x_i = re_min + (i + 1/2) dx for column i, and rows are
-    placed symmetrically about the horizontal midline im_mid =
+    Pixel centers (``_grid``): x_i = re_min + (i + 1/2) dx for column i, and
+    rows are placed symmetrically about the horizontal midline im_mid =
     (im_min + im_max)/2 via y_j = im_mid + (j + 1/2 - height/2) dy, so that
     conjugation-symmetric windows give exactly conjugation-symmetric pixel
     centers in floating point.
@@ -65,30 +66,22 @@ class Raster:
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def dx(self) -> float:
-        return (self.re_max - self.re_min) / self.width if self.width else 0.0
-
-    @property
-    def dy(self) -> float:
-        return (self.im_max - self.im_min) / self.height if self.height else 0.0
-
     def xs(self) -> np.ndarray:
-        return self.re_min + (np.arange(self.width) + 0.5) * self.dx
+        return self._centres()[0]
 
     def ys(self) -> np.ndarray:
-        mid = 0.5 * (self.im_min + self.im_max)
-        return mid + (np.arange(self.height) + 0.5 - self.height / 2.0) * self.dy
+        return self._centres()[1]
 
-    def write_pgm(self, path: str, levels: np.ndarray | None = None) -> None:
+    def _centres(self):
+        return _grid(self.width, self.height, self.re_min, self.re_max, self.im_min, self.im_max)
+
+    def write_pgm(self, path: str) -> None:
         """Write an 8-bit binary PGM (P5) plus a text sidecar ``path + '.txt'``.
 
-        ``levels`` maps the raw int32 values to 0..255; by default value 0
-        maps to 0 (black) and positive counts cycle through 64..255,
+        Value 0 maps to 0 (black); positive counts cycle through 64..255,
         negatives through 32..223.
         """
-        img = _to_gray(self.values) if levels is None else levels
-        _write_pnm(path, img, color=False)
+        _write_pnm(path, _to_gray(self.values), color=False)
         self._write_sidecar(path + ".txt")
 
     def write_ppm(self, path: str) -> None:
@@ -101,7 +94,6 @@ class Raster:
         neg = v < 0
         r[pos] = 64 + (v[pos] * 13) % 192
         b[neg] = 64 + ((-v[neg]) * 13) % 192
-        g[~(pos | neg)] = 0  # members stay black
         img = np.stack([r, g, b], axis=-1)
         _write_pnm(path, img, color=True)
         self._write_sidecar(path + ".txt")
@@ -140,7 +132,7 @@ def _write_pnm(path: str, img: np.ndarray, color: bool) -> None:
 
 
 def _grid(width, height, re_min, re_max, im_min, im_max):
-    """Pixel-centre coordinates of a window; refuses a window with no finite grid."""
+    """Pixel centres (xs, ys) and spacings (dx, dy); refuses a window with no finite grid."""
     if width < 0 or height < 0:
         raise DomainError("raster dimensions must be nonnegative")
     if not all(math.isfinite(b) for b in (re_min, re_max, im_min, im_max)):
@@ -149,13 +141,13 @@ def _grid(width, height, re_min, re_max, im_min, im_max):
         raise DomainError("raster bounds must be ordered")
     if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
         raise NumericError("raster window span overflows")
-    xs = re_min + (np.arange(width) + 0.5) * ((re_max - re_min) / width if width else 0.0)
-    mid = 0.5 * (im_min + im_max)
+    dx = (re_max - re_min) / width if width else 0.0
     dy = (im_max - im_min) / height if height else 0.0
-    ys = mid + (np.arange(height) + 0.5 - height / 2.0) * dy
+    xs = re_min + (np.arange(width) + 0.5) * dx
+    ys = 0.5 * (im_min + im_max) + (np.arange(height) + 0.5 - height / 2.0) * dy
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise NumericError("raster pixel centres overflow")
-    return xs, ys
+    return xs, ys, dx, dy
 
 
 def _trap_iterate(values, active, step, n_max, *, test_start, inner_sign):
@@ -211,8 +203,7 @@ def _f_step(z, a):
 
 def _ff_step(z, a):
     """One step of F = f_a∘f_a; huge |z| acts like infinity (f -> 0 -> non-finite)."""
-    w = a / (z * (z + 2.0))
-    return a / (w * (w + 2.0))
+    return _f_step(_f_step(z, a), a)
 
 
 def m2_raster(
@@ -243,23 +234,18 @@ def m2_raster(
     step.
     """
     _certify_trap_once()
-    xs, ys = _grid(width, height, re_min, re_max, im_min, im_max)
+    xs, ys, _, _ = _grid(width, height, re_min, re_max, im_min, im_max)
     A = (xs[None, :] + 1j * ys[:, None]).ravel()
     values = np.zeros(A.size, dtype=np.int32)
     values[A == 0] = -1
     idx = np.flatnonzero(A)
     A = A[idx]
     with np.errstate(over="ignore"):
-        mod_a = np.abs(A)
-        r_out = 1.0 + np.sqrt(1.0 + np.maximum(4.0 * mod_a, 21.0))
-    if np.isinf(r_out).any():
-        # as in trap_radii: R overflows for |a| beyond ~4.5e307
-        raise NumericError(
-            f"trap radius R overflows double precision for |a| = {float(mod_a.max())!r}")
+        rho, r_out = _trap_radii_of_modulus(np.abs(A))
     # Every orbit starts at the critical point -1; the kernel takes over the
     # arrays, so no full-grid copy outlives the first compaction.
-    active = [idx, np.complex128(-1.0), A, np.minimum(0.25, mod_a / 21.0), r_out]
-    del idx, A, mod_a, r_out
+    active = [idx, np.complex128(-1.0), A, rho, r_out]
+    del idx, A, rho, r_out
     _trap_iterate(values, active, _f_step, n_max, test_start=False, inner_sign=1)
     return Raster(
         width, height, re_min, re_max, im_min, im_max, values.reshape(height, width),
@@ -295,8 +281,6 @@ def julia_raster(
     available.
     """
     a = complex(a)
-    if a == 0:
-        raise DomainError("parameter a must be nonzero")
     if method == "escape":
         return _julia_escape(a, width, height, re_min, re_max, im_min, im_max, n_max)
     if method == "inverse":
@@ -309,7 +293,7 @@ def julia_raster(
 def _julia_escape(a, width, height, re_min, re_max, im_min, im_max, n_max):
     _certify_trap_once()
     rho, r_out = trap_radii(a)
-    xs, ys = _grid(width, height, re_min, re_max, im_min, im_max)
+    xs, ys, _, _ = _grid(width, height, re_min, re_max, im_min, im_max)
     values = np.zeros(width * height, dtype=np.int32)
     # Step 1 tests the pixel centers themselves; each later step applies F.
     active = [np.arange(values.size), (xs[None, :] + 1j * ys[:, None]).ravel(), a, rho, r_out]
@@ -328,10 +312,8 @@ def _julia_inverse(a, width, height, re_min, re_max, im_min, im_max, points, see
     rng = random.Random(seed)
     transient = 128
     total = max(points, 1)
-    xs, ys = _grid(width, height, re_min, re_max, im_min, im_max)
+    _, ys, dx, dy = _grid(width, height, re_min, re_max, im_min, im_max)
     values = np.zeros((height, width), dtype=np.int32)
-    dx = (re_max - re_min) / width if width else 0.0
-    dy = (im_max - im_min) / height if height else 0.0
     y0 = ys[0] - 0.5 * dy if height else 0.0
     w = start
     kept = 0
@@ -371,7 +353,6 @@ def julia_agreement(escape: Raster, inverse: Raster) -> float:
     v = escape.values
     pos = v > 0
     neg = v < 0
-    boundary = np.zeros(v.shape, dtype=bool)
     # A pixel is boundary if among itself and its 4-neighbors both signs occur.
     near_pos = pos.copy()
     near_neg = neg.copy()

@@ -49,10 +49,18 @@ from fractions import Fraction
 import numpy as np
 
 from ..angles import HALF, DomainError, circle_distance, x0_digits
-from .core import _f, _inverse_roots, _require_param, green_value
+from .core import _f, _inverse_roots, _require_param, green_value, is_infinite
 from .rays import trace_dynamical_ray, trace_ray_through_point
 
 __all__ = ["RayLeaf", "ray_leaf_endpoints"]
+
+# Newton steps on the ray through the critical value and on the zero-angle
+# ray of the separation curve; the potential the first ray's lower tail (the
+# legs' source) reaches; the orbit potential above which itinerary bits are
+# not read; the most bits read, and the fewest that make an estimate.
+_STEPS, _SIGMA_STEPS = 240, 460
+_S_DEEP, _S_STOP = 1e-4, 0.05
+_MAX_BITS, _MIN_BITS = 40, 8
 
 
 @dataclass
@@ -117,10 +125,9 @@ class _Sigma:
         return parity, margin
 
 
-def _build_sigma(a: complex, upper_pts, s_lo: float, s_anchor: float,
-                 sigma_steps: int) -> _Sigma:
+def _build_sigma(a: complex, upper_pts, s_lo: float, s_anchor: float) -> _Sigma:
     ray0 = trace_dynamical_ray(a, "inf", Fraction(0), s_from=max(8.0, s_anchor + 4.0),
-                               s_to=s_lo, steps=sigma_steps)
+                               s_to=s_lo, steps=_SIGMA_STEPS)
     p1 = [z for _, z, _ in ray0.points]
     s1 = [s for s, _, _ in ray0.points]
     # Pullback branch approaching 0 at deep potential.
@@ -175,11 +182,11 @@ def _pullback_leg(a: complex, saddle: complex, parent_leg, parent_depth: int):
 # ---------------------------------------------------------------------------
 
 def _itinerary_bits(sigma: _Sigma, a: complex, z: complex, pot: float,
-                    depth: int, s_stop: float, max_bits: int = 40) -> list[int]:
+                    depth: int) -> list[int]:
     bits: list[int] = []
     in_zero_half = depth % 2 == 0
-    for _ in range(max_bits):
-        if pot > s_stop:
+    for _ in range(_MAX_BITS):
+        if pot > _S_STOP:
             break
         parity, margin = sigma.side_bit(z)
         if margin < 1.0:
@@ -189,7 +196,7 @@ def _itinerary_bits(sigma: _Sigma, a: complex, z: complex, pot: float,
             pot *= 2.0
         in_zero_half = not in_zero_half
         z = _f(a, z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        if is_infinite(z):
             break
     return bits
 
@@ -210,8 +217,7 @@ def _interval_from_bits(bits: list[int]) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _leg_coordinate(sigma: _Sigma, a: complex, leg, depth: int, s_stop: float,
-                    min_bits: int = 8) -> tuple[float, bool, float]:
+def _leg_coordinate(sigma: _Sigma, a: complex, leg, depth: int) -> tuple[float, bool, float]:
     """(coordinate, unresolved, err) for one leg from two deep samples."""
     deep_pot = leg[-1][0]
     estimates: list[tuple[float, int]] = []
@@ -222,8 +228,8 @@ def _leg_coordinate(sigma: _Sigma, a: complex, leg, depth: int, s_stop: float,
             break
     for j in targets:
         pot, z = leg[j]
-        bits = _itinerary_bits(sigma, a, z, pot, depth, s_stop)
-        if len(bits) >= min_bits:
+        bits = _itinerary_bits(sigma, a, z, pot, depth)
+        if len(bits) >= _MIN_BITS:
             lo, hi = _interval_from_bits(bits)
             estimates.append((float((lo + hi) / 2), len(bits)))
     if not estimates:
@@ -241,16 +247,7 @@ def _leg_coordinate(sigma: _Sigma, a: complex, leg, depth: int, s_stop: float,
 # Public entry point
 # ---------------------------------------------------------------------------
 
-def ray_leaf_endpoints(
-    a: complex,
-    depth: int,
-    theta0: Fraction | None = None,
-    *,
-    steps: int = 240,
-    s_deep: float = 1e-4,
-    s_stop: float = 0.05,
-    sigma_steps: int = 460,
-) -> list[RayLeaf]:
+def ray_leaf_endpoints(a: complex, depth: int, theta0: Fraction | None = None) -> list[RayLeaf]:
     """Measure the leaf coordinates of all saddles up to ``depth``.
 
     Requires a parameter in the exterior region, off the periodic parameter
@@ -268,10 +265,10 @@ def ray_leaf_endpoints(
         raise DomainError("ray leaves require the critical value in the infinity half-basin")
 
     upper, lower, _ = trace_ray_through_point(
-        a, -a, s_to=s_deep, s_up=max(8.0, 2.0 * s_par), steps=steps
+        a, -a, s_to=_S_DEEP, s_up=max(8.0, 2.0 * s_par), steps=_STEPS
     )
-    s_lo = s_deep * 0.5 ** math.ceil(max(0, depth - 1) / 2) / 3.0
-    sigma = _build_sigma(a, upper.points, s_lo, s_par + 2.0, sigma_steps)
+    s_lo = _S_DEEP * 0.5 ** math.ceil(max(0, depth - 1) / 2) / 3.0
+    sigma = _build_sigma(a, upper.points, s_lo, s_par + 2.0)
 
     # Depth-0 legs: the two pullback branches of the lower tail (the exact
     # first point, the critical value itself, pulls back to the saddle and
@@ -301,8 +298,8 @@ def ray_leaf_endpoints(
 
     leaves: list[RayLeaf] = []
     for saddle, d, la, lb in leaves_raw:
-        t1, u1, e1 = _leg_coordinate(sigma, a, la, d, s_stop)
-        t2, u2, e2 = _leg_coordinate(sigma, a, lb, d, s_stop)
+        t1, u1, e1 = _leg_coordinate(sigma, a, la, d)
+        t2, u2, e2 = _leg_coordinate(sigma, a, lb, d)
         leaves.append(
             RayLeaf(
                 saddle=saddle,

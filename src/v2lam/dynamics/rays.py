@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..angles import DomainError
+from ..angles import DomainError, circle_distance
 from .core import (NumericError, _boettcher, _f, _inverse_roots, _require_param, green_value,
                    is_infinite)
 
@@ -100,8 +100,13 @@ def window_exponent(s: float) -> int:
     return n
 
 
+def _window_turns(theta: Fraction, n: int) -> float:
+    """frac(2^n theta): the exact argument, in turns, of the window at exponent n."""
+    return float((Fraction(2) ** n * theta) % 1)
+
+
 def _exact_anchor(theta: Fraction, n: int) -> float:
-    return TWO_PI * float((Fraction(2) ** n * theta) % 1)
+    return TWO_PI * _window_turns(theta, n)
 
 
 class _Marcher:
@@ -434,7 +439,4 @@ def critical_value_angle_error(a: complex, theta0: Fraction) -> float:
     n = window_exponent(s)
     marcher = _Marcher(a, None, "dyn")
     measured = cmath.phase(marcher.phi(-a, n)) / TWO_PI % 1.0
-    exact = float((Fraction(2) ** n * theta0) % 1)
-    d = abs(measured - exact) % 1.0
-    d = min(d, 1.0 - d)
-    return d / (2.0 ** n)
+    return circle_distance(measured, _window_turns(theta0, n)) / (2.0 ** n)

@@ -99,8 +99,6 @@ class Lamination:
     denominators) are rescaled once to the lcm of ``den`` and theirs.
     """
 
-    KINDS = ("L0", "L", "twoSided", "quadratic", "basilica", "mating", "file")
-
     def __init__(self, kind: str = "file", generator=None, depth: int = 0,
                  leaves: Iterable[Leaf] = (), den: int = 1):
         self.kind = kind
@@ -274,8 +272,12 @@ def _half_arc_pullbacks(kind: str, theta0: Fraction, depth: int, bits: int,
     integers over the one denominator D = den(x0) * 2^(bits*depth + 1), on
     which every layer's common arc length is an integer too; pull(starts,
     length, D) gives the next layer's starts in insertion order.  Layer n
-    leaves take side sides[n % len(sides)].
+    leaves take side sides[n % len(sides)].  theta0 must be nonperiodic and
+    depth nonnegative.
     """
+    theta0 = require_nonperiodic(theta0)
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
     x0 = x0_digits(theta0)
     e = bits * depth + 1
     D = x0.denominator << e
@@ -313,10 +315,7 @@ def build_L(theta0: Fraction, depth: int) -> Lamination:
     (1/2) * 4^-n; the system is invariant under the antipodal map.  The
     arcs are carried as integers over one denominator.
     """
-    t0 = require_nonperiodic(theta0)
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    return _half_arc_pullbacks("L", t0, depth, 2, _quad_pull, (INSIDE,))
+    return _half_arc_pullbacks("L", theta0, depth, 2, _quad_pull, (INSIDE,))
 
 
 def build_2L(theta0: Fraction, depth: int) -> Lamination:
@@ -326,10 +325,7 @@ def build_2L(theta0: Fraction, depth: int) -> Lamination:
     and outside for odd n.  The arcs are carried as integers over one
     denominator.
     """
-    t0 = require_nonperiodic(theta0)
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    return _half_arc_pullbacks("twoSided", t0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
+    return _half_arc_pullbacks("twoSided", theta0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
 
 
 def mirror_outside(lam: Lamination) -> Lamination:
@@ -560,7 +556,7 @@ def mate(L1: Lamination, L2: Lamination) -> Lamination:
 # complementary regions
 
 
-def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tuple]]:
+def complementary_regions(leaves: Sequence[Leaf]) -> list[list[tuple]]:
     """Faces of a non-crossing chord arrangement in the closed disk.
 
     Returns the regions that touch the circle, each as a boundary cycle of
@@ -569,12 +565,8 @@ def complementary_regions(leaves: Sequence[Leaf] | Lamination) -> list[list[tupl
     pockets (faces meeting the circle in no arc, only at vertices) are not
     listed.  The empty arrangement yields the single full-disk region.
     """
-    if isinstance(leaves, Lamination):
-        den = leaves.den
-        ends = [(a, b) for _, a, b in leaves.chords]
-    else:
-        ints, den = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
-        ends = list(zip(ints[::2], ints[1::2]))
+    ints, den = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
+    ends = list(zip(ints[::2], ints[1::2]))
     bad = _crossings(ends)
     if bad:
         raise DomainError("crossing chord pairs: %d" % bad)

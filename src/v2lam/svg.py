@@ -18,6 +18,10 @@ from .laminations import INSIDE, Lamination
 
 DEFAULT_INSIDE = "#1f77b4"
 DEFAULT_OUTSIDE = "#d62728"
+#: Pixel radius of the unit circle, canvas margin, and stroke width.
+RADIUS = 300
+MARGIN = 24
+STROKE_WIDTH = 1.0
 DEPTH_PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
     "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
@@ -29,17 +33,15 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
-               stroke_width: float = 1.0, color_by_depth: bool = False) -> str:
+def render_svg(lam: Lamination, color_by_depth: bool = False) -> str:
     """Render the lamination to an SVG document string.
 
-    Options: pixel radius of the unit circle, canvas margin, stroke width,
-    and color-by-depth (cycles an 8-color palette by leaf depth instead of
-    the side colors).
+    ``color_by_depth`` cycles an 8-color palette by leaf depth instead of
+    the side colors.
     """
-    size = 2 * (radius + margin)
+    size = 2 * (RADIUS + MARGIN)
     cx = cy = size / 2.0
-    r = float(radius)
+    r = float(RADIUS)
 
     def unit(t: float) -> tuple[float, float]:
         a = 2.0 * math.pi * t
@@ -56,11 +58,11 @@ def render_svg(lam: Lamination, radius: int = 300, margin: int = 24,
         'width="%d" height="%d" viewBox="0 0 %d %d">' % (size, size, size, size),
         '<rect width="%d" height="%d" fill="white"/>' % (size, size),
         '<circle cx="%s" cy="%s" r="%s" fill="none" stroke="black" '
-        'stroke-width="%s"/>' % (_fmt(cx), _fmt(cy), _fmt(r), _fmt(stroke_width)),
+        'stroke-width="%s"/>' % (_fmt(cx), _fmt(cy), _fmt(r), _fmt(STROKE_WIDTH)),
     ]
 
     groups = {INSIDE: [], "O": []}
-    width = _fmt(stroke_width)
+    width = _fmt(STROKE_WIDTH)
     n = lam.den
     for (side, a, b), depth in lam.chords.items():
         # int true division is correctly rounded, so a / n == float(Fraction(a, n))

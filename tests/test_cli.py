@@ -8,7 +8,10 @@ from __future__ import annotations
 import json
 import math
 import re
+import shlex
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +49,51 @@ def test_angle_x0_prints_beyond_int_digit_limit(capsys):
     assert num.isdigit() and den.isdigit() and len(den) > 4300
     assert len(stream) > 8052
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("angle", "sigma", "--theta", "3/16106"),
+    ("angle", "h-arc", "--z", "3/16106", "--theta", "3/16106"),
+    ("lam", "L0", "--theta", "3/16106", "--depth", "1", "--leaves", "F"),
+    ("lam", "two-sided", "--theta", "3/16106", "--depth", "1", "--leaves", "F"),
+], ids=["sigma", "h-arc", "L0", "two-sided"])
+def test_exact_output_prints_beyond_int_digit_limit(tmp_path, monkeypatch, capsys, argv):
+    # arcs and leaf endpoints of a period-8052 generator have more than 4300 digits
+    monkeypatch.chdir(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(out) > 4300 or len((tmp_path / "F").read_text()) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("theta", ["0", "1/6", "5/12", "3/10", "7/9", "11/1024"])
+def test_shifts_match_the_step_by_step_oracle(capsys, theta):
+    from v2lam.symbolic import address_to_angle, angle_to_address, shift
+
+    t = Fraction(theta)
+    start = angle_to_address(t)
+    addr, doubled = start, t
+    for k in range(41):
+        code, out, _ = run(capsys, "angle", "digits", "--theta", theta, "--shift", str(k))
+        assert code == 0 and out.splitlines()[0] == str(doubled)
+        code, out, _ = run(capsys, "sym", "angle-to-address", "--theta", theta,
+                           "--shift", str(k))
+        assert code == 0 and out.strip() == str(addr)
+        code, out, _ = run(capsys, "sym", "angle-to-address", "--address", str(start),
+                           "--shift", str(k))
+        assert code == 0 and out.strip() == str(address_to_angle(addr))
+        doubled, addr = (2 * doubled) % 1, shift(addr)
+
+
+def test_huge_shifts_finish(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "angle", "digits", "--theta", "1/6", "--shift", "100000000")
+    assert code == 0 and out.splitlines()[:2] == ["2/3", "(10)"]
+    code, out, _ = run(capsys, "sym", "angle-to-address", "--theta", "1/6",
+                       "--shift", "100000000")
+    assert code == 0 and out.strip() == "0|(0)"
+    assert time.perf_counter() - start < 5.0
 
 
 def test_x0_and_critical_address_at_a_61_bit_mersenne_denominator(capsys):
@@ -220,12 +268,13 @@ def _fixed_rows(out):
 
 
 @pytest.mark.parametrize("a, code", [("1e-15", 0), ("1e-8", 0), ("-1e-15", 0),
-                                     ("1e-100", 2), ("1e-320", 2), ("1e-300,1e-300", None)])
+                                     ("1e-100", 2), ("1e-320", 2), ("1e-300,1e-300", None),
+                                     ("0,1e-60", 0), ("1e-60,1e-60", 0), ("1e-100,1e-100", 0)])
 def test_dyn_fixed_tiny_parameter(capsys, a, code):
-    # the fixed point -2 + a/4 + ... sits next to the pole -2: the computed
-    # points are never poles, and the printed multipliers follow the
-    # fixed-point identity f_a'(z) = -2z^2(z+1)/a; where the point rounds
-    # onto -2 the run exits 2
+    # the fixed point -2 + a/4 + ... sits next to the pole -2, and the pair
+    # ±sqrt(a/2) + ... next to the pole 0: the computed points are never
+    # poles, and the printed multipliers follow the fixed-point identity
+    # f_a'(z) = -2z^2(z+1)/a; where a point rounds onto -2 the run exits 2
     got, out, err = run(capsys, "dyn", "fixed", "--a=" + a)
     assert got in (0, 2) and (code is None or got == code)
     if got == 2:
@@ -358,11 +407,16 @@ def test_io_error_is_seventy_four(tmp_path, capsys, argv):
     ("angle", "nu", "--theta", "1/6", "--m", "two"),
     ("lam", "cross", "--leaf1", "0", "--leaf2", "1/4,3/4"),
     ("sym", "reg-ray", "--symbol", "G(0;1/2)", "--op", "sideways"),
+    ("lam", "quadratic", "--y0", "1/3", "--leaf", "1/6"),
+    ("dyn", "green", "--a", "6", "--z", "3,1", "--n", "-1"),
+    ("dyn", "green", "--a", "6", "--z", "3,1", "--orbit", "-2"),
+    ("angle", "digits", "--theta", "1/6", "--count", "-3"),
 ])
 def test_usage_errors_are_sixty_four(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 64
     assert "usage error:" in err
+    assert out == ""
 
 
 def test_failing_report_returns_one(capsys):
@@ -561,6 +615,21 @@ def test_dyn_ray_leaves_listing(capsys):
     assert len(lines) == 3
     assert lines[0].startswith("0 I ")
     assert all(ln.startswith("1 O ") for ln in lines[1:])
+
+
+def _examples():
+    for p in cli._build_parser().all_parsers:
+        if p.epilog and p.epilog.startswith("example:") and p.prog != "v2lam check":
+            yield shlex.split(p.epilog.split("\n", 1)[1])[1:]
+
+
+def test_documented_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = list(_examples())
+    assert len(examples) == 33
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and "Traceback" not in err, (argv, err)
 
 
 def test_help_shows_examples(capsys):

@@ -49,6 +49,11 @@ def test_parameter_validation():
         fixed_points(0.0)
     with pytest.raises(DomainError):
         green_value(0.0, 1.0)
+    with pytest.raises(DomainError):
+        green_value(1.0, 3.0, -1)
+    for method in ("escape", "inverse"):
+        with pytest.raises(DomainError, match="parameter a must be nonzero"):
+            julia_raster(0.0, 4, 4, method=method)
 
 
 def test_huge_argument_routes_to_zero():
