@@ -447,12 +447,12 @@ def _cmd_sym_angle_to_address(args) -> int:
         if args.theta is not None:
             raise UsageError("give either --theta or --address, not both")
         a = Address.parse(str(args.address))
-        print(address_to_angle(Address(a.stream.shifted(sh))))
+        print(address_to_angle(a.shift(sh)))
         return 0
     if args.theta is None:
         raise UsageError("angle-to-address needs --theta or --address")
     a = angle_to_address(_angle_value(args.theta))
-    print(Address(a.stream.shifted(sh)))
+    print(a.shift(sh))
     return 0
 
 

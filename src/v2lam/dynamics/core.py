@@ -196,10 +196,11 @@ def _near_pole_root(a: complex) -> complex:
 def _near_zero_root(a: complex, sign: float) -> complex:
     """The fixed point sign * sqrt(a/2) + ... next to the pole 0, for |a| below about 2e-6.
 
-    z^2 (z + 2) = a reads z = sign * sqrt(a / (z + 2)), a contraction with
-    factor about |z|/4.
+    z^2 (z + 2) = a reads z = r * sqrt(2 / (z + 2)), r = sign * sqrt(a/2), a
+    contraction with factor about |z|/4 whose sqrt stays near 1, off its cut.
     """
-    return _contract_from_zero(lambda z: sign * cmath.sqrt(a / (z + 2.0)))
+    r = sign * cmath.sqrt(a / 2.0)
+    return _contract_from_zero(lambda z: r * cmath.sqrt(2.0 / (z + 2.0)))
 
 
 def _contract_from_zero(step) -> complex:

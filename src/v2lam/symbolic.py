@@ -85,9 +85,9 @@ class Address:
     def prefix(self, n: int) -> list[int]:
         return self.stream.prefix(n)
 
-    def shift(self) -> "Address":
-        """Drop the first bit."""
-        return Address(self.stream.shifted(1))
+    def shift(self, k: int) -> "Address":
+        """Drop the first k bits."""
+        return Address(self.stream.shifted(k))
 
     def __str__(self) -> str:
         return "%d|%s" % (self.leading, self.body)
@@ -104,9 +104,9 @@ class Address:
         return Address.from_leading_body(int(lead_s), DigitStream.parse(body_s))
 
 
-def shift(x: Address) -> Address:
-    """Drop the first bit of an address."""
-    return x.shift()
+def shift(x: Address, k: int) -> Address:
+    """Drop the first k bits of an address."""
+    return x.shift(k)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_shifts_match_the_step_by_step_oracle(capsys, theta):
         code, out, _ = run(capsys, "sym", "angle-to-address", "--address", str(start),
                            "--shift", str(k))
         assert code == 0 and out.strip() == str(address_to_angle(addr))
-        doubled, addr = (2 * doubled) % 1, shift(addr)
+        doubled, addr = (2 * doubled) % 1, shift(addr, 1)
 
 
 def test_huge_shifts_finish(capsys):
@@ -267,9 +267,10 @@ def _fixed_rows(out):
     return [tuple(complex(v.replace("i", "j")) for v in row) for row in rows]
 
 
-@pytest.mark.parametrize("a, code", [("1e-15", 0), ("1e-8", 0), ("-1e-15", 0),
-                                     ("1e-100", 2), ("1e-320", 2), ("1e-300,1e-300", None),
-                                     ("0,1e-60", 0), ("1e-60,1e-60", 0), ("1e-100,1e-100", 0)])
+@pytest.mark.parametrize("a, code", [("1e-15", 0), ("1e-8", 0), ("-1e-15", 0), ("-1e-8", 0),
+                                     ("1e-100", 2), ("1e-320", 2), ("-1e-60", 2),
+                                     ("1e-300,1e-300", None), ("0,1e-60", 0), ("1e-60,1e-60", 0),
+                                     ("1e-100,1e-100", 0), ("-1e-60,1e-70", 0)])
 def test_dyn_fixed_tiny_parameter(capsys, a, code):
     # the fixed point -2 + a/4 + ... sits next to the pole -2, and the pair
     # ±sqrt(a/2) + ... next to the pole 0: the computed points are never
@@ -288,6 +289,24 @@ def test_dyn_fixed_tiny_parameter(capsys, a, code):
         assert math.isfinite(abs(z)) and math.isfinite(abs(m))
         want = -2 * z * z * (z + 1) / av
         assert abs(m - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("a", ["-1e-8", "-1e-15", "-1e-8,-1e-20", "-1e-15,1e-30",
+                               "-1e-60,1e-70", "-1e-60,-1e-70", "-2e-6,1e-9", "1e-8",
+                               "0,1e-60", "1e-60,1e-60", "1e-100,1e-100"])
+def test_dyn_fixed_tiny_parameter_finds_three_distinct_roots(capsys, a):
+    # the pair ±sqrt(a/2) + ... stays two points for a on or near the
+    # negative real axis, and the three roots of z^3 + 2z^2 - a have
+    # sum -2 and product a
+    code, out, err = run(capsys, "dyn", "fixed", "--a=" + a)
+    assert code == 0, err
+    assert len(set(z for z, _ in _fixed_rows(out))) == 3
+    av = complex(*map(float, a.split(","))) if "," in a else complex(float(a))
+    z1, z2, z3 = fixed_points(av)
+    for u, v in ((z1, z2), (z1, z3), (z2, z3)):
+        assert abs(u - v) > 0.5 * max(abs(u), abs(v))
+    assert abs(z1 + z2 + z3 + 2) <= 1e-15
+    assert abs(z1 * z2 * z3 - av) <= 1e-14 * abs(av)
 
 
 @pytest.mark.parametrize("a, w", [("0,1e-40", 2.5e-41), ("0,1e-25", 2.5e-26),

@@ -54,16 +54,17 @@ def test_address_leading_body_shift():
     assert a.leading == 0
     assert a.body == DigitStream.make((), (1, 0))
     # shift drops the first bit: 1,0,1,0,... printed with the lead absorbed
-    s = a.shift()
+    s = a.shift(1)
     assert s.prefix(6) == [1, 0, 1, 0, 1, 0]
     assert str(s) == "1|(01)"
-    assert shift(a) == s
+    assert shift(a, 1) == s
     # all-zeros is shift-invariant
     zeros = addr((), (0,))
-    assert shift(zeros) == zeros
+    assert shift(zeros, 1) == zeros
     # double shift of a preperiod-2 stream drops both preperiod bits
     b = addr((1, 0), (0, 1, 1))
-    assert shift(shift(b)).prefix(6) == b.prefix(8)[2:]
+    assert shift(shift(b, 1), 1).prefix(6) == b.prefix(8)[2:]
+    assert shift(b, 2) == shift(shift(b, 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_conjugacy_with_shift():
     thetas = [F(k, 63) for k in range(63)] + [F(k, 20) for k in range(1, 20)]
     for t in thetas:
         lhs = angle_to_address(angle(-2 * t))
-        rhs = shift(angle_to_address(t))
+        rhs = shift(angle_to_address(t), 1)
         if t.denominator & (t.denominator - 1):
             assert lhs == rhs
         else:
@@ -148,7 +149,7 @@ def test_conjugacy_with_shift():
     # dyadic case concretely: theta = 1/4 shifts onto the all-ones-tail
     # representation of 1/2
     lhs = angle_to_address(F(1, 2))
-    rhs = shift(angle_to_address(F(1, 4)))
+    rhs = shift(angle_to_address(F(1, 4)), 1)
     assert lhs != rhs and address_to_angle(rhs) == F(1, 2)
     assert addr_equivalent(lhs, rhs, F(1, 6))
 
@@ -331,7 +332,7 @@ def test_shift_compatibility_sweep():
         assert addr_equivalent(x, y, theta0)
         if x.stream in omega or y.stream in omega:
             continue
-        assert addr_equivalent(shift(x), shift(y), theta0)
+        assert addr_equivalent(shift(x, 1), shift(y, 1), theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,7 @@ def test_addr_equivalent_is_symmetric(theta0, w, pre, per, data):
     x = addr(w + [data.draw(st.integers(0, 1))] + list(eps.pre), eps.period)
     y = data.draw(st.sampled_from([
         addr(pre, per), addr(w + [0] + list(eps.pre), eps.period),
-        addr(w + [1] + list(eps.pre), eps.period), x.shift()]))
+        addr(w + [1] + list(eps.pre), eps.period), x.shift(1)]))
     assert addr_equivalent(x, y, theta0) == addr_equivalent(y, x, theta0)
 
 
