@@ -8,9 +8,12 @@ verification suites).
 
 Conventions: long flags only; angles are written ``p/q``; complex numbers
 are written ``re,im`` (use ``--a=-1.5,2`` syntax for negative reals).
-Depth-like flags are capped at 16, iteration-like flags at 4096, and the
-leaf count a ``lam L``/``L0``/``two-sided`` request predicts at 2^17 unless
-``--unsafe-limits`` is given.  ``--config PATH`` reads ``key=value`` lines
+Depth-like flags are capped at 16, iteration-like and count flags at 4096
+(``dyn julia --points`` at 2^20), and the leaf count a
+``lam L``/``L0``/``two-sided`` request predicts at 2^17 unless
+``--unsafe-limits`` is given.  A flag that takes one word of a fixed set
+(``--side``, ``--op``, ``--method``, ``--base``) refuses any other word as
+a usage error.  ``--config PATH`` reads ``key=value`` lines
 (keys are flag names without the dashes) used as defaults.  Exit codes:
 0 success, 1 domain error, 2 numeric failure, 64 usage error (sysexits
 ``EX_USAGE``), 74 I/O error such as an unwritable output path (sysexits
@@ -43,6 +46,9 @@ from .dynamics import NumericError
 
 DEPTH_CAP = 16
 ITER_CAP = 4096
+#: Inverse-iteration samples of ``dyn julia``: admits the default 200,000.
+POINTS_CAP = 1 << 20
+SIDES = ("I", "O")
 #: Leaves a lamination request may predict: 2^(d+1) - 1 for two-sided and
 #: L0 stay within it up to DEPTH_CAP, the sum of 4^n for L up to depth 8.
 LEAF_BUDGET = 1 << 17
@@ -130,6 +136,14 @@ def _req(args, *names: str) -> None:
                              % n.replace("_", "-"))
 
 
+def _choice(args, name: str, allowed: tuple[str, ...]) -> str:
+    """A flag (or config value) that takes one word of a fixed set."""
+    value = str(getattr(args, name))
+    if value not in allowed:
+        raise UsageError("--%s must be one of %s, not %r" % (name, ", ".join(allowed), value))
+    return value
+
+
 def _capped(val: int, cap: int, what: str, args) -> int:
     if val > cap and not _truthy(args.unsafe_limits):
         raise UsageError("%s %d exceeds the cap %d; pass --unsafe-limits to override"
@@ -190,12 +204,11 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_angle_x0(args) -> int:
     _req(args, "theta")
     theta = _angle_value(args.theta)
+    m = None if args.terms is None else _capped(
+        _int_value(args.terms, "terms"), ITER_CAP, "terms", args)
     x0 = x0_digits(theta)
     stream = x0_digit_stream(theta)
-    enclosure = None
-    if args.terms is not None:
-        m = _int_value(args.terms, "terms")
-        enclosure = x0_series(theta, m) + (m + 1,)
+    enclosure = None if m is None else x0_series(theta, m) + (m + 1,)
     print(x0)
     print(stream)
     if enclosure is not None:
@@ -221,7 +234,8 @@ def _cmd_angle_digits(args) -> int:
     _req(args, "theta")
     theta = _angle_value(args.theta)
     sh = _count_value(args.shift, "shift")
-    n = None if args.count is None else _count_value(args.count, "count")
+    n = (None if args.count is None
+         else _capped(_count_value(args.count, "count"), ITER_CAP, "count", args))
     den = theta.denominator
     theta = Fraction(theta.numerator * pow(2, sh, den) % den, den)  # frac(2^sh theta)
     s = digit_stream(theta)
@@ -289,7 +303,7 @@ def _cmd_angle_semiconj(args) -> int:
     _req(args, "theta")
     from .measure import semiconjugacy_check
 
-    n = _int_value(args.samples, "samples")
+    n = _capped(_int_value(args.samples, "samples"), ITER_CAP, "samples", args)
     if n < 1:
         raise UsageError("samples must be >= 1")
     cap = _int_value(args.cap, "cap")
@@ -393,10 +407,8 @@ def _cmd_lam_regions(args) -> int:
     _req(args, "theta", "depth")
     from .laminations import build_2L, complementary_regions
 
+    side = _choice(args, "side", SIDES)
     lam = build_2L(_angle_value(args.theta), _depth_value(args))
-    side = str(args.side)
-    if side not in ("I", "O"):
-        raise UsageError("--side must be I or O")
     regions = complementary_regions(lam.side_leaves(side))
     print("regions: %d" % len(regions))
     for cyc in regions:
@@ -408,7 +420,7 @@ def _cmd_lam_cross(args) -> int:
     _req(args, "leaf1", "leaf2")
     from .laminations import Leaf, leaves_cross
 
-    side = str(args.side)
+    side = _choice(args, "side", SIDES)
     l1 = Leaf(*_chord_value(args.leaf1, "leaf1"), side)
     l2 = Leaf(*_chord_value(args.leaf2, "leaf2"), side)
     print("cross" if leaves_cross(l1, l2) else "disjoint")
@@ -469,15 +481,13 @@ def _cmd_sym_reg_ray(args) -> int:
     _req(args, "symbol")
     from .symbolic import RegulatedRaySymbol, regulated_ray_image, regulated_ray_preimage
 
+    op = _choice(args, "op", ("image", "preimage"))
     g = RegulatedRaySymbol.parse(str(args.symbol))
-    op = str(args.op)
     if op == "image":
         print(regulated_ray_image(g))
-    elif op == "preimage":
+    else:
         for q in regulated_ray_preimage(g):
             print(q)
-    else:
-        raise UsageError("--op must be image or preimage")
     return 0
 
 
@@ -522,15 +532,17 @@ def _cmd_dyn_julia(args) -> int:
     _req(args, "a")
     from .dynamics import julia_agreement, julia_raster
 
+    method = _choice(args, "method", ("escape", "inverse"))
     a = _complex_value(args.a, "a")
     w = _int_value(args.width, "width")
     h = _int_value(args.height, "height")
     n_max = _capped(_int_value(args.n_max, "n-max"), ITER_CAP, "n-max", args)
     re_min, re_max, im_min, im_max = _bounds(args, (-3.5, 1.5, -2.5, 2.5))
     kw = dict(re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
-              n_max=n_max, points=_int_value(args.points, "points"),
+              n_max=n_max,
+              points=_capped(_int_value(args.points, "points"), POINTS_CAP, "points", args),
               seed=_int_value(args.seed, "seed"))
-    r = julia_raster(a, w, h, method=str(args.method), **kw)
+    r = julia_raster(a, w, h, method=method, **kw)
     if args.out:
         if str(args.out).endswith(".ppm"):
             r.write_ppm(args.out)
@@ -538,8 +550,8 @@ def _cmd_dyn_julia(args) -> int:
             r.write_pgm(args.out)
         print("wrote %s (%dx%d)" % (args.out, w, h))
     if _truthy(args.agreement):
-        esc = r if str(args.method) == "escape" else julia_raster(a, w, h, method="escape", **kw)
-        inv = r if str(args.method) == "inverse" else julia_raster(a, w, h, method="inverse", **kw)
+        esc = r if method == "escape" else julia_raster(a, w, h, method="escape", **kw)
+        inv = r if method == "inverse" else julia_raster(a, w, h, method="inverse", **kw)
         print("agreement: %.4f" % julia_agreement(esc, inv))
     print("zero-side pixels: %d" % int((r.values > 0).sum()))
     print("infinity-side pixels: %d" % int((r.values < 0).sum()))
@@ -608,7 +620,8 @@ def _cmd_dyn_ray(args) -> int:
     from .dynamics import trace_dynamical_ray
 
     path = trace_dynamical_ray(
-        _complex_value(args.a, "a"), str(args.base), _angle_value(args.theta),
+        _complex_value(args.a, "a"), _choice(args, "base", ("inf", "0")),
+        _angle_value(args.theta),
         s_from=_float_value(args.s_from, "s-from"),
         s_to=_float_value(args.s_to, "s-to"),
         steps=_capped(_int_value(args.steps, "steps"), ITER_CAP, "steps", args))

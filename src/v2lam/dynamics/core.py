@@ -21,6 +21,8 @@ live in :mod:`v2lam.dynamics.raster`.  Public functions validate the
 parameter once on entry (``DomainError`` for a = 0 or a non-finite a) and
 then iterate the unchecked step ``_f``; ``_f`` and the branch-tracked
 inverse ``_inverse_roots`` are internals that take an already validated a.
+On the ordinary path, |z| <= 1e150, ``_f`` makes one comparison before it
+divides; only the other points are sorted into infinity and huge z.
 """
 
 from __future__ import annotations
@@ -80,15 +82,15 @@ def _log_abs(z: complex) -> float:
 
 
 def is_infinite(z: complex) -> bool:
-    """True when ``z`` plays the role of the point at infinity."""
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
+    """True when ``z`` plays the role of the point at infinity (a part is inf or nan)."""
+    return not cmath.isfinite(z)
 
 
 def _require_param(a: complex) -> complex:
     a = complex(a)
     if a == 0:
         raise DomainError("parameter a must be nonzero")
-    if is_infinite(a) or cmath.isnan(a):
+    if is_infinite(a):
         raise DomainError("parameter a must be finite")
     return a
 
@@ -109,19 +111,25 @@ def apply_F(a: complex, z: complex) -> complex:
 
 
 def _f(a: complex, z: complex) -> complex:
-    """``apply_f`` for a validated parameter and a ``complex`` z (no checks)."""
+    """``apply_f`` for a validated parameter and a ``complex`` z (no checks).
+
+    One comparison guards the ordinary case |z| <= ``_HUGE``; it is False
+    for a nan or infinite part, and a modulus beyond the float range
+    (``OverflowError``) is not ordinary either.  Only the rest is sorted
+    into the point at infinity and the huge branch.
+    """
+    try:
+        ordinary = abs(z) <= _HUGE
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        ordinary = False
+    if ordinary:
+        den = z * (z + 2.0)
+        if den == 0:
+            return INF
+        return a / den
     if is_infinite(z):
         return 0j
-    try:
-        huge = abs(z) > _HUGE
-    except OverflowError:  # finite parts whose modulus exceeds the float range
-        huge = True
-    if huge:
-        return a / z / (z + 2.0)
-    den = z * (z + 2.0)
-    if den == 0:
-        return INF
-    return a / den
+    return a / z / (z + 2.0)
 
 
 def _inverse_roots(a: complex, ws, prev: complex | None = None) -> list[complex]:

@@ -31,9 +31,12 @@ Supported traces:
 - ``trace_ray_through_point(a, w0, ...)``: the ray passing through a given
   basin point (no angle needed; arguments are measured, not prescribed).
 
-Each tracer walks its potential grid with ``_Marcher.walk``.  Every
-evaluation of phi validates its parameter once (in parameter mode a is the
-Newton unknown) and then iterates the unchecked ``core._f``; pullbacks to
+Each tracer walks its potential grid with ``_Marcher.walk``.  A dynamical
+marcher validates its parameter once, when it is built; a parameter
+marcher validates it at every evaluation of phi, since there a is the
+Newton unknown.  phi then iterates the unchecked ``core._f``.  Newton
+evaluates phi once per point it visits: the value the line search found
+at the accepted point is the next iteration's value there.  Pullbacks to
 the 0-side follow one branch with ``core._inverse_roots``.  Invalid
 parameters raise ``DomainError`` from the public tracers.
 """
@@ -113,14 +116,14 @@ class _Marcher:
     """Shared windowed-Newton machinery for dynamical and parameter rays."""
 
     def __init__(self, a: complex | None, theta: Fraction | None, mode: str):
-        self.a = a
+        # "dyn": solve for z at a fixed a, validated here once; "par": solve
+        # for a, which phi validates on every call since it is the unknown.
+        self.a = _require_param(a) if mode == "dyn" else None
         self.theta = theta
-        self.mode = mode  # "dyn": solve for z at fixed a; "par": solve for a
+        self.mode = mode
 
     def phi(self, x: complex, n: int) -> complex:
-        # Validated on every call: in parameter mode x is the Newton unknown a.
-        a, w = (self.a, x) if self.mode == "dyn" else (x, -x)
-        a = _require_param(a)
+        a, w = (self.a, x) if self.mode == "dyn" else (_require_param(x), -x)
         for _ in range(n):
             w = _f(a, _f(a, w))
             if is_infinite(w) or w == 0:
@@ -138,13 +141,18 @@ class _Marcher:
         return complex(h, 0.0)
 
     def newton(self, x: complex, n: int, A: float, s: float) -> tuple[complex, float]:
+        """Damped Newton for phi(x) = target: one phi per point it visits.
+
+        The line search's value at an accepted candidate is the next
+        iteration's value at x, so phi(x) is never evaluated twice.
+        """
         target = cmath.exp(complex((2.0 ** n) * s, A))
         mag_t = abs(target)
+        try:
+            val = self.phi(x, n) - target
+        except NumericError:
+            raise NumericError(f"ray Newton failed to converge at potential {s:.6g}") from None
         for _ in range(40):
-            try:
-                val = self.phi(x, n) - target
-            except NumericError:
-                break
             rel = abs(val) / mag_t
             if rel < 1e-9:
                 return x, rel
@@ -161,12 +169,12 @@ class _Marcher:
             for _ in range(6):
                 cand = x - lam * step
                 try:
-                    cand_rel = abs(self.phi(cand, n) - target) / mag_t
+                    cand_val = self.phi(cand, n) - target
                 except NumericError:
                     lam *= 0.5
                     continue
-                if cand_rel < rel or lam < 0.2:
-                    x = cand
+                if abs(cand_val) / mag_t < rel or lam < 0.2:
+                    x, val = cand, cand_val
                     moved = True
                     break
                 lam *= 0.5

@@ -430,12 +430,34 @@ def test_io_error_is_seventy_four(tmp_path, capsys, argv):
     ("dyn", "green", "--a", "6", "--z", "3,1", "--n", "-1"),
     ("dyn", "green", "--a", "6", "--z", "3,1", "--orbit", "-2"),
     ("angle", "digits", "--theta", "1/6", "--count", "-3"),
+    # a word outside the fixed set of --side, --op, --method or --base
+    ("lam", "regions", "--theta", "1/2", "--depth", "3", "--side", "X"),
+    ("lam", "cross", "--leaf1", "0,1/2", "--leaf2", "1/4,3/4", "--side", "X"),
+    ("sym", "reg-ray", "--symbol", "G(0;1/2)", "--op", "x"),
+    ("dyn", "julia", "--a", "6", "--width", "8", "--height", "8", "--method", "bogus"),
+    ("dyn", "ray", "--a", "6", "--theta", "0", "--base", "X"),
 ])
 def test_usage_errors_are_sixty_four(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64
     assert "usage error:" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("flag, value, argv", [
+    ("side", "X", ("lam", "regions", "--theta", "1/2", "--depth", "3")),
+    ("side", "X", ("lam", "cross", "--leaf1", "0,1/2", "--leaf2", "1/4,3/4")),
+    ("op", "x", ("sym", "reg-ray", "--symbol", "G(0;1/2)")),
+    ("method", "bogus", ("dyn", "julia", "--a", "6", "--width", "8", "--height", "8")),
+    ("base", "X", ("dyn", "ray", "--a", "6", "--theta", "0")),
+])
+def test_fixed_set_flags_refuse_other_words_from_the_config_too(tmp_path, capsys, flag, value,
+                                                                argv):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("%s = %s\n" % (flag, value))
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 64 and out == ""
+    assert "usage error: --%s must be one of" % flag in err
 
 
 def test_failing_report_returns_one(capsys):
@@ -481,6 +503,44 @@ def test_iteration_cap_enforced_and_liftable(capsys):
     code, out, _ = run(capsys, *args, "--unsafe-limits")
     assert code == 0
     assert "points: 4097" in out
+
+
+@pytest.mark.parametrize("argv, cap, admitted", [
+    (("angle", "x0", "--theta", "1/2", "--terms"), 4096, ("10",)),
+    (("angle", "semiconj", "--theta", "1/2", "--cap", "20", "--samples"), 4096, ("12", "64")),
+    (("angle", "digits", "--theta", "1/6", "--count"), 4096, ("8", "4096")),
+    (("dyn", "julia", "--a", "6", "--width", "20", "--height", "20", "--method", "inverse",
+      "--points"), 1 << 20, ("50000",)),
+], ids=["x0-terms", "semiconj-samples", "digits-count", "julia-points"])
+def test_count_flags_are_capped(capsys, argv, cap, admitted):
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert code == 64 and out == ""
+    assert "exceeds the cap %d" % cap in err and "--unsafe-limits" in err
+    for value in admitted:
+        code, out, _ = run(capsys, *argv, value)
+        assert code == 0 and out
+
+
+def test_count_caps_admit_the_julia_default_and_lift(monkeypatch, capsys):
+    import v2lam.dynamics
+
+    julia_raster = v2lam.dynamics.julia_raster
+    asked = []
+
+    def small(a, w, h, method, points, **kw):
+        asked.append(points)
+        return julia_raster(a, w, h, method=method, points=min(points, 1000), **kw)
+
+    monkeypatch.setattr(v2lam.dynamics, "julia_raster", small)
+    argv = ("dyn", "julia", "--a", "6", "--width", "8", "--height", "8", "--method", "inverse")
+    for extra in ((), ("--points", str(1 << 20)), ("--points", str((1 << 20) + 1),
+                                                     "--unsafe-limits")):
+        code, _, _ = run(capsys, *argv, *extra)
+        assert code == 0
+    assert asked == [200000, 1 << 20, (1 << 20) + 1]
+    code, out, _ = run(capsys, "angle", "digits", "--theta", "1/6", "--count", "5000",
+                       "--unsafe-limits")
+    assert code == 0 and len(out.splitlines()[2]) == 5000
 
 
 # ---------------------------------------------------------------------------

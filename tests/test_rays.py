@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -13,14 +14,15 @@ from v2lam.dynamics import (
     boettcher_infty,
     critical_value_angle_error,
     green_value,
+    is_infinite,
     ray_leaf_endpoints,
     trace_dynamical_ray,
     trace_parameter_ray,
     trace_ray_through_point,
 )
-from v2lam.dynamics.core import _f, _inverse_roots, apply_f
+from v2lam.dynamics.core import NumericError, _f, _inverse_roots, apply_f
 from v2lam.dynamics.rayleaves import _pullback_leg
-from v2lam.dynamics.rays import window_exponent
+from v2lam.dynamics.rays import _Marcher, window_exponent
 from v2lam.laminations import build_2L
 
 
@@ -251,8 +253,7 @@ def test_ray_leaf_validation():
 
 
 def test_parameter_ray_truncates_on_newton_failure(monkeypatch):
-    from v2lam.dynamics.core import NumericError
-    from v2lam.dynamics.rays import _geometric_grid, _Marcher
+    from v2lam.dynamics.rays import _geometric_grid
 
     newton = _Marcher.newton
 
@@ -282,7 +283,14 @@ def test_parameter_ray_truncates_on_newton_failure(monkeypatch):
 NAN = complex(math.nan, 0.0)
 EDGE_POINTS = [INF, NAN, complex(0.0, math.inf), 0j, -0.0j, -2 + 0j, 1e151 + 0j,
                -1e200j, complex(1e150, 1e150), 1e150 + 0j, 1e-300 + 0j, -1 + 0j,
-               complex(1.2711610061536462e308, 1.2711610061536464e308)]
+               complex(1.2711610061536462e308, 1.2711610061536464e308),
+               # every non-finite kind: _f's ordinary-case guard is False for all
+               complex(math.inf, math.nan), complex(math.nan, math.inf),
+               complex(math.nan, 0.0), complex(-math.inf, -math.inf),
+               # on the _HUGE boundary, where the guard admits |z| == 1e150
+               complex(1e150, 1e-300),
+               # signed zeros at the two poles
+               complex(-2.0, -0.0), complex(-0.0, 0.0)]
 params = st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
                             allow_nan=False, allow_infinity=False)
 
@@ -322,6 +330,16 @@ def test_unchecked_step_at_edge_points():
         for z in EDGE_POINTS:
             assert repr(_f(a, z)) == repr(apply_f(a, z)) == repr(_apply_f_oracle(a, z))
     assert repr(_f(a, _f(a, z))) == repr(apply_F(a, z))
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=finite_or_not, y=finite_or_not)
+def test_is_infinite_equals_the_two_part_test(x, y):
+    z = complex(x, y)
+    assert is_infinite(z) == (not (math.isfinite(z.real) and math.isfinite(z.imag)))
 
 
 @pytest.mark.parametrize("a, message", [
@@ -441,3 +459,115 @@ def test_inverse_roots_and_pullback_legs_match_oracles(oracle_param):
                                           for leg in parent_legs])
                 nxt.append((q, d, new))
         frontier = nxt
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Newton solve that evaluated phi twice at every accepted point
+# ---------------------------------------------------------------------------
+
+def _newton_oracle(self, x, n, A, s):
+    """``_Marcher.newton`` as it was: phi(x) evaluated afresh each iteration."""
+    target = cmath.exp(complex((2.0 ** n) * s, A))
+    mag_t = abs(target)
+    for _ in range(40):
+        try:
+            val = self.phi(x, n) - target
+        except NumericError:
+            break
+        rel = abs(val) / mag_t
+        if rel < 1e-9:
+            return x, rel
+        h = self._fd_step(x)
+        try:
+            der = (self.phi(x + h, n) - (val + target)) / h
+        except NumericError:
+            break
+        if der == 0 or cmath.isnan(der):
+            break
+        step = val / der
+        lam = 1.0
+        moved = False
+        for _ in range(6):
+            cand = x - lam * step
+            try:
+                cand_rel = abs(self.phi(cand, n) - target) / mag_t
+            except NumericError:
+                lam *= 0.5
+                continue
+            if cand_rel < rel or lam < 0.2:
+                x = cand
+                moved = True
+                break
+            lam *= 0.5
+        if not moved:
+            break
+    raise NumericError(f"ray Newton failed to converge at potential {s:.6g}")
+
+
+# The parameter-ray angles of the benchmark's numerics workload at seed 1.
+BENCH_RAY_ANGLES = ("0", "11/12", "7/18", "5/24", "1/10", "1/12", "7/20", "1/3", "17/40",
+                    "5/12", "1/4", "5/18", "7/10")
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except (NumericError, DomainError) as exc:
+        return "raised " + repr(exc)
+
+
+def _newton_cases():
+    rng = random.Random(14)
+    cases = [lambda t=Fr(t): trace_parameter_ray(t, s_from=8.0, s_to=0.05, steps=200)
+             for t in BENCH_RAY_ANGLES]
+    for base in ("inf", "0"):
+        for _ in range(3):
+            a = round(rng.uniform(4.0, 8.0), 3)
+            t = Fr(rng.randrange(1, 12), 12)
+            cases.append(lambda a=a, t=t, base=base: trace_dynamical_ray(a, base, t, steps=120))
+    # the half-turn pullback at a = 6 crashes into the critical point -1
+    cases.append(lambda: trace_dynamical_ray(6.0, "0", Fr(1, 2), steps=120))
+    # single solves from seeded starting points: most fail to converge
+    for mode in ("dyn", "par"):
+        for _ in range(12):
+            a, t = round(rng.uniform(4.0, 8.0), 3), Fr(rng.randrange(12), 12)
+            s = 10.0 ** rng.uniform(-3.0, 0.5)
+            x = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+            n = window_exponent(s)
+            cases.append(lambda m=_Marcher(a, t, mode), x=x, n=n, s=s:
+                         m.newton(x, n, m.anchor(x, n), s))
+    cases.append(lambda: trace_ray_through_point(6.0, -6.0, s_to=1e-3, steps=120))
+    cases.append(lambda: trace_ray_through_point(-0.37 - 2.97j, 2.0 + 1.0j, steps=120))
+    return cases
+
+
+def test_one_evaluation_newton_matches_the_oracle(monkeypatch, a_on_sixth_ray):
+    cases = _newton_cases()
+    cases.append(lambda: ray_leaf_endpoints(a_on_sixth_ray, 2, theta0=Fr(1, 6)))
+    got = [_outcome(call) for call in cases]
+    monkeypatch.setattr(_Marcher, "newton", _newton_oracle)
+    want = [_outcome(call) for call in cases]
+    assert got == want
+    assert sum(case.startswith("raised NumericError") for case in got) >= 6
+    assert any("crashed=True" in case for case in got)
+
+
+def _phi_calls(monkeypatch):
+    calls = [0]
+    phi = _Marcher.phi
+
+    def counting(self, x, n):
+        calls[0] += 1
+        return phi(self, x, n)
+
+    monkeypatch.setattr(_Marcher, "phi", counting)
+    trace_parameter_ray(Fr(1, 6), s_from=8.0, s_to=0.5, steps=120)
+    monkeypatch.setattr(_Marcher, "phi", phi)
+    return calls[0]
+
+
+def test_one_evaluation_newton_saves_a_quarter_of_the_phi_calls(monkeypatch):
+    new = _phi_calls(monkeypatch)
+    monkeypatch.setattr(_Marcher, "newton", _newton_oracle)
+    old = _phi_calls(monkeypatch)
+    assert new <= 0.75 * old
