@@ -29,6 +29,10 @@ class DomainError(ValueError):
     """Input outside an operation's documented domain."""
 
 
+class NumericError(RuntimeError):
+    """A numerical routine failed to reach its stated tolerance."""
+
+
 def angle(value) -> Fraction:
     """Parse/normalize an angle into a Fraction in [0,1).
 
@@ -56,9 +60,11 @@ def circle_distance(u, v):
     return min(d, 1 - d)
 
 
-def double(theta: Fraction) -> Fraction:
-    """The doubling map t -> 2t mod 1."""
-    return angle(2 * Fraction(theta))
+def double(theta: Fraction, k: int = 1) -> Fraction:
+    """The doubling map applied k >= 0 times, t -> 2^k t mod 1, as one modular power."""
+    t = Fraction(theta)
+    den = t.denominator
+    return Fraction(t.numerator * pow(2, k, den) % den, den)
 
 
 def binary_digit(theta: Fraction, m: int) -> int:
@@ -76,7 +82,7 @@ def nu(theta: Fraction, m: int) -> int:
     if m < 0:
         raise DomainError("m must be >= 0")
     t = angle(theta)
-    return 1 if angle(Fraction(2) ** m * t) >= t else 0
+    return 1 if double(t, m) >= t else 0
 
 
 def _pack(bits: tuple) -> int:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .angles import DomainError, _x0_digit_pair, circle_distance, x0_digits, x0_series
+from .angles import (DomainError, NumericError, _x0_digit_pair, circle_distance, x0_digits,
+                     x0_series)
 from .laminations import (
     build_2L,
     build_L,
@@ -352,7 +353,7 @@ def run_check(number: int, params: CheckParams | None = None) -> CheckResult:
         ok = True
     except CheckFailure as exc:
         detail, ok = str(exc), False
-    except (DomainError, ArithmeticError, ValueError) as exc:
+    except (DomainError, NumericError, ArithmeticError, ValueError) as exc:
         detail, ok = "%s: %s" % (type(exc).__name__, exc), False
     return CheckResult(num, name, group, ok, detail, time.perf_counter() - t0)
 

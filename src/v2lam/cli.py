@@ -8,9 +8,9 @@ verification suites).
 
 Conventions: long flags only; angles are written ``p/q``; complex numbers
 are written ``re,im`` (use ``--a=-1.5,2`` syntax for negative reals).
-Depth-like flags are capped at 16, iteration-like and count flags at 4096
-(``dyn julia --points`` at 2^20), and the leaf count a
-``lam L``/``L0``/``two-sided`` request predicts at 2^17 unless
+Depth-like flags are capped at 16, iteration-like, count and size flags at
+4096 (``dyn julia --points`` at 2^20), a raster at 2^22 pixels, and the
+leaf count a ``lam L``/``L0``/``two-sided`` request predicts at 2^17 unless
 ``--unsafe-limits`` is given.  A flag that takes one word of a fixed set
 (``--side``, ``--op``, ``--method``, ``--base``) refuses any other word as
 a usage error.  ``--config PATH`` reads ``key=value`` lines
@@ -18,6 +18,13 @@ a usage error.  ``--config PATH`` reads ``key=value`` lines
 0 success, 1 domain error, 2 numeric failure, 64 usage error (sysexits
 ``EX_USAGE``), 74 I/O error such as an unwritable output path (sysexits
 ``EX_IOERR``).
+
+A flag's grammar lives where ``_build_parser`` declares it: ``_flag`` gives
+it a kind, the converter argparse applies alike to the flag's text and to a
+config value, and a default or ``REQUIRED``.  ``CAPS`` holds the cap of
+every size flag.  ``_checked`` refuses a missing required flag and a value
+over its cap, so the handlers receive typed values; they keep only the
+requirements that depend on other flags and the leaf and pixel budgets.
 
 Every operation's documented examples can be reproduced from here; each
 sub-subcommand's ``--help`` shows a worked invocation.
@@ -34,7 +41,9 @@ from fractions import Fraction
 
 from .angles import (
     DomainError,
+    NumericError,
     digit_stream,
+    double,
     nu,
     orbit_type,
     x0_digit_stream,
@@ -42,7 +51,6 @@ from .angles import (
     x0_series,
     y0_from_theta,
 )
-from .dynamics import NumericError
 
 DEPTH_CAP = 16
 ITER_CAP = 4096
@@ -52,6 +60,18 @@ SIDES = ("I", "O")
 #: Leaves a lamination request may predict: 2^(d+1) - 1 for two-sided and
 #: L0 stay within it up to DEPTH_CAP, the sum of 4^n for L up to depth 8.
 LEAF_BUDGET = 1 << 17
+#: Pixels a raster may allocate before its first step: admits 2048 x 2048.
+PIXEL_BUDGET = 1 << 22
+#: The cap of every size flag, by config key; --unsafe-limits lifts them.
+CAPS = {
+    "depth": DEPTH_CAP, "leaf_depth": DEPTH_CAP,
+    "n_max": ITER_CAP, "steps": ITER_CAP, "terms": ITER_CAP, "samples": ITER_CAP,
+    "count": ITER_CAP, "period": ITER_CAP, "cap": ITER_CAP, "measure_cap": ITER_CAP,
+    "orbit": ITER_CAP, "n": ITER_CAP,
+    "points": POINTS_CAP,
+}
+#: The default of a flag that needs a value, from the command line or a config.
+REQUIRED = object()
 
 
 class UsageError(Exception):
@@ -64,36 +84,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# flag-value parsing (flags and config values both arrive as strings)
+# flag kinds: each takes the flag's name and its text, from argv or a config
 # ---------------------------------------------------------------------------
 
-def _angle_value(text) -> Fraction:
-    if isinstance(text, Fraction):
-        return text
+def _angle(what: str, text: str) -> Fraction:
     try:
-        f = Fraction(str(text).strip())
+        f = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError("bad angle %r (write p/q): %s" % (text, exc))
     return f % 1
 
 
-def _int_value(text, what: str) -> int:
+def _angles(what: str, text: str) -> tuple[Fraction, ...]:
+    return tuple(_angle(what, t) for t in text.split(","))
+
+
+def _int(what: str, text: str) -> int:
     try:
-        return int(str(text).strip())
+        return int(text.strip())
     except ValueError:
         raise UsageError("bad integer for %s: %r" % (what, text))
 
 
-def _float_value(text, what: str) -> float:
+def _count(what: str, text: str, minimum: int = 0) -> int:
+    n = _int(what, text)
+    if n < minimum:
+        raise UsageError("%s must be >= %d" % (what, minimum))
+    return n
+
+
+def _float(what: str, text: str) -> float:
     try:
-        return float(str(text).strip())
+        return float(text.strip())
     except ValueError:
         raise UsageError("bad number for %s: %r" % (what, text))
 
 
-def _complex_value(text, what: str) -> complex:
-    s = str(text).strip()
-    parts = s.split(",")
+def _complex(what: str, text: str) -> complex:
+    parts = text.strip().split(",")
     try:
         if len(parts) == 1:
             return complex(float(parts[0]), 0.0)
@@ -104,58 +132,73 @@ def _complex_value(text, what: str) -> complex:
     raise UsageError("bad complex for %s: %r (write re,im)" % (what, text))
 
 
-def _chord_value(text, what: str) -> tuple[Fraction, Fraction]:
-    pair = str(text).split(",")
+def _chord(what: str, text: str) -> tuple[Fraction, Fraction]:
+    pair = text.split(",")
     if len(pair) != 2:
         raise UsageError("bad chord for %s: %r (write a/b,c/d)" % (what, text))
-    return _angle_value(pair[0]), _angle_value(pair[1])
+    return _angle(what, pair[0]), _angle(what, pair[1])
 
 
-def _count_value(text, what: str) -> int:
-    n = _int_value(text, what)
-    if n < 0:
-        raise UsageError("%s must be >= 0" % what)
-    return n
+def _one_of(*allowed: str):
+    """The kind of a flag that takes one word of a fixed set."""
+    def word(what: str, text: str) -> str:
+        if text not in allowed:
+            raise UsageError("--%s must be one of %s, not %r" % (what, ", ".join(allowed), text))
+        return text
+    return word
 
 
-def _truthy(v) -> bool:
-    if isinstance(v, bool):
-        return v
-    s = str(v).strip().lower()
+def _truthy(text: str) -> bool:
+    s = text.strip().lower()
     if s in ("1", "true", "yes", "on"):
         return True
     if s in ("0", "false", "no", "off", ""):
         return False
-    raise UsageError("bad boolean value %r" % v)
+    raise UsageError("bad boolean value %r" % text)
 
 
-def _req(args, *names: str) -> None:
-    for n in names:
-        if getattr(args, n, None) is None:
-            raise UsageError("--%s is required (give the flag or a config default)"
-                             % n.replace("_", "-"))
+class _Switch(argparse.Action):
+    """A store-true flag whose config text (``true``, ``0``, ...) argparse converts."""
+
+    def __init__(self, option_strings, dest, help=None):  # noqa: A002 - argparse API
+        super().__init__(option_strings, dest, nargs=0, default=False, type=_truthy, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
 
 
-def _choice(args, name: str, allowed: tuple[str, ...]) -> str:
-    """A flag (or config value) that takes one word of a fixed set."""
-    value = str(getattr(args, name))
-    if value not in allowed:
-        raise UsageError("--%s must be one of %s, not %r" % (name, ", ".join(allowed), value))
-    return value
+def _flag(p, name: str, kind=None, default=None, help=None) -> None:  # noqa: A002
+    """Declare ``--name``: argparse converts its text with ``kind(name, text)``."""
+    p.add_argument("--" + name, default=default, help=help,
+                   type=None if kind is None else functools.partial(kind, name))
 
 
-def _capped(val: int, cap: int, what: str, args) -> int:
-    if val > cap and not _truthy(args.unsafe_limits):
+# ---------------------------------------------------------------------------
+# the checks after parsing, and the budgets the handlers keep
+# ---------------------------------------------------------------------------
+
+def _missing(dest: str) -> UsageError:
+    return UsageError("--%s is required (give the flag or a config default)"
+                      % dest.replace("_", "-"))
+
+
+def _capped(value: int, cap: int, what: str, args) -> None:
+    if value > cap and not args.unsafe_limits:
         raise UsageError("%s %d exceeds the cap %d; pass --unsafe-limits to override"
-                         % (what, val, cap))
-    return val
+                         % (what, value, cap))
 
 
-def _depth_value(args, field: str = "depth", minimum: int = 0) -> int:
-    d = _int_value(getattr(args, field), field)
-    if d < minimum:
-        raise UsageError("%s must be >= %d" % (field, minimum))
-    return _capped(d, DEPTH_CAP, field, args)
+def _checked(args):
+    """The parsed flags, once none is missing and no size flag exceeds its cap."""
+    # argparse fills the namespace in the order the flags are declared
+    for dest, value in vars(args).items():
+        if value is REQUIRED:
+            raise _missing(dest)
+    for dest, cap in CAPS.items():
+        value = getattr(args, dest, None)
+        if isinstance(value, int):  # a config key the command has no flag for stays text
+            _capped(value, cap, dest.replace("_", "-"), args)
+    return args
 
 
 def _leaf_depth(args, branching: int) -> int:
@@ -164,10 +207,9 @@ def _leaf_depth(args, branching: int) -> int:
     Layer n of the lamination holds branching**n leaves.  A depth beyond
     DEPTH_CAP has passed --unsafe-limits already, so its count is not needed.
     """
-    d = _depth_value(args)
-    n = min(d, DEPTH_CAP) + 1
+    n = min(args.depth, DEPTH_CAP) + 1
     _capped((branching ** n - 1) // (branching - 1), LEAF_BUDGET, "predicted leaf count", args)
-    return d
+    return args.depth
 
 
 def _fmt_c(z: complex) -> str:
@@ -202,10 +244,7 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_angle_x0(args) -> int:
-    _req(args, "theta")
-    theta = _angle_value(args.theta)
-    m = None if args.terms is None else _capped(
-        _int_value(args.terms, "terms"), ITER_CAP, "terms", args)
+    theta, m = args.theta, args.terms
     x0 = x0_digits(theta)
     stream = x0_digit_stream(theta)
     enclosure = None if m is None else x0_series(theta, m) + (m + 1,)
@@ -217,68 +256,51 @@ def _cmd_angle_x0(args) -> int:
 
 
 def _cmd_angle_y0(args) -> int:
-    _req(args, "theta")
-    print(y0_from_theta(_angle_value(args.theta)))
+    print(y0_from_theta(args.theta))
     return 0
 
 
 def _cmd_angle_nu(args) -> int:
-    _req(args, "theta", "m")
-    theta = _angle_value(args.theta)
-    m = _int_value(args.m, "m")
-    print(nu(theta, m))
+    print(nu(args.theta, args.m))
     return 0
 
 
 def _cmd_angle_digits(args) -> int:
-    _req(args, "theta")
-    theta = _angle_value(args.theta)
-    sh = _count_value(args.shift, "shift")
-    n = (None if args.count is None
-         else _capped(_count_value(args.count, "count"), ITER_CAP, "count", args))
-    den = theta.denominator
-    theta = Fraction(theta.numerator * pow(2, sh, den) % den, den)  # frac(2^sh theta)
+    theta = double(args.theta, args.shift)
     s = digit_stream(theta)
     print(theta)
     print(s)
-    if n is not None:
-        print("".join(str(b) for b in s.prefix(n)))
+    if args.count is not None:
+        print("".join(str(b) for b in s.prefix(args.count)))
     return 0
 
 
 def _cmd_angle_orbit_type(args) -> int:
-    _req(args, "theta")
-    t = orbit_type(_angle_value(args.theta))
+    t = orbit_type(args.theta)
     print("%s preperiod=%d period=%d" % (t.tag, t.preperiod, t.period))
     return 0
 
 
 def _cmd_angle_mu(args) -> int:
-    _req(args, "z", "theta")
     from .measure import mu_weight
 
-    cap = None if args.cap is None else _int_value(args.cap, "cap")
-    print(mu_weight(_angle_value(args.z), _angle_value(args.theta), cap))
+    print(mu_weight(args.z, args.theta, args.cap))
     return 0
 
 
 def _cmd_angle_h_arc(args) -> int:
-    _req(args, "z", "theta")
     from .measure import h_arc
 
-    cap = None if args.cap is None else _int_value(args.cap, "cap")
-    ha = h_arc(_angle_value(args.z), _angle_value(args.theta), cap)
+    ha = h_arc(args.z, args.theta, args.cap)
     print(ha.arc)
     print("enclosure %s" % ha.enclosure)
     return 0
 
 
 def _cmd_angle_preimages(args) -> int:
-    _req(args, "theta", "depth")
     from .measure import preimages_of_angle
 
-    n = _depth_value(args)
-    for t in preimages_of_angle(_angle_value(args.theta), n):
+    for t in preimages_of_angle(args.theta, args.depth):
         print(t)
     return 0
 
@@ -287,28 +309,22 @@ def _cmd_angle_sigma(args) -> int:
     from .measure import sigma0_arc, sigma_lengths_periodic
 
     if args.period is not None:
-        p = _int_value(args.period, "period")
-        for ln in sigma_lengths_periodic(p):
+        for ln in sigma_lengths_periodic(args.period):
             print(ln)
         return 0
     if args.theta is None:
         raise UsageError("sigma needs --theta (arc) or --period (lengths)")
-    arc = sigma0_arc(_angle_value(args.theta))
+    arc = sigma0_arc(args.theta)
     print(arc)
     print("length %s" % arc.length)
     return 0
 
 
 def _cmd_angle_semiconj(args) -> int:
-    _req(args, "theta")
     from .measure import semiconjugacy_check
 
-    n = _capped(_int_value(args.samples, "samples"), ITER_CAP, "samples", args)
-    if n < 1:
-        raise UsageError("samples must be >= 1")
-    cap = _int_value(args.cap, "cap")
-    samples = [Fraction(k, n) for k in range(n)]
-    rep = semiconjugacy_check(_angle_value(args.theta), samples, cap)
+    n = args.samples
+    rep = semiconjugacy_check(args.theta, [Fraction(k, n) for k in range(n)], args.cap)
     print("samples %d skipped %d max-defect %s"
           % (len(rep.entries), len(rep.skipped), rep.max_defect))
     return 0
@@ -321,82 +337,70 @@ def _cmd_angle_semiconj(args) -> int:
 def _emit_lamination(lam, args) -> int:
     from .svg import render_svg
 
-    if getattr(args, "leaves", None):
+    if args.leaves:
         _write_text(args.leaves, lam.to_text())
         print("wrote %s" % args.leaves)
-    if getattr(args, "svg", None):
-        _write_text(args.svg, render_svg(
-            lam, color_by_depth=_truthy(getattr(args, "color_by_depth", False))))
+    if args.svg:
+        _write_text(args.svg, render_svg(lam, color_by_depth=args.color_by_depth))
         print("wrote %s" % args.svg)
     print("leaves: %d" % len(lam))
     return 0
 
 
 def _cmd_lam_L0(args) -> int:
-    _req(args, "theta", "depth")
     from .laminations import build_L0
 
-    cap = None if args.measure_cap is None else _int_value(args.measure_cap, "measure-cap")
-    return _emit_lamination(
-        build_L0(_angle_value(args.theta), _leaf_depth(args, 2), cap), args)
+    return _emit_lamination(build_L0(args.theta, _leaf_depth(args, 2), args.measure_cap), args)
 
 
 def _cmd_lam_L(args) -> int:
-    _req(args, "theta", "depth")
     from .laminations import build_L, mirror_outside
 
-    lam = build_L(_angle_value(args.theta), _leaf_depth(args, 4))
-    if _truthy(args.mirror):
+    lam = build_L(args.theta, _leaf_depth(args, 4))
+    if args.mirror:
         lam = mirror_outside(lam)
     return _emit_lamination(lam, args)
 
 
 def _cmd_lam_two_sided(args) -> int:
-    _req(args, "theta", "depth")
     from .laminations import build_2L
 
-    return _emit_lamination(
-        build_2L(_angle_value(args.theta), _leaf_depth(args, 2)), args)
+    return _emit_lamination(build_2L(args.theta, _leaf_depth(args, 2)), args)
 
 
 def _cmd_lam_quadratic(args) -> int:
     from .laminations import Leaf, build_quadratic_lamination, leaf_in_quadratic_lamination
 
-    _req(args, "y0")
-    y0 = _angle_value(args.y0)
     if args.leaf is not None:
-        leaf = Leaf(*_chord_value(args.leaf, "leaf"))
-        print("member" if leaf_in_quadratic_lamination(y0, leaf) else "non-member")
+        member = leaf_in_quadratic_lamination(args.y0, Leaf(*args.leaf))
+        print("member" if member else "non-member")
         return 0
-    _req(args, "depth")
-    return _emit_lamination(build_quadratic_lamination(y0, _depth_value(args)), args)
+    if args.depth is None:
+        raise _missing("depth")
+    return _emit_lamination(build_quadratic_lamination(args.y0, args.depth), args)
 
 
 def _cmd_lam_basilica(args) -> int:
-    _req(args, "depth")
     from .laminations import build_basilica
 
-    return _emit_lamination(build_basilica(_depth_value(args)), args)
+    return _emit_lamination(build_basilica(args.depth), args)
 
 
 def _cmd_lam_mate(args) -> int:
-    _req(args, "outer_y0", "depth")
     from .laminations import build_basilica, build_quadratic_lamination, mate
 
-    depth = _depth_value(args)
+    depth = args.depth
     inner = (build_basilica(depth) if args.inner_y0 is None
-             else build_quadratic_lamination(_angle_value(args.inner_y0), depth))
-    outer = build_quadratic_lamination(_angle_value(args.outer_y0), depth)
+             else build_quadratic_lamination(args.inner_y0, depth))
+    outer = build_quadratic_lamination(args.outer_y0, depth)
     return _emit_lamination(mate(inner, outer), args)
 
 
 def _cmd_lam_check_invariance(args) -> int:
-    _req(args, "theta", "depth")
     from .laminations import build_2L, check_two_sided_invariance
 
-    depth = _depth_value(args)
-    at = depth - 1 if args.at_depth is None else _int_value(args.at_depth, "at-depth")
-    rep = check_two_sided_invariance(build_2L(_angle_value(args.theta), depth), at)
+    at = args.depth - 1 if args.at_depth is None else args.at_depth
+    rep = check_two_sided_invariance(build_2L(args.theta, args.depth), at)
     print("checked %d failures %d" % (rep.checked, len(rep.failures)))
     for leaf, kind in rep.failures[:16]:
         print("failure %s %s" % (kind, leaf))
@@ -404,12 +408,10 @@ def _cmd_lam_check_invariance(args) -> int:
 
 
 def _cmd_lam_regions(args) -> int:
-    _req(args, "theta", "depth")
     from .laminations import build_2L, complementary_regions
 
-    side = _choice(args, "side", SIDES)
-    lam = build_2L(_angle_value(args.theta), _depth_value(args))
-    regions = complementary_regions(lam.side_leaves(side))
+    lam = build_2L(args.theta, args.depth)
+    regions = complementary_regions(lam.side_leaves(args.side))
     print("regions: %d" % len(regions))
     for cyc in regions:
         print(" ".join("%s(%s,%s)" % (kind, a, b) for kind, a, b in cyc))
@@ -417,12 +419,10 @@ def _cmd_lam_regions(args) -> int:
 
 
 def _cmd_lam_cross(args) -> int:
-    _req(args, "leaf1", "leaf2")
     from .laminations import Leaf, leaves_cross
 
-    side = _choice(args, "side", SIDES)
-    l1 = Leaf(*_chord_value(args.leaf1, "leaf1"), side)
-    l2 = Leaf(*_chord_value(args.leaf2, "leaf2"), side)
+    l1 = Leaf(*args.leaf1, args.side)
+    l2 = Leaf(*args.leaf2, args.side)
     print("cross" if leaves_cross(l1, l2) else "disjoint")
     return 0
 
@@ -432,21 +432,17 @@ def _cmd_lam_cross(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_sym_critical_address(args) -> int:
-    _req(args, "theta")
     from .symbolic import critical_address
 
-    for a in critical_address(_angle_value(args.theta)):
+    for a in critical_address(args.theta):
         print(a)
     return 0
 
 
 def _cmd_sym_equiv(args) -> int:
-    _req(args, "x", "y", "theta")
     from .symbolic import Address, addr_equivalent
 
-    x = Address.parse(str(args.x))
-    y = Address.parse(str(args.y))
-    eq = addr_equivalent(x, y, _angle_value(args.theta))
+    eq = addr_equivalent(Address.parse(args.x), Address.parse(args.y), args.theta)
     print("equivalent" if eq else "not equivalent")
     return 0
 
@@ -454,36 +450,30 @@ def _cmd_sym_equiv(args) -> int:
 def _cmd_sym_angle_to_address(args) -> int:
     from .symbolic import Address, address_to_angle, angle_to_address
 
-    sh = _count_value(args.shift, "shift")
     if args.address is not None:
         if args.theta is not None:
             raise UsageError("give either --theta or --address, not both")
-        a = Address.parse(str(args.address))
-        print(address_to_angle(a.shift(sh)))
+        print(address_to_angle(Address.parse(args.address).shift(args.shift)))
         return 0
     if args.theta is None:
         raise UsageError("angle-to-address needs --theta or --address")
-    a = angle_to_address(_angle_value(args.theta))
-    print(a.shift(sh))
+    print(angle_to_address(args.theta).shift(args.shift))
     return 0
 
 
 def _cmd_sym_match_leaves(args) -> int:
-    _req(args, "theta", "depth")
     from .symbolic import leaf_addresses_match
 
-    rep = leaf_addresses_match(_angle_value(args.theta), _depth_value(args))
+    rep = leaf_addresses_match(args.theta, args.depth)
     print(rep)
     return 0 if rep.ok else 1
 
 
 def _cmd_sym_reg_ray(args) -> int:
-    _req(args, "symbol")
     from .symbolic import RegulatedRaySymbol, regulated_ray_image, regulated_ray_preimage
 
-    op = _choice(args, "op", ("image", "preimage"))
-    g = RegulatedRaySymbol.parse(str(args.symbol))
-    if op == "image":
+    g = RegulatedRaySymbol.parse(args.symbol)
+    if args.op == "image":
         print(regulated_ray_image(g))
     else:
         for q in regulated_ray_preimage(g):
@@ -492,10 +482,9 @@ def _cmd_sym_reg_ray(args) -> int:
 
 
 def _cmd_sym_cells(args) -> int:
-    _req(args, "depth")
     from .symbolic import cells_at_depth
 
-    for w in cells_at_depth(_depth_value(args)):
+    for w in cells_at_depth(args.depth):
         print(w)
     return 0
 
@@ -504,24 +493,17 @@ def _cmd_sym_cells(args) -> int:
 # dyn subcommand
 # ---------------------------------------------------------------------------
 
-def _bounds(args, defaults) -> tuple[float, float, float, float]:
-    vals = []
-    for name, dflt in zip(("re_min", "re_max", "im_min", "im_max"), defaults):
-        v = getattr(args, name)
-        vals.append(dflt if v is None else _float_value(v, name.replace("_", "-")))
-    return tuple(vals)
+def _window(args) -> dict:
+    return dict(re_min=args.re_min, re_max=args.re_max, im_min=args.im_min,
+                im_max=args.im_max, n_max=args.n_max)
 
 
 def _cmd_dyn_m2(args) -> int:
-    _req(args, "out")
     from .dynamics import m2_raster
 
-    w = _int_value(args.width, "width")
-    h = _int_value(args.height, "height")
-    n_max = _capped(_int_value(args.n_max, "n-max"), ITER_CAP, "n-max", args)
-    re_min, re_max, im_min, im_max = _bounds(args, (-8.0, 4.0, -6.0, 6.0))
-    r = m2_raster(w, h, re_min=re_min, re_max=re_max,
-                  im_min=im_min, im_max=im_max, n_max=n_max)
+    w, h = args.width, args.height
+    _capped(w * h, PIXEL_BUDGET, "pixel count", args)
+    r = m2_raster(w, h, **_window(args))
     r.write_pgm(args.out)
     print("wrote %s (%dx%d)" % (args.out, w, h))
     print("members: %d" % int((r.values == 0).sum()))
@@ -529,27 +511,19 @@ def _cmd_dyn_m2(args) -> int:
 
 
 def _cmd_dyn_julia(args) -> int:
-    _req(args, "a")
     from .dynamics import julia_agreement, julia_raster
 
-    method = _choice(args, "method", ("escape", "inverse"))
-    a = _complex_value(args.a, "a")
-    w = _int_value(args.width, "width")
-    h = _int_value(args.height, "height")
-    n_max = _capped(_int_value(args.n_max, "n-max"), ITER_CAP, "n-max", args)
-    re_min, re_max, im_min, im_max = _bounds(args, (-3.5, 1.5, -2.5, 2.5))
-    kw = dict(re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
-              n_max=n_max,
-              points=_capped(_int_value(args.points, "points"), POINTS_CAP, "points", args),
-              seed=_int_value(args.seed, "seed"))
+    a, w, h, method = args.a, args.width, args.height, args.method
+    _capped(w * h, PIXEL_BUDGET, "pixel count", args)
+    kw = dict(_window(args), points=args.points, seed=args.seed)
     r = julia_raster(a, w, h, method=method, **kw)
     if args.out:
-        if str(args.out).endswith(".ppm"):
+        if args.out.endswith(".ppm"):
             r.write_ppm(args.out)
         else:
             r.write_pgm(args.out)
         print("wrote %s (%dx%d)" % (args.out, w, h))
-    if _truthy(args.agreement):
+    if args.agreement:
         esc = r if method == "escape" else julia_raster(a, w, h, method="escape", **kw)
         inv = r if method == "inverse" else julia_raster(a, w, h, method="inverse", **kw)
         print("agreement: %.4f" % julia_agreement(esc, inv))
@@ -559,10 +533,9 @@ def _cmd_dyn_julia(args) -> int:
 
 
 def _cmd_dyn_fixed(args) -> int:
-    _req(args, "a")
     from .dynamics import fixed_point_multiplier, fixed_points, trap_radii
 
-    a = _complex_value(args.a, "a")
+    a = args.a
     # Compute everything first, so a numeric failure prints no partial table.
     rows = [(z, fixed_point_multiplier(a, z)) for z in fixed_points(a)]
     rho, r_out = trap_radii(a)
@@ -577,7 +550,6 @@ def _cmd_dyn_fixed(args) -> int:
 
 
 def _cmd_dyn_green(args) -> int:
-    _req(args, "a", "z")
     from .dynamics import (
         apply_f,
         attracted_to_supercycle,
@@ -586,18 +558,15 @@ def _cmd_dyn_green(args) -> int:
         is_infinite,
     )
 
-    a = _complex_value(args.a, "a")
-    z = _complex_value(args.z, "z")
-    n = _count_value(args.n, "n")
-    orbit = _count_value(args.orbit, "orbit")
-    print("G = %.15g" % green_value(a, z, n))
-    if _truthy(args.boettcher):
+    a, z = args.a, args.z
+    print("G = %.15g" % green_value(a, z, args.n))
+    if args.boettcher:
         print("phi = %s" % _fmt_c(boettcher_infty(a, z)))
-    if _truthy(args.trap):
+    if args.trap:
         hit, k = attracted_to_supercycle(a, z)
         print("attracted: %s%s" % (hit, "" if k is None else " at step %d" % k))
     w = z
-    for i in range(orbit):
+    for i in range(args.orbit):
         w = apply_f(a, w)
         print("f^%d = %s" % (i + 1, "inf" if is_infinite(w) else _fmt_c(w)))
     return 0
@@ -616,15 +585,10 @@ def _ray_summary(path) -> None:
 
 
 def _cmd_dyn_ray(args) -> int:
-    _req(args, "a", "theta")
     from .dynamics import trace_dynamical_ray
 
-    path = trace_dynamical_ray(
-        _complex_value(args.a, "a"), _choice(args, "base", ("inf", "0")),
-        _angle_value(args.theta),
-        s_from=_float_value(args.s_from, "s-from"),
-        s_to=_float_value(args.s_to, "s-to"),
-        steps=_capped(_int_value(args.steps, "steps"), ITER_CAP, "steps", args))
+    path = trace_dynamical_ray(args.a, args.base, args.theta, s_from=args.s_from,
+                               s_to=args.s_to, steps=args.steps)
     if args.out:
         _write_text(args.out, path.to_csv())
         print("wrote %s" % args.out)
@@ -633,32 +597,24 @@ def _cmd_dyn_ray(args) -> int:
 
 
 def _cmd_dyn_param_ray(args) -> int:
-    _req(args, "theta")
     from .dynamics import critical_value_angle_error, trace_parameter_ray
 
-    theta = _angle_value(args.theta)
-    path = trace_parameter_ray(
-        theta,
-        s_from=_float_value(args.s_from, "s-from"),
-        s_to=_float_value(args.s_to, "s-to"),
-        steps=_capped(_int_value(args.steps, "steps"), ITER_CAP, "steps", args))
+    theta = args.theta
+    path = trace_parameter_ray(theta, s_from=args.s_from, s_to=args.s_to, steps=args.steps)
     if args.out:
         _write_text(args.out, path.to_csv())
         print("wrote %s" % args.out)
     _ray_summary(path)
-    if _truthy(args.angle_errors):
+    if args.angle_errors:
         worst = max(critical_value_angle_error(a, theta) for _, a, _ in path.points)
         print("max angle error: %.3g" % worst)
     return 0
 
 
 def _cmd_dyn_ray_leaves(args) -> int:
-    _req(args, "a", "depth")
     from .dynamics import ray_leaf_endpoints
 
-    theta0 = None if args.theta0 is None else _angle_value(args.theta0)
-    leaves = ray_leaf_endpoints(
-        _complex_value(args.a, "a"), _depth_value(args), theta0=theta0)
+    leaves = ray_leaf_endpoints(args.a, args.depth, theta0=args.theta0)
     lines = []
     for lf in leaves:
         lines.append("%d %s %.9f %.9f err=%.2g%s" % (
@@ -673,13 +629,11 @@ def _cmd_dyn_ray_leaves(args) -> int:
 
 
 def _cmd_dyn_blaschke(args) -> int:
-    _req(args, "b")
     from .dynamics import blaschke_critical_points, blaschke_eval
 
-    b = _complex_value(args.b, "b")
-    c1, c2 = blaschke_critical_points(b)
+    c1, c2 = blaschke_critical_points(args.b)
     # evaluate before printing, so a failure prints nothing
-    value = None if args.z is None else blaschke_eval(b, _complex_value(args.z, "z"))
+    value = None if args.z is None else blaschke_eval(args.b, args.z)
     print("c1 = %s" % _fmt_c(c1))
     print("c2 = %s" % _fmt_c(c2))
     if value is not None:
@@ -694,23 +648,16 @@ def _cmd_dyn_blaschke(args) -> int:
 def _cmd_check(args) -> int:
     from .checks import GROUPS, CheckParams, run_suite
 
-    which = str(args.which)
-    groups = GROUPS if which == "all" else (which,)
-    thetas = tuple(_angle_value(t) for t in str(args.theta_set).split(","))
+    _capped(args.raster_size ** 2, PIXEL_BUDGET, "pixel count", args)
+    groups = GROUPS if args.which == "all" else (args.which,)
     params = CheckParams(
-        thetas=thetas,
-        depth=_depth_value(args),
-        seed=_int_value(args.seed, "seed"),
-        samples=_int_value(args.samples, "samples"),
-        raster_size=_int_value(args.raster_size, "raster-size"),
-        raster_iters=_capped(_int_value(args.n_max, "n-max"), ITER_CAP, "n-max", args),
-        ray_steps=_capped(_int_value(args.steps, "steps"), ITER_CAP, "steps", args),
-        leaf_depth=_depth_value(args, "leaf_depth"),
-    )
+        thetas=args.theta_set, depth=args.depth, seed=args.seed, samples=args.samples,
+        raster_size=args.raster_size, raster_iters=args.n_max, ray_steps=args.steps,
+        leaf_depth=args.leaf_depth)
     results = run_suite(groups, params)
     ok = True
     for r in results:
-        print(json.dumps(dataclasses.asdict(r)) if _truthy(args.json) else r.line())
+        print(json.dumps(dataclasses.asdict(r)) if args.json else r.line())
         print("check %02d took %.2fs" % (r.number, r.seconds), file=sys.stderr)
         ok = ok and r.ok
     return 0 if ok else 1
@@ -720,13 +667,14 @@ def _cmd_check(args) -> int:
 # parser construction
 # ---------------------------------------------------------------------------
 
-def _sub(subparsers, name: str, help_text: str, example: str, registry: list):
+def _sub(subparsers, name: str, help_text: str, example: str, registry: list, func):
     p = subparsers.add_parser(
         name, help=help_text, description=help_text,
         epilog="example:\n  %s" % example,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--unsafe-limits", action="store_true",
+    p.add_argument("--unsafe-limits", action=_Switch,
                    help="lift the depth/iteration caps")
+    p.set_defaults(func=func)
     registry.append(p)
     return p
 
@@ -747,276 +695,247 @@ def _build_parser() -> _Parser:
     asub = angle.add_subparsers(dest="sub", required=True, metavar="OP")
 
     p = _sub(asub, "x0", "interleaved digit angle x0 and its digit stream",
-             "v2lam angle x0 --theta 1/6", registry)
-    p.add_argument("--theta")
-    p.add_argument("--terms", help="also print the series enclosure with this many terms")
-    p.set_defaults(func=_cmd_angle_x0)
+             "v2lam angle x0 --theta 1/6", registry, _cmd_angle_x0)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "terms", _int, help="also print the series enclosure with this many terms")
 
     p = _sub(asub, "y0", "quadratic external angle y0",
-             "v2lam angle y0 --theta 1/2", registry)
-    p.add_argument("--theta")
-    p.set_defaults(func=_cmd_angle_y0)
+             "v2lam angle y0 --theta 1/2", registry, _cmd_angle_y0)
+    _flag(p, "theta", _angle, REQUIRED)
 
     p = _sub(asub, "nu", "comparison bit nu_m(theta)",
-             "v2lam angle nu --theta 1/6 --m 2", registry)
-    p.add_argument("--theta")
-    p.add_argument("--m")
-    p.set_defaults(func=_cmd_angle_nu)
+             "v2lam angle nu --theta 1/6 --m 2", registry, _cmd_angle_nu)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "m", _int, REQUIRED)
 
     p = _sub(asub, "digits", "binary digit stream (optionally after doublings)",
-             "v2lam angle digits --theta 1/6 --count 8", registry)
-    p.add_argument("--theta")
-    p.add_argument("--count", help="also print this many leading digits")
-    p.add_argument("--shift", default="0", help="apply the doubling map this many times first")
-    p.set_defaults(func=_cmd_angle_digits)
+             "v2lam angle digits --theta 1/6 --count 8", registry, _cmd_angle_digits)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "count", _count, help="also print this many leading digits")
+    _flag(p, "shift", _count, 0, help="apply the doubling map this many times first")
 
     p = _sub(asub, "orbit-type", "doubling-orbit classification",
-             "v2lam angle orbit-type --theta 3/10", registry)
-    p.add_argument("--theta")
-    p.set_defaults(func=_cmd_angle_orbit_type)
+             "v2lam angle orbit-type --theta 3/10", registry, _cmd_angle_orbit_type)
+    _flag(p, "theta", _angle, REQUIRED)
 
     p = _sub(asub, "mu", "atom weight of the blow-up measure",
-             "v2lam angle mu --z 1/2 --theta 1/2", registry)
-    p.add_argument("--z")
-    p.add_argument("--theta")
-    p.add_argument("--cap", help="truncation depth (default: full series)")
-    p.set_defaults(func=_cmd_angle_mu)
+             "v2lam angle mu --z 1/2 --theta 1/2", registry, _cmd_angle_mu)
+    _flag(p, "z", _angle, REQUIRED)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "cap", _int, help="truncation depth (default: full series)")
 
     p = _sub(asub, "h-arc", "blow-up preimage arc of an angle",
-             "v2lam angle h-arc --z 1/2 --theta 1/2 --cap 30", registry)
-    p.add_argument("--z")
-    p.add_argument("--theta")
-    p.add_argument("--cap", help="truncation depth (default: full series)")
-    p.set_defaults(func=_cmd_angle_h_arc)
+             "v2lam angle h-arc --z 1/2 --theta 1/2 --cap 30", registry, _cmd_angle_h_arc)
+    _flag(p, "z", _angle, REQUIRED)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "cap", _int, help="truncation depth (default: full series)")
 
     p = _sub(asub, "preimages", "doubling preimages (theta+k)/2^n",
-             "v2lam angle preimages --theta 1/2 --depth 2", registry)
-    p.add_argument("--theta")
-    p.add_argument("--depth")
-    p.set_defaults(func=_cmd_angle_preimages)
+             "v2lam angle preimages --theta 1/2 --depth 2", registry, _cmd_angle_preimages)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "depth", _count, REQUIRED)
 
     p = _sub(asub, "sigma", "critical arc, or periodic-generator arc lengths",
-             "v2lam angle sigma --period 2", registry)
-    p.add_argument("--theta", help="print the critical arc for this generator")
-    p.add_argument("--period", help="print the periodic arc lengths for this period")
-    p.set_defaults(func=_cmd_angle_sigma)
+             "v2lam angle sigma --period 2", registry, _cmd_angle_sigma)
+    _flag(p, "theta", _angle, help="print the critical arc for this generator")
+    _flag(p, "period", _int, help="print the periodic arc lengths for this period")
 
     p = _sub(asub, "semiconj", "doubling/quadrupling semiconjugacy defect report",
-             "v2lam angle semiconj --theta 1/2 --samples 64 --cap 24", registry)
-    p.add_argument("--theta")
-    p.add_argument("--samples", default="64", help="number of evenly spaced sample points")
-    p.add_argument("--cap", default="24", help="truncation depth")
-    p.set_defaults(func=_cmd_angle_semiconj)
+             "v2lam angle semiconj --theta 1/2 --samples 64 --cap 24",
+             registry, _cmd_angle_semiconj)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "samples", functools.partial(_count, minimum=1), 64,
+          help="number of evenly spaced sample points")
+    _flag(p, "cap", _int, 24, help="truncation depth")
 
     # lam -----------------------------------------------------------------
     lam = cmds.add_parser("lam", help="invariant laminations and reports")
     lsub = lam.add_subparsers(dest="sub", required=True, metavar="OP")
 
-    def lam_common(p, theta=True):
+    def lam_common(p, theta=True, depth=REQUIRED):
         if theta:
-            p.add_argument("--theta")
-        p.add_argument("--depth")
+            _flag(p, "theta", _angle, REQUIRED)
+        _flag(p, "depth", _count, depth)
         p.add_argument("--svg", help="write an SVG rendering here")
         p.add_argument("--leaves", help="write a leaf file here")
-        p.add_argument("--color-by-depth", action="store_true",
+        p.add_argument("--color-by-depth", action=_Switch,
                        help="SVG: color leaves by depth instead of side")
 
     p = _sub(lsub, "L0", "pullback lamination of the critical leaf",
-             "v2lam lam L0 --theta 1/2 --depth 4", registry)
+             "v2lam lam L0 --theta 1/2 --depth 4", registry, _cmd_lam_L0)
     lam_common(p)
-    p.add_argument("--measure-cap", help="truncation depth for leaf placement")
-    p.set_defaults(func=_cmd_lam_L0)
+    _flag(p, "measure-cap", _int, help="truncation depth for leaf placement")
 
     p = _sub(lsub, "L", "inside lamination (optionally mirrored outside)",
-             "v2lam lam L --theta 1/2 --depth 4 --svg out.svg", registry)
+             "v2lam lam L --theta 1/2 --depth 4 --svg out.svg", registry, _cmd_lam_L)
     lam_common(p)
-    p.add_argument("--mirror", action="store_true",
+    p.add_argument("--mirror", action=_Switch,
                    help="emit the outside mirror instead")
-    p.set_defaults(func=_cmd_lam_L)
 
     p = _sub(lsub, "two-sided", "two-sided lamination",
-             "v2lam lam two-sided --theta 1/2 --depth 6 --svg out.svg --leaves out.leaves", registry)
+             "v2lam lam two-sided --theta 1/2 --depth 6 --svg out.svg --leaves out.leaves",
+             registry, _cmd_lam_two_sided)
     lam_common(p)
-    p.set_defaults(func=_cmd_lam_two_sided)
 
     p = _sub(lsub, "quadratic", "quadratic-polynomial lamination (or one-leaf test)",
-             "v2lam lam quadratic --y0 1/3 --depth 5", registry)
-    p.add_argument("--y0")
-    lam_common(p, theta=False)
-    p.add_argument("--leaf", help="test membership of one chord a/b,c/d instead")
-    p.set_defaults(func=_cmd_lam_quadratic)
+             "v2lam lam quadratic --y0 1/3 --depth 5", registry, _cmd_lam_quadratic)
+    _flag(p, "y0", _angle, REQUIRED)
+    lam_common(p, theta=False, depth=None)  # required only without --leaf
+    _flag(p, "leaf", _chord, help="test membership of one chord a/b,c/d instead")
 
     p = _sub(lsub, "basilica", "basilica lamination",
-             "v2lam lam basilica --depth 6 --svg basilica.svg", registry)
+             "v2lam lam basilica --depth 6 --svg basilica.svg", registry, _cmd_lam_basilica)
     lam_common(p, theta=False)
-    p.set_defaults(func=_cmd_lam_basilica)
 
     p = _sub(lsub, "mate", "mating: inside lamination + negated outside lamination",
-             "v2lam lam mate --outer-y0 1/3 --depth 5", registry)
+             "v2lam lam mate --outer-y0 1/3 --depth 5", registry, _cmd_lam_mate)
     lam_common(p, theta=False)
-    p.add_argument("--outer-y0")
-    p.add_argument("--inner-y0", help="inside generator (default: basilica)")
-    p.set_defaults(func=_cmd_lam_mate)
+    _flag(p, "outer-y0", _angle, REQUIRED)
+    _flag(p, "inner-y0", _angle, help="inside generator (default: basilica)")
 
     p = _sub(lsub, "check-invariance", "two-sided invariance report",
-             "v2lam lam check-invariance --theta 1/2 --depth 6", registry)
-    p.add_argument("--theta")
-    p.add_argument("--depth")
-    p.add_argument("--at-depth", help="check depth (default: depth-1)")
-    p.set_defaults(func=_cmd_lam_check_invariance)
+             "v2lam lam check-invariance --theta 1/2 --depth 6",
+             registry, _cmd_lam_check_invariance)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "depth", _count, REQUIRED)
+    _flag(p, "at-depth", _int, help="check depth (default: depth-1)")
 
     p = _sub(lsub, "regions", "complementary regions of one side",
-             "v2lam lam regions --theta 1/2 --depth 3 --side I", registry)
-    p.add_argument("--theta")
-    p.add_argument("--depth")
-    p.add_argument("--side", default="I")
-    p.set_defaults(func=_cmd_lam_regions)
+             "v2lam lam regions --theta 1/2 --depth 3 --side I", registry, _cmd_lam_regions)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "depth", _count, REQUIRED)
+    _flag(p, "side", _one_of(*SIDES), "I")
 
     p = _sub(lsub, "cross", "do two same-side chords cross?",
-             "v2lam lam cross --leaf1 0,1/2 --leaf2 1/4,3/4", registry)
-    p.add_argument("--leaf1")
-    p.add_argument("--leaf2")
-    p.add_argument("--side", default="I")
-    p.set_defaults(func=_cmd_lam_cross)
+             "v2lam lam cross --leaf1 0,1/2 --leaf2 1/4,3/4", registry, _cmd_lam_cross)
+    _flag(p, "leaf1", _chord, REQUIRED)
+    _flag(p, "leaf2", _chord, REQUIRED)
+    _flag(p, "side", _one_of(*SIDES), "I")
 
     # sym -----------------------------------------------------------------
     sym = cmds.add_parser("sym", help="binary addresses and ray symbols")
     ssub = sym.add_subparsers(dest="sub", required=True, metavar="OP")
 
     p = _sub(ssub, "critical-address", "the two addresses of the critical point",
-             "v2lam sym critical-address --theta 1/2", registry)
-    p.add_argument("--theta")
-    p.set_defaults(func=_cmd_sym_critical_address)
+             "v2lam sym critical-address --theta 1/2", registry, _cmd_sym_critical_address)
+    _flag(p, "theta", _angle, REQUIRED)
 
     p = _sub(ssub, "equiv", "address equivalence under the identification rules",
-             'v2lam sym equiv --x "0|(10)" --y "1|(01)" --theta 1/2', registry)
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--theta")
-    p.set_defaults(func=_cmd_sym_equiv)
+             'v2lam sym equiv --x "0|(10)" --y "1|(01)" --theta 1/2', registry, _cmd_sym_equiv)
+    _flag(p, "x", default=REQUIRED)
+    _flag(p, "y", default=REQUIRED)
+    _flag(p, "theta", _angle, REQUIRED)
 
     p = _sub(ssub, "angle-to-address", "angle to address (or back with --address)",
-             "v2lam sym angle-to-address --theta 1/4", registry)
-    p.add_argument("--theta")
+             "v2lam sym angle-to-address --theta 1/4", registry, _cmd_sym_angle_to_address)
+    _flag(p, "theta", _angle)
     p.add_argument("--address", help="convert this address to an angle instead")
-    p.add_argument("--shift", default="0", help="apply the shift this many times")
-    p.set_defaults(func=_cmd_sym_angle_to_address)
+    _flag(p, "shift", _count, 0, help="apply the shift this many times")
 
     p = _sub(ssub, "match-leaves", "two-way lamination/address comparison",
-             "v2lam sym match-leaves --theta 1/2 --depth 6", registry)
-    p.add_argument("--theta")
-    p.add_argument("--depth")
-    p.set_defaults(func=_cmd_sym_match_leaves)
+             "v2lam sym match-leaves --theta 1/2 --depth 6", registry, _cmd_sym_match_leaves)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "depth", _count, REQUIRED)
 
     p = _sub(ssub, "reg-ray", "regulated-ray symbol rewrite",
-             'v2lam sym reg-ray --symbol "G(0;1/2)" --op preimage', registry)
-    p.add_argument("--symbol")
-    p.add_argument("--op", default="image")
-    p.set_defaults(func=_cmd_sym_reg_ray)
+             'v2lam sym reg-ray --symbol "G(0;1/2)" --op preimage', registry, _cmd_sym_reg_ray)
+    _flag(p, "symbol", default=REQUIRED)
+    _flag(p, "op", _one_of("image", "preimage"), "image")
 
     p = _sub(ssub, "cells", "all binary cell labels of one depth",
-             "v2lam sym cells --depth 2", registry)
-    p.add_argument("--depth")
-    p.set_defaults(func=_cmd_sym_cells)
+             "v2lam sym cells --depth 2", registry, _cmd_sym_cells)
+    _flag(p, "depth", _count, REQUIRED)
 
     # dyn -----------------------------------------------------------------
     dyn = cmds.add_parser("dyn", help="rasters, rays, and numerics")
     dsub = dyn.add_subparsers(dest="sub", required=True, metavar="OP")
 
-    def grid_common(p):
-        p.add_argument("--width", default="400")
-        p.add_argument("--height", default="400")
-        p.add_argument("--re-min")
-        p.add_argument("--re-max")
-        p.add_argument("--im-min")
-        p.add_argument("--im-max")
-        p.add_argument("--n-max", default="512")
+    def grid_common(p, window):
+        _flag(p, "width", _int, 400)
+        _flag(p, "height", _int, 400)
+        for name, default in zip(("re-min", "re-max", "im-min", "im-max"), window):
+            _flag(p, name, _float, default)
+        _flag(p, "n-max", _int, 512)
 
     p = _sub(dsub, "m2", "parameter-plane membership raster (PGM + sidecar)",
-             "v2lam dyn m2 --width 400 --height 400 --out m2.pgm", registry)
-    grid_common(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dyn_m2)
+             "v2lam dyn m2 --width 400 --height 400 --out m2.pgm", registry, _cmd_dyn_m2)
+    grid_common(p, (-8.0, 4.0, -6.0, 6.0))
+    _flag(p, "out", default=REQUIRED)
 
     p = _sub(dsub, "julia", "Julia-set raster by escape or inverse iteration",
-             "v2lam dyn julia --a 6 --width 400 --height 400 --out julia.ppm", registry)
-    grid_common(p)
-    p.add_argument("--a")
-    p.add_argument("--method", default="escape")
-    p.add_argument("--points", default="200000", help="inverse-iteration sample count")
-    p.add_argument("--seed", default="0")
+             "v2lam dyn julia --a 6 --width 400 --height 400 --out julia.ppm",
+             registry, _cmd_dyn_julia)
+    grid_common(p, (-3.5, 1.5, -2.5, 2.5))
+    _flag(p, "a", _complex, REQUIRED)
+    _flag(p, "method", _one_of("escape", "inverse"), "escape")
+    _flag(p, "points", _int, 200000, help="inverse-iteration sample count")
+    _flag(p, "seed", _int, 0)
     p.add_argument("--out")
-    p.add_argument("--agreement", action="store_true",
+    p.add_argument("--agreement", action=_Switch,
                    help="print the escape/inverse agreement fraction")
-    p.set_defaults(func=_cmd_dyn_julia)
 
     p = _sub(dsub, "fixed", "fixed points, multipliers, and trap radii",
-             "v2lam dyn fixed --a 1", registry)
-    p.add_argument("--a")
-    p.set_defaults(func=_cmd_dyn_fixed)
+             "v2lam dyn fixed --a 1", registry, _cmd_dyn_fixed)
+    _flag(p, "a", _complex, REQUIRED)
 
     p = _sub(dsub, "green", "Green value (plus Boettcher/trap/orbit views)",
-             "v2lam dyn green --a 6 --z 3,1 --boettcher", registry)
-    p.add_argument("--a")
-    p.add_argument("--z")
-    p.add_argument("--n", default="64")
-    p.add_argument("--boettcher", action="store_true")
-    p.add_argument("--trap", action="store_true")
-    p.add_argument("--orbit", default="0", help="print this many forward iterates")
-    p.set_defaults(func=_cmd_dyn_green)
+             "v2lam dyn green --a 6 --z 3,1 --boettcher", registry, _cmd_dyn_green)
+    _flag(p, "a", _complex, REQUIRED)
+    _flag(p, "z", _complex, REQUIRED)
+    _flag(p, "n", _count, 64)
+    p.add_argument("--boettcher", action=_Switch)
+    p.add_argument("--trap", action=_Switch)
+    _flag(p, "orbit", _count, 0, help="print this many forward iterates")
 
     p = _sub(dsub, "ray", "dynamical ray from infinity or toward zero",
-             "v2lam dyn ray --a 6 --base inf --theta 0 --out ray.csv", registry)
-    p.add_argument("--a")
-    p.add_argument("--base", default="inf")
-    p.add_argument("--theta")
-    p.add_argument("--s-from", default="8")
-    p.add_argument("--s-to", default="0.001")
-    p.add_argument("--steps", default="200")
+             "v2lam dyn ray --a 6 --base inf --theta 0 --out ray.csv", registry, _cmd_dyn_ray)
+    _flag(p, "a", _complex, REQUIRED)
+    _flag(p, "base", _one_of("inf", "0"), "inf")
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "s-from", _float, 8.0)
+    _flag(p, "s-to", _float, 0.001)
+    _flag(p, "steps", _int, 200)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_dyn_ray)
 
     p = _sub(dsub, "param-ray", "external parameter ray in the a-plane",
-             "v2lam dyn param-ray --theta 1/6 --s-to 0.05 --out pray.csv", registry)
-    p.add_argument("--theta")
-    p.add_argument("--s-from", default="8")
-    p.add_argument("--s-to", default="0.05")
-    p.add_argument("--steps", default="200")
+             "v2lam dyn param-ray --theta 1/6 --s-to 0.05 --out pray.csv",
+             registry, _cmd_dyn_param_ray)
+    _flag(p, "theta", _angle, REQUIRED)
+    _flag(p, "s-from", _float, 8.0)
+    _flag(p, "s-to", _float, 0.05)
+    _flag(p, "steps", _int, 200)
     p.add_argument("--out")
-    p.add_argument("--angle-errors", action="store_true",
+    p.add_argument("--angle-errors", action=_Switch,
                    help="re-evaluate the critical-value angle along the ray")
-    p.set_defaults(func=_cmd_dyn_param_ray)
 
     p = _sub(dsub, "ray-leaves", "saddle ray-leaf circle coordinates",
-             "v2lam dyn ray-leaves --a=-0.37,-2.97 --depth 2 --theta0 1/6", registry)
-    p.add_argument("--a")
-    p.add_argument("--depth")
-    p.add_argument("--theta0", help="calibrate circle orientation for this generator")
+             "v2lam dyn ray-leaves --a=-0.37,-2.97 --depth 2 --theta0 1/6",
+             registry, _cmd_dyn_ray_leaves)
+    _flag(p, "a", _complex, REQUIRED)
+    _flag(p, "depth", _count, REQUIRED)
+    _flag(p, "theta0", _angle, help="calibrate circle orientation for this generator")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_dyn_ray_leaves)
 
     p = _sub(dsub, "blaschke", "Blaschke factor critical points and values",
-             "v2lam dyn blaschke --b 0.5,0 --z 0.3,0.1", registry)
-    p.add_argument("--b")
-    p.add_argument("--z")
-    p.set_defaults(func=_cmd_dyn_blaschke)
+             "v2lam dyn blaschke --b 0.5,0 --z 0.3,0.1", registry, _cmd_dyn_blaschke)
+    _flag(p, "b", _complex, REQUIRED)
+    _flag(p, "z", _complex)
 
     # check ---------------------------------------------------------------
     p = _sub(cmds, "check", "run the verification suites",
-             "v2lam check all --theta-set 1/2,1/6,5/12 --depth 8", registry)
+             "v2lam check all --theta-set 1/2,1/6,5/12 --depth 8", registry, _cmd_check)
     p.add_argument("which", choices=("all", "angle", "lam", "sym", "dyn"))
-    p.add_argument("--theta-set", default="1/2,1/6,5/12")
-    p.add_argument("--depth", default="8")
-    p.add_argument("--seed", default="0")
-    p.add_argument("--samples", default="200")
-    p.add_argument("--raster-size", default="400")
-    p.add_argument("--n-max", default="512")
-    p.add_argument("--steps", default="200")
-    p.add_argument("--leaf-depth", default="3")
-    p.add_argument("--json", action="store_true",
+    _flag(p, "theta-set", _angles, "1/2,1/6,5/12")
+    _flag(p, "depth", _count, 8)
+    _flag(p, "seed", _int, 0)
+    _flag(p, "samples", _int, 200)
+    _flag(p, "raster-size", _int, 400)
+    _flag(p, "n-max", _int, 512)
+    _flag(p, "steps", _int, 200)
+    _flag(p, "leaf-depth", _count, 3)
+    p.add_argument("--json", action=_Switch,
                    help="print one JSON object per check: number, name, group, ok, "
                         "detail, seconds")
-    p.set_defaults(func=_cmd_check)
 
     top.all_parsers = tuple(registry)
     return top
@@ -1078,8 +997,9 @@ def main(argv=None) -> int:
                 p.set_defaults(**cfg)
         else:
             parser = _shared_parser()
-        args = parser.parse_args(argv)
+        # flag values and exact results may have more digits than the default limit
         with _int_str_digits_unlimited():
+            args = _checked(parser.parse_args(argv))
             return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

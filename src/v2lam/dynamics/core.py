@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from ..angles import DomainError
+from ..angles import DomainError, NumericError
 
 __all__ = [
     "INF",
@@ -50,10 +50,6 @@ __all__ = [
     "blaschke_critical_points",
     "boettcher_infty",
 ]
-
-
-class NumericError(RuntimeError):
-    """A numerical routine failed to reach its stated tolerance."""
 
 
 #: Sentinel for the point at infinity on the Riemann sphere.
@@ -355,6 +351,15 @@ def attracted_to_supercycle(a: complex, z: complex, n_max: int = 512) -> tuple[b
 # Green function and Boettcher coordinate
 # ---------------------------------------------------------------------------
 
+def _halved(value: float, k: int) -> float:
+    """value / 2^k, correctly rounded for every k >= 0.
+
+    For k <= 1023 this is the quotient by 2.0 ** k bit for bit; from
+    k = 1024 on, 2.0 ** k itself would overflow.
+    """
+    return math.ldexp(value, -k)
+
+
 def green_value(a: complex, z: complex, n: int = 64) -> float:
     """Green function of the supercycle basin, G(z) = lim 2^-k log|F^k(z)|.
 
@@ -386,25 +391,25 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
             return -math.inf
         mag = _abs(w)
         if mag > 1e100:
-            return (_log_abs(w) - math.log(2.0)) / (2.0 ** k)
+            return _halved(_log_abs(w) - math.log(2.0), k)
         if mag < 1e-100:
-            return (math.log(mag) + math.log(4.0) - log_a) / (2.0 ** k)
+            return _halved(math.log(mag) + math.log(4.0) - log_a, k)
         if k == n:
-            return math.log(mag) / (2.0 ** n)
+            return _halved(math.log(mag), n)
         half = _f(a, w)
         if half == 0:
             # not a pole but an underflow: w is deep in the basin of infinity
-            return (math.log(mag) - math.log(2.0)) / (2.0 ** k)
+            return _halved(math.log(mag) - math.log(2.0), k)
         if is_infinite(half) and w * (w + 2.0) != 0:
             # not a pole but an overflow: F(w) ~ a/half^2 lies deep in the
             # basin of 0, with log|half| = log|a| - log|w| - log|w + 2|
             log_fw = log_a - 2.0 * (log_a - math.log(mag) - _log_abs(w + 2.0))
-            return (log_fw + math.log(4.0) - log_a) / (2.0 ** (k + 1))
+            return _halved(log_fw + math.log(4.0) - log_a, k + 1)
         w = _f(a, half)
         if w == 0 and not is_infinite(half):
             # not a preimage of 0 but an underflow of a/(half^2 + 2 half)
             log_fw = log_a - _log_abs(half) - _log_abs(half + 2.0)
-            return (log_fw + math.log(4.0) - log_a) / (2.0 ** (k + 1))
+            return _halved(log_fw + math.log(4.0) - log_a, k + 1)
     raise NumericError("green_value: unreachable")
 
 

@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..angles import DomainError, circle_distance
+from ..angles import DomainError, circle_distance, double
 from .core import (NumericError, _boettcher, _f, _inverse_roots, _require_param, green_value,
                    is_infinite)
 
@@ -105,7 +105,7 @@ def window_exponent(s: float) -> int:
 
 def _window_turns(theta: Fraction, n: int) -> float:
     """frac(2^n theta): the exact argument, in turns, of the window at exponent n."""
-    return float((Fraction(2) ** n * theta) % 1)
+    return float(double(theta, n))
 
 
 def _exact_anchor(theta: Fraction, n: int) -> float:

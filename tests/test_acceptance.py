@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from v2lam import checks
+from v2lam.angles import NumericError
 from v2lam.checks import CRITERIA, CheckParams, run_check
 
 BUDGET_SECONDS = {
@@ -41,3 +43,14 @@ def test_criterion(number):
     assert result.seconds < budget, (
         "criterion %02d took %.2fs, budget %.0fs"
         % (result.number, result.seconds, budget))
+
+
+def test_a_numeric_failure_is_a_failed_check(monkeypatch):
+    # run_check never raises: an engine failure becomes a failed result
+    def body(params):
+        raise NumericError("no convergence")
+
+    monkeypatch.setattr(checks, "CRITERIA", tuple(
+        (num, name, group, body if num == 9 else fn) for num, name, group, fn in CRITERIA))
+    result = run_check(9, PARAMS)
+    assert not result.ok and result.detail == "NumericError: no convergence"

@@ -80,6 +80,13 @@ def test_double():
     assert double(F(0)) == F(0)
 
 
+@given(f=st.fractions(), k=st.integers(min_value=0, max_value=200))
+def test_k_step_doubling_matches_the_power_of_two(f, k):
+    # oracle: 2^k t mod 1 with the power 2^k built in full
+    assert double(f, k) == (F(2) ** k * f) % 1
+    assert nu(f, k) == (1 if (F(2) ** k * angle(f)) % 1 >= angle(f) else 0)
+
+
 def test_binary_digit():
     assert binary_digit(F(1, 2), 1) == 1
     # 1/6 = 0.0(01)_2 via long division

@@ -511,7 +511,17 @@ def test_iteration_cap_enforced_and_liftable(capsys):
     (("angle", "digits", "--theta", "1/6", "--count"), 4096, ("8", "4096")),
     (("dyn", "julia", "--a", "6", "--width", "20", "--height", "20", "--method", "inverse",
       "--points"), 1 << 20, ("50000",)),
-], ids=["x0-terms", "semiconj-samples", "digits-count", "julia-points"])
+    (("angle", "sigma", "--period"), 4096, ("2",)),
+    (("angle", "mu", "--z", "1/2", "--theta", "1/2", "--cap"), 4096, ("30",)),
+    (("angle", "h-arc", "--z", "1/2", "--theta", "1/2", "--cap"), 4096, ("30",)),
+    (("angle", "semiconj", "--theta", "1/2", "--samples", "12", "--cap"), 4096, ("20",)),
+    (("lam", "L0", "--theta", "1/2", "--depth", "4", "--measure-cap"), 4096, ("30",)),
+    (("dyn", "green", "--a", "6", "--z", "3,1", "--orbit"), 4096, ("3",)),
+    (("dyn", "green", "--a", "6", "--z", "3,1", "--n"), 4096, ("64", "4096")),
+    (("check", "sym", "--depth", "4", "--samples"), 4096, ("200",)),
+], ids=["x0-terms", "semiconj-samples", "digits-count", "julia-points", "sigma-period",
+        "mu-cap", "h-arc-cap", "semiconj-cap", "L0-measure-cap", "green-orbit", "green-n",
+        "check-samples"])
 def test_count_flags_are_capped(capsys, argv, cap, admitted):
     code, out, err = run(capsys, *argv, str(cap + 1))
     assert code == 64 and out == ""
@@ -541,6 +551,61 @@ def test_count_caps_admit_the_julia_default_and_lift(monkeypatch, capsys):
     code, out, _ = run(capsys, "angle", "digits", "--theta", "1/6", "--count", "5000",
                        "--unsafe-limits")
     assert code == 0 and len(out.splitlines()[2]) == 5000
+
+
+def test_raster_pixel_budget_refuses_before_allocating(tmp_path, monkeypatch, capsys):
+    import v2lam.dynamics
+
+    monkeypatch.chdir(tmp_path)
+    for argv in (("dyn", "m2", "--out", "x.pgm"), ("dyn", "julia", "--a", "6")):
+        code, out, err = run(capsys, *argv, "--width", "2049", "--height", "2048")
+        assert code == 64 and out == ""
+        assert "pixel count 4196352 exceeds the cap 4194304" in err and "--unsafe-limits" in err
+    code, out, err = run(capsys, "check", "dyn", "--raster-size", "2049")
+    assert code == 64 and out == "" and "pixel count 4198401 exceeds the cap 4194304" in err
+    # 2048 x 2048 is admitted, and --unsafe-limits lifts the budget; a stand-in
+    # raster keeps the runs small
+    m2_raster = v2lam.dynamics.m2_raster
+    asked = []
+
+    def small(w, h, **kw):
+        asked.append((w, h))
+        return m2_raster(8, 8, **kw)
+
+    monkeypatch.setattr(v2lam.dynamics, "m2_raster", small)
+    for size, extra in (("2048", ()), ("2049", ("--unsafe-limits",))):
+        code, _, _ = run(capsys, "dyn", "m2", "--width", size, "--height", size,
+                         "--out", "x.pgm", *extra)
+        assert code == 0
+    assert asked == [(2048, 2048), (2049, 2049)]
+
+
+def test_dyn_green_bounded_orbit_admits_n_past_1023(capsys):
+    # -1 is a superattracting fixed point at a = 1; 2.0 ** n overflows from n = 1024
+    assert run(capsys, "dyn", "green", "--a", "1", "--z=-1,0", "--n", "4096") == (0, "G = 0\n", "")
+
+
+def test_angle_nu_does_not_grow_with_m(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "angle", "nu", "--theta", "5/12", "--m", str(10 ** 12)) == (0, "1\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+#: Integer flags that set no size, so they need no cap.  The raster sizes
+#: --width, --height and --raster-size are bounded by the pixel budget.
+UNCAPPED_INT_FLAGS = {"seed", "m", "at-depth", "shift", "width", "height", "raster-size"}
+
+
+def test_every_integer_flag_is_capped_or_listed_as_uncapped():
+    # a size flag declared without an entry in CAPS fails here
+    names = set()
+    for p in cli._build_parser().all_parsers:
+        for action in p._actions:
+            if getattr(action.type, "func", None) in (cli._int, cli._count):
+                name = action.option_strings[0][2:]
+                names.add(name)
+                assert (action.dest in cli.CAPS) != (name in UNCAPPED_INT_FLAGS), (p.prog, name)
+    assert UNCAPPED_INT_FLAGS | {k.replace("_", "-") for k in cli.CAPS} == names
 
 
 # ---------------------------------------------------------------------------

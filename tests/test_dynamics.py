@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from v2lam.angles import DomainError
+from v2lam.dynamics import core
 from v2lam.dynamics import (
     INF,
     NumericError,
@@ -158,6 +159,14 @@ def test_green_functional_equations():
     assert green_value(a, apply_f(a, w)) == pytest.approx(-2 * green_value(a, w), abs=1e-10)
     u = 1e-4 * cmath.exp(1.3j)   # zero half: G(f(u)) = -G(u)
     assert green_value(a, apply_f(a, u)) == pytest.approx(-green_value(a, u), abs=1e-10)
+
+
+@given(v=st.floats(allow_nan=False, allow_infinity=False),
+       k=st.integers(min_value=0, max_value=1023))
+def test_green_scaling_is_the_division_by_a_power_of_two(v, k):
+    # 2.0 ** k is finite up to k = 1023; there ldexp and the division agree bit for bit
+    assert core._halved(v, k) == v / 2.0 ** k
+    assert math.copysign(1.0, core._halved(v, k)) == math.copysign(1.0, v / 2.0 ** k)
 
 
 def test_green_sentinels():

@@ -13,6 +13,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,24 @@ def test_scan_finds_fraction_internals():
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_fraction_internals(path):
     assert fraction_internals(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_exact_layers_and_the_cli_import_no_numpy():
+    # every CLI handler imports its engine on demand, and both error types
+    # live in v2lam.angles
+    code = ("import sys, v2lam.cli, v2lam.checks, v2lam.measure, v2lam.laminations, "
+            "v2lam.symbolic, v2lam.svg; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('v2lam.dynamics')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
+
+
+def test_both_error_types_are_one_class_everywhere():
+    from v2lam import angles, dynamics
+    from v2lam.dynamics import core
+
+    assert dynamics.NumericError is core.NumericError is angles.NumericError
+    assert core.DomainError is angles.DomainError
