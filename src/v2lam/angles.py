@@ -6,7 +6,7 @@ floats, for the numerical layer).  ``angle`` returns a Fraction already in
 [0,1) as it is, so layers that work on integers over a shared denominator
 pay for one Fraction per output and none for re-normalising it.
 
-Provides: the doubling map, binary digits and eventually periodic digit streams,
+Provides: the doubling map, eventually periodic binary digit streams,
 the nu_m comparison functions, the x0 and y0 angle correspondences, and
 classification of doubling orbits.
 
@@ -65,16 +65,6 @@ def double(theta: Fraction, k: int = 1) -> Fraction:
     t = Fraction(theta)
     den = t.denominator
     return Fraction(t.numerator * pow(2, k, den) % den, den)
-
-
-def binary_digit(theta: Fraction, m: int) -> int:
-    """m-th binary digit of theta (m >= 1): floor(2^m t) - 2 floor(2^(m-1) t)."""
-    if m < 1:
-        raise DomainError("digit index must be >= 1")
-    t = angle(theta)
-    return int((t.numerator << m) // t.denominator) - 2 * int(
-        (t.numerator << (m - 1)) // t.denominator
-    )
 
 
 def nu(theta: Fraction, m: int) -> int:

@@ -29,7 +29,6 @@ from .laminations import (
 )
 from .measure import cumulative, h_arc, preimages_of_angle, sigma_lengths_periodic
 from .symbolic import (
-    Dyadic,
     RegulatedRaySymbol,
     angle_to_address,
     critical_address,
@@ -193,7 +192,7 @@ def _check_regulated_rays(p: CheckParams) -> str:
     # doublings are computed in Fraction arithmetic, independently of the rules.
     fracs = [Fraction(k, 16) for k in range(1, 16)]
     dyadics = RegulatedRaySymbol.of("0", fracs).angles
-    half = Dyadic(1, 1)
+    half = RegulatedRaySymbol.of("0", (Fraction(1, 2),)).angles[0]
     doubled = {r: RegulatedRaySymbol.of("0", (2 * f % 1,)).angles[0]
                for r, f in zip(dyadics, fracs) if r != half}
     count = 0

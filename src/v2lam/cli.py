@@ -11,10 +11,13 @@ are written ``re,im`` (use ``--a=-1.5,2`` syntax for negative reals).
 Depth-like flags are capped at 16, iteration-like, count and size flags at
 4096 (``dyn julia --points`` at 2^20), a raster at 2^22 pixels, and the
 leaf count a ``lam L``/``L0``/``two-sided`` request predicts at 2^17 unless
-``--unsafe-limits`` is given.  A flag that takes one word of a fixed set
-(``--side``, ``--op``, ``--method``, ``--base``) refuses any other word as
-a usage error.  ``--config PATH`` reads ``key=value`` lines
-(keys are flag names without the dashes) used as defaults.  Exit codes:
+``--unsafe-limits`` is given.  A flag of count kind (``--depth``,
+``--cap``, ``--count``, ...) refuses a negative value, and ``--n-max``,
+``--points`` and ``--samples`` refuse 0 too.  A flag that takes one word
+of a fixed set (``--side``, ``--op``, ``--method``, ``--base``) refuses
+any other word as a usage error.  ``--config PATH`` reads ``key=value``
+lines (keys are flag names without the dashes) used as defaults; a key
+that is no command's flag is a usage error.  Exit codes:
 0 success, 1 domain error, 2 numeric failure, 64 usage error (sysexits
 ``EX_USAGE``), 74 I/O error such as an unwritable output path (sysexits
 ``EX_IOERR``).
@@ -111,6 +114,10 @@ def _count(what: str, text: str, minimum: int = 0) -> int:
     if n < minimum:
         raise UsageError("%s must be >= %d" % (what, minimum))
     return n
+
+
+#: The kind of a size flag that must be at least 1.
+_positive = functools.partial(_count, minimum=1)
 
 
 def _float(what: str, text: str) -> float:
@@ -400,6 +407,10 @@ def _cmd_lam_check_invariance(args) -> int:
     from .laminations import build_2L, check_two_sided_invariance
 
     at = args.depth - 1 if args.at_depth is None else args.at_depth
+    if not 0 <= at <= args.depth:
+        # below 0 no leaf is checked; the leaves stop at --depth
+        raise UsageError("--at-depth %d is outside 0..%d (its default is --depth minus 1)"
+                         % (at, args.depth))
     rep = check_two_sided_invariance(build_2L(args.theta, args.depth), at)
     print("checked %d failures %d" % (rep.checked, len(rep.failures)))
     for leaf, kind in rep.failures[:16]:
@@ -722,13 +733,13 @@ def _build_parser() -> _Parser:
              "v2lam angle mu --z 1/2 --theta 1/2", registry, _cmd_angle_mu)
     _flag(p, "z", _angle, REQUIRED)
     _flag(p, "theta", _angle, REQUIRED)
-    _flag(p, "cap", _int, help="truncation depth (default: full series)")
+    _flag(p, "cap", _count, help="truncation depth (default: full series)")
 
     p = _sub(asub, "h-arc", "blow-up preimage arc of an angle",
              "v2lam angle h-arc --z 1/2 --theta 1/2 --cap 30", registry, _cmd_angle_h_arc)
     _flag(p, "z", _angle, REQUIRED)
     _flag(p, "theta", _angle, REQUIRED)
-    _flag(p, "cap", _int, help="truncation depth (default: full series)")
+    _flag(p, "cap", _count, help="truncation depth (default: full series)")
 
     p = _sub(asub, "preimages", "doubling preimages (theta+k)/2^n",
              "v2lam angle preimages --theta 1/2 --depth 2", registry, _cmd_angle_preimages)
@@ -744,9 +755,8 @@ def _build_parser() -> _Parser:
              "v2lam angle semiconj --theta 1/2 --samples 64 --cap 24",
              registry, _cmd_angle_semiconj)
     _flag(p, "theta", _angle, REQUIRED)
-    _flag(p, "samples", functools.partial(_count, minimum=1), 64,
-          help="number of evenly spaced sample points")
-    _flag(p, "cap", _int, 24, help="truncation depth")
+    _flag(p, "samples", _positive, 64, help="number of evenly spaced sample points")
+    _flag(p, "cap", _count, 24, help="truncation depth")
 
     # lam -----------------------------------------------------------------
     lam = cmds.add_parser("lam", help="invariant laminations and reports")
@@ -798,7 +808,7 @@ def _build_parser() -> _Parser:
              registry, _cmd_lam_check_invariance)
     _flag(p, "theta", _angle, REQUIRED)
     _flag(p, "depth", _count, REQUIRED)
-    _flag(p, "at-depth", _int, help="check depth (default: depth-1)")
+    _flag(p, "at-depth", _int, help="check depth, 0..depth (default: depth-1)")
 
     p = _sub(lsub, "regions", "complementary regions of one side",
              "v2lam lam regions --theta 1/2 --depth 3 --side I", registry, _cmd_lam_regions)
@@ -855,7 +865,7 @@ def _build_parser() -> _Parser:
         _flag(p, "height", _int, 400)
         for name, default in zip(("re-min", "re-max", "im-min", "im-max"), window):
             _flag(p, name, _float, default)
-        _flag(p, "n-max", _int, 512)
+        _flag(p, "n-max", _positive, 512)
 
     p = _sub(dsub, "m2", "parameter-plane membership raster (PGM + sidecar)",
              "v2lam dyn m2 --width 400 --height 400 --out m2.pgm", registry, _cmd_dyn_m2)
@@ -868,7 +878,7 @@ def _build_parser() -> _Parser:
     grid_common(p, (-3.5, 1.5, -2.5, 2.5))
     _flag(p, "a", _complex, REQUIRED)
     _flag(p, "method", _one_of("escape", "inverse"), "escape")
-    _flag(p, "points", _int, 200000, help="inverse-iteration sample count")
+    _flag(p, "points", _positive, 200000, help="inverse-iteration sample count")
     _flag(p, "seed", _int, 0)
     p.add_argument("--out")
     p.add_argument("--agreement", action=_Switch,
@@ -928,9 +938,9 @@ def _build_parser() -> _Parser:
     _flag(p, "theta-set", _angles, "1/2,1/6,5/12")
     _flag(p, "depth", _count, 8)
     _flag(p, "seed", _int, 0)
-    _flag(p, "samples", _int, 200)
+    _flag(p, "samples", _positive, 200)
     _flag(p, "raster-size", _int, 400)
-    _flag(p, "n-max", _int, 512)
+    _flag(p, "n-max", _positive, 512)
     _flag(p, "steps", _int, 200)
     _flag(p, "leaf-depth", _count, 3)
     p.add_argument("--json", action=_Switch,
@@ -993,6 +1003,13 @@ def main(argv=None) -> int:
         if cfg:
             # config values become parser defaults, so they get a parser of their own
             parser = _build_parser()
+            # a key that is no command's flag is a typo; one that only other
+            # commands take is not, since a config file serves every command
+            declared = {a.dest for p in parser.all_parsers for a in p._actions
+                        if a.option_strings}
+            unknown = [key for key in cfg if key not in declared]
+            if unknown:
+                raise UsageError("config key %s is no command's flag" % ", ".join(unknown))
             for p in parser.all_parsers:
                 p.set_defaults(**cfg)
         else:

@@ -19,7 +19,7 @@ shared denominator and reduces them into one Fraction at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -195,37 +195,6 @@ def sigma_lengths_periodic(p: int) -> list[Fraction]:
         raise DomainError("period must be >= 1")
     den = 2 * (4**p - 1)
     return [Fraction(4**j, den) for j in range(1, p + 1)]
-
-
-@dataclass
-class AtomicMeasure:
-    """Depth-capped truncation of the measure; atoms listed up to list_cap."""
-
-    theta0: Fraction
-    depth_cap: int
-    list_cap: int = 12
-    atoms: list[tuple[Fraction, Fraction]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.theta0 = require_nonperiodic(self.theta0)
-        if self.depth_cap < 0:
-            raise DomainError("depth cap must be >= 0")
-        listed = min(self.depth_cap, self.list_cap)
-        self.atoms = [
-            (t, Fraction(1, 2 * 4**m))
-            for m in range(listed + 1)
-            for t in preimages_of_angle(self.theta0, m)
-        ]
-
-    def total_mass(self) -> Fraction:
-        """Exact truncated mass 1 - 2^-(cap+1), via per-depth counts."""
-        return sum(
-            (Fraction(1 << m, 2 * 4**m) for m in range(self.depth_cap + 1)),
-            Fraction(0),
-        )
-
-    def listed_mass(self) -> Fraction:
-        return sum((w for _, w in self.atoms), Fraction(0))
 
 
 def h_point(u: Fraction, theta0: Fraction, M: Optional[int] = None, bits: int = 48

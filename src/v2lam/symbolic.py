@@ -20,9 +20,11 @@ critical itinerary).  The module provides:
 
 All functions are pure and exact.  Angles are ``Fraction``s and addresses
 are :class:`~v2lam.angles.DigitStream`s, whose preperiod and period are
-packed integers: flips, shifts and prefix matching are bit operations.
-Regulated-ray angles are ``Dyadic`` int pairs, on which the rewrite rules
-are digit shifts.
+packed integers.  The equivalence is decided on the addresses' angles as
+integers over one denominator (``_CriticalTails``), so a report over the
+integer chords of 2L(x0) computes the critical body once and builds no
+address.  A regulated-ray angle num/2**k is the one integer
+``(1 << k) | num``, on which the rewrite rules are bit operations.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from .angles import (
     DomainError,
     _alternating,
     _interleaved_bit_ints,
-    _repeat,
     angle,
     digit_stream,
     require_nonperiodic,
 )
-from .laminations import INSIDE, OUTSIDE, build_2L
+from .laminations import INSIDE, OUTSIDE, Leaf, build_2L
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +103,6 @@ class Address:
         if lead_s not in ("0", "1"):
             raise DomainError("leading bit must be 0 or 1")
         return Address.from_leading_body(int(lead_s), DigitStream.parse(body_s))
-
-
-def shift(x: Address, k: int) -> Address:
-    """Drop the first k bits of an address."""
-    return x.shift(k)
 
 
 # ---------------------------------------------------------------------------
@@ -171,41 +167,44 @@ def address_to_angle(a: Address) -> Fraction:
 # The equivalence relation
 
 
-def _first_difference(sx: DigitStream, sy: DigitStream) -> int | None:
-    """1-indexed position of the first differing bit, or None if equal."""
-    if sx == sy:
-        return None
-    n = max(sx.p, sy.p) + lcm(sx.l, sy.l)
-    diff = _head(sx, n) ^ _head(sy, n)
-    return n + 1 - diff.bit_length() if diff else None
+class _CriticalTails:
+    """The address equivalence of one theta0, decided on angles.
 
+    Two addresses are equivalent when their angles are equal, or when some
+    binary expansions of the two angles, flipped at their odd positions,
+    are a critical pair w0d, w1d (d = epsilon_star(theta0)).  Unflipped,
+    such a pair is two expansions that differ only in digit m = len(w) + 1
+    and go on with one tail: d flipped at its odd positions when m is even
+    (the tail c_0), at its even positions when m is odd (c_1 = 1 - c_0).
+    For the angles a (the one whose expansion has digit 0 at m) and b in
+    [0, 1) that says
 
-def _head(s: DigitStream, n: int) -> int:
-    """The first n >= s.p bits of s, packed."""
-    return (s.pre << (n - s.p)) | _repeat(s.per, s.l, n - s.p)
+        b = a + 2^-m (mod 1)  and  2^m a - c_m is an even integer.
 
+    Every bit sequence whose value is an angle mod 1 is an expansion of it,
+    so this covers both expansions of a dyadic angle.  The tails are
+    computed once, from one critical body.
+    """
 
-def _is_critical_pair(sx: DigitStream, sy: DigitStream, eps: DigitStream) -> bool:
-    """True iff {sx, sy} = {w0 eps, w1 eps} for some common finite prefix w."""
-    d = _first_difference(sx, sy)
-    if d is None:
-        return False
-    return sx.shifted(d) == eps and sy.shifted(d) == eps
+    def __init__(self, theta0: Fraction):
+        c0 = _flip_odd(epsilon_star(theta0)).to_fraction()
+        self.den = c0.denominator
+        #: the numerators of c_0 and c_1 over den
+        self.tails = (c0.numerator, self.den - c0.numerator)
 
+    def related(self, u: int, v: int, den: int) -> bool:
+        """Whether the angles u/den and v/den (0 <= u, v < den) are equivalent."""
+        return u == v or self._split(u, v, den) or self._split(v, u, den)
 
-def _angle_reps(t: Fraction) -> list[DigitStream]:
-    """All binary expansions of an angle: one, or two for dyadic angles."""
-    s = digit_stream(t)
-    if s.per:
-        return [s]
-    # a terminating expansion pre(0) has pre ending in 1, or is 0 = (0); its
-    # twin is (pre - 1)(1), or (1)
-    return [s, DigitStream(max(s.pre - 1, 0), s.p, 1, 1)]
-
-
-def _representatives(x: Address) -> list[Address]:
-    """The addresses sharing x's underlying angle (x itself among them)."""
-    return [Address(_flip_odd(s)) for s in _angle_reps(address_to_angle(x))]
+    def _split(self, u: int, v: int, den: int) -> bool:
+        """Whether u/den and v/den are the digit-0 and digit-1 halves of a critical pair."""
+        d = (v - u) % den
+        scale, r = divmod(den, d)
+        if r or scale & (scale - 1):
+            return False
+        # with 2^m = scale, 2^m u/den - c_m = u/d - c_m must be an even integer
+        td = self.den
+        return (u * td - self.tails[(scale.bit_length() - 1) & 1] * d) % (2 * d * td) == 0
 
 
 def addr_equivalent(x: Address, y: Address, theta0: Fraction) -> bool:
@@ -221,19 +220,13 @@ def addr_equivalent(x: Address, y: Address, theta0: Fraction) -> bool:
     closed under exchanging an address for the other representative of the
     same dyadic angle (without this closure the three literal shapes fail
     transitivity when theta0 itself is dyadic).  Rules 1 and 2 are exactly
-    the pairs with equal underlying angles, which is how they are decided.
+    the pairs with equal underlying angles; all three are decided on the
+    angles by :class:`_CriticalTails`.
     """
-    t = require_nonperiodic(theta0)
-    if x.stream == y.stream:
-        return True
-    if address_to_angle(x) == address_to_angle(y):
-        return True
-    eps = epsilon_star(t)
-    for xr in _representatives(x):
-        for yr in _representatives(y):
-            if _is_critical_pair(xr.stream, yr.stream, eps):
-                return True
-    return False
+    a, b = address_to_angle(x), address_to_angle(y)
+    den = lcm(a.denominator, b.denominator)
+    return _CriticalTails(theta0).related(a.numerator * (den // a.denominator),
+                                          b.numerator * (den // b.denominator), den)
 
 
 # ---------------------------------------------------------------------------
@@ -266,37 +259,42 @@ def leaf_addresses_match(theta0: Fraction, depth: int) -> AddressMatchReport:
     Forward: the endpoint angles of every leaf of build_2L(theta0, depth)
     map to addr_equivalent addresses.  Converse: for every word w with
     len(w) <= depth, the two addresses w0d, w1d (d the critical body) map
-    to angles that either coincide or span a leaf of the lamination on the
-    expected side (inside for even len(w), outside for odd).  A negative
-    depth checks nothing and passes vacuously.
+    to angles that span a leaf of the lamination on the expected side
+    (inside for even len(w), outside for odd).  A negative depth checks
+    nothing and passes vacuously.
+
+    Both directions run on the lamination's integer chords over its
+    denominator.  The angle of the address w b d is (f + c)/2^(k+1) with f
+    the k+1 bits of w b flipped at the odd positions and c the tail of
+    :class:`_CriticalTails`.  A failing leaf is reported as a ``Leaf``, a
+    failing word as (w, angle of w0d, angle of w1d).
     """
     t = require_nonperiodic(theta0)
     if depth < 0:
         return AddressMatchReport(0, (), 0, ())
     lam = build_2L(t, depth)
-    eps = epsilon_star(t)
-
-    leaf_failures = []
-    count = 0
-    for leaf in lam:
-        count += 1
-        ax, ay = angle_to_address(leaf.a), angle_to_address(leaf.b)
-        if not addr_equivalent(ax, ay, t):
-            leaf_failures.append(leaf)
+    tails = _CriticalTails(t)
+    den, chords = lam.den, lam.chords
+    leaf_failures = tuple(Leaf(Fraction(lo, den), Fraction(hi, den), side, d)
+                          for (side, lo, hi), d in chords.items()
+                          if not tails.related(lo, hi, den))
 
     word_failures = []
-    nwords = 0
+    td = tails.den
     for k in range(depth + 1):
         side = INSIDE if k % 2 == 0 else OUTSIDE
+        unit, c = td << (k + 1), tails.tails[(k + 1) & 1]
+        flip = _alternating(k + 1)
         for w in range(1 << k):
-            nwords += 1
-            tu, tv = (address_to_angle(Address(eps.prepended((w << 1) | b, k + 1)))
-                      for b in (0, 1))
-            if tu == tv:
-                continue
-            if not lam.has(side, tu, tv):
-                word_failures.append((format(w, "0%db" % k) if k else "", tu, tv))
-    return AddressMatchReport(count, tuple(leaf_failures), nwords,
+            f = (w << 1) ^ flip  # the angle digits of w0; w1 ends in the other bit
+            u, ru = divmod((f * td + c) * den, unit)
+            v, rv = divmod(((f ^ 1) * td + c) * den, unit)
+            u, v = u % den, v % den
+            if ru or rv or ((side, u, v) if u < v else (side, v, u)) not in chords:
+                word_failures.append((format(w, "0%db" % k) if k else "",
+                                      angle(Fraction(f * td + c, unit)),
+                                      angle(Fraction((f ^ 1) * td + c, unit))))
+    return AddressMatchReport(len(chords), leaf_failures, (2 << depth) - 1,
                               tuple(word_failures))
 
 
@@ -315,35 +313,30 @@ def cells_at_depth(n: int) -> list[str]:
 # Regulated-ray rewrite algebra
 
 
-class Dyadic(NamedTuple):
-    """The angle num / 2**k in (0,1), with num odd and k >= 1.
-
-    Printed as ``"num/2**k"``, which is ``str`` of the equal ``Fraction``
-    because num is odd.
-    """
-
-    num: int
-    k: int
-
-    def __str__(self) -> str:
-        return "%d/%d" % (self.num, 1 << self.k)
+def _dyadic_text(code: int) -> str:
+    """``"num/2**k"`` for the angle code (1 << k) | num, which is ``str`` of
+    the equal ``Fraction`` because num is odd."""
+    den = 1 << (code.bit_length() - 1)
+    return "%d/%d" % (code ^ den, den)
 
 
 class RegulatedRaySymbol(NamedTuple):
     """Symbol G(base; r1, r2, ...) for a regulated ray, plus a segment marker.
 
-    base is "0" or "inf"; the angles are a finite tuple of :class:`Dyadic`
-    angles in (0,1).  The marker records that the symbol has absorbed the
-    segment joining 0 and infinity (set by the image rule at r1 = 1/2).
-    Printed as e.g. "G(inf;1/2,1/4)" or "G(0;3/4)+seg".
+    base is "0" or "inf"; the angles are a finite tuple of dyadic angles in
+    (0,1), each num/2**k (num odd, k >= 1) held as the integer code
+    ``(1 << k) | num``: 1/2 is 3, 1/4 is 5 and 3/4 is 7.  The marker records
+    that the symbol has absorbed the segment joining 0 and infinity (set by
+    the image rule at r1 = 1/2).  Printed as e.g. "G(inf;1/2,1/4)" or
+    "G(0;3/4)+seg".
 
     Build symbols from outside values with :meth:`of` or :meth:`parse`; the
-    rewrite rules build their outputs directly, since they keep every angle
-    a dyadic in (0,1).
+    rewrite rules build their outputs directly, since they keep every code
+    an angle in (0,1).
     """
 
     base: str
-    angles: tuple[Dyadic, ...]
+    angles: tuple[int, ...]
     marker: bool = False
 
     @classmethod
@@ -351,7 +344,7 @@ class RegulatedRaySymbol(NamedTuple):
         """Validated symbol from angles given as Fractions or "p/q" text."""
         if base not in ("0", "inf"):
             raise DomainError('base must be "0" or "inf"')
-        dyadics = []
+        codes = []
         for r in angles:
             try:
                 r = Fraction(r)
@@ -362,13 +355,13 @@ class RegulatedRaySymbol(NamedTuple):
                 raise DomainError("regulated-ray angles must lie strictly in (0,1)")
             if den & (den - 1):
                 raise DomainError("regulated-ray angles must be dyadic")
-            dyadics.append(Dyadic(num, den.bit_length() - 1))
-        return cls(base, tuple(dyadics), marker)
+            codes.append(den | num)
+        return cls(base, tuple(codes), marker)
 
     def __str__(self) -> str:
         inner = self.base
         if self.angles:
-            inner += ";" + ",".join(str(r) for r in self.angles)
+            inner += ";" + ",".join(map(_dyadic_text, self.angles))
         return "G(%s)%s" % (inner, "+seg" if self.marker else "")
 
     @staticmethod
@@ -392,19 +385,19 @@ def regulated_ray_image(g: RegulatedRaySymbol) -> RegulatedRaySymbol:
     G(inf; r1, ...), r1!=1/2 -> G(0; 2*r1 mod 1, ...)
     G(inf; 1/2, r2, ...)     -> G(inf; r2, ...) with the segment marker set
 
-    On r1 = num/2**k, doubling mod 1 is (num mod 2**(k-1)) / 2**(k-1), and
-    r1 = 1/2 is exactly k = 1.
+    On the code (1 << k) | num of r1, doubling mod 1 clears bit k and sets
+    bit k-1, and r1 = 1/2 is the code 3.
     """
     base, angles, marker = g
     if not angles:
         raise DomainError("cannot map a ray symbol with no angles")
     if base == "0":
         return RegulatedRaySymbol("inf", angles, marker)
-    num, k = angles[0]
-    if k > 1:
-        doubled = Dyadic(num & ((1 << (k - 1)) - 1), k - 1)
-        return RegulatedRaySymbol("0", (doubled,) + angles[1:], marker)
-    return RegulatedRaySymbol("inf", angles[1:], True)
+    code = angles[0]
+    if code == 3:
+        return RegulatedRaySymbol("inf", angles[1:], True)
+    half = 1 << (code.bit_length() - 2)
+    return RegulatedRaySymbol("0", (code ^ (2 * half) | half,) + angles[1:], marker)
 
 
 def regulated_ray_preimage(g: RegulatedRaySymbol
@@ -412,7 +405,8 @@ def regulated_ray_preimage(g: RegulatedRaySymbol
     """The two preimage symbols of a base-0 regulated ray.
 
     G(0; r1, ...) -> G(inf; r1/2, ...) and G(inf; (r1+1)/2, ...), that is
-    num/2**k -> num/2**(k+1) and (num + 2**k)/2**(k+1).
+    num/2**k -> num/2**(k+1) and (num + 2**k)/2**(k+1): the code c of r1
+    becomes c + 2**k and c + 2**(k+1).
     Base-inf symbols are rejected: their preimages pass through the
     absorption rule and are recovered via regulated_ray_image instead.
     """
@@ -421,6 +415,7 @@ def regulated_ray_preimage(g: RegulatedRaySymbol
         raise DomainError("preimage rule applies to base-0 symbols only")
     if not angles:
         raise DomainError("cannot map a ray symbol with no angles")
-    (num, k), rest = angles[0], angles[1:]
-    return (RegulatedRaySymbol("inf", (Dyadic(num, k + 1),) + rest, marker),
-            RegulatedRaySymbol("inf", (Dyadic(num + (1 << k), k + 1),) + rest, marker))
+    code, rest = angles[0], angles[1:]
+    top = 1 << (code.bit_length() - 1)
+    return (RegulatedRaySymbol("inf", (code + top,) + rest, marker),
+            RegulatedRaySymbol("inf", (code + 2 * top,) + rest, marker))

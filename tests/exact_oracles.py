@@ -1,4 +1,4 @@
-"""Slow forms of the exact lamination and measure code, kept as oracles.
+"""Slow forms of the exact lamination, measure and address code, kept as oracles.
 
 * ``Lamination``: the leaf store as it was before the library's integer
   chords, one validating ``Leaf`` per leaf keyed by ``(side, a, b)`` with
@@ -15,6 +15,14 @@
   pair scan, and the basilica filter that tests every candidate against the
   whole accumulated leaf set, as they were before the library's one
   predicate and one sorted sweep.
+* ``AtomicMeasure``: the depth-capped atom list of the measure, with its
+  exact truncated mass.
+* ``addr_equivalent``/``leaf_addresses_match``: the address relation decided
+  on digit streams (first difference, then both tails against the critical
+  body, over every binary expansion of both angles), recomputing the
+  critical body per pair; the report builds every ``Leaf`` and both
+  addresses of every endpoint and word, as they were before
+  ``v2lam.symbolic`` decided the relation on integer angles.
 
 Tests compare the library against them, on generators drawn by
 ``even_generators``.
@@ -22,11 +30,20 @@ Tests compare the library against them, on generators drawn by
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from v2lam.angles import HALF, DomainError, angle, digit_stream, require_nonperiodic
+from v2lam.angles import (
+    HALF,
+    DigitStream,
+    DomainError,
+    _repeat,
+    angle,
+    digit_stream,
+    require_nonperiodic,
+)
 from v2lam.laminations import (
     INSIDE,
     OUTSIDE,
@@ -34,9 +51,18 @@ from v2lam.laminations import (
     Leaf,
     _orbit_admits,
     _over_common_denominator,
+    build_2L as library_build_2L,
     quadratic_major,
 )
 from v2lam.measure import preimages_of_angle, sigma0_arc
+from v2lam.symbolic import (
+    Address,
+    AddressMatchReport,
+    _flip_odd,
+    address_to_angle,
+    angle_to_address,
+    epsilon_star,
+)
 
 
 class Lamination:
@@ -312,6 +338,120 @@ def build_basilica(depth: int) -> Lamination:
         accum.extend(nxt)
         layer = nxt
     return lam
+
+
+@dataclass
+class AtomicMeasure:
+    """Depth-capped truncation of the measure; atoms listed up to list_cap."""
+
+    theta0: Fraction
+    depth_cap: int
+    list_cap: int = 12
+    atoms: list[tuple[Fraction, Fraction]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.theta0 = require_nonperiodic(self.theta0)
+        if self.depth_cap < 0:
+            raise DomainError("depth cap must be >= 0")
+        listed = min(self.depth_cap, self.list_cap)
+        self.atoms = [
+            (t, Fraction(1, 2 * 4**m))
+            for m in range(listed + 1)
+            for t in preimages_of_angle(self.theta0, m)
+        ]
+
+    def total_mass(self) -> Fraction:
+        """Exact truncated mass 1 - 2^-(cap+1), via per-depth counts."""
+        return sum(
+            (Fraction(1 << m, 2 * 4**m) for m in range(self.depth_cap + 1)),
+            Fraction(0),
+        )
+
+    def listed_mass(self) -> Fraction:
+        return sum((w for _, w in self.atoms), Fraction(0))
+
+
+def _first_difference(sx: DigitStream, sy: DigitStream):
+    """1-indexed position of the first differing bit, or None if equal."""
+    if sx == sy:
+        return None
+    n = max(sx.p, sy.p) + math.lcm(sx.l, sy.l)
+    diff = _head(sx, n) ^ _head(sy, n)
+    return n + 1 - diff.bit_length() if diff else None
+
+
+def _head(s: DigitStream, n: int) -> int:
+    """The first n >= s.p bits of s, packed."""
+    return (s.pre << (n - s.p)) | _repeat(s.per, s.l, n - s.p)
+
+
+def _is_critical_pair(sx: DigitStream, sy: DigitStream, eps: DigitStream) -> bool:
+    """True iff {sx, sy} = {w0 eps, w1 eps} for some common finite prefix w."""
+    d = _first_difference(sx, sy)
+    if d is None:
+        return False
+    return sx.shifted(d) == eps and sy.shifted(d) == eps
+
+
+def _angle_reps(t: Fraction) -> list[DigitStream]:
+    """All binary expansions of an angle: one, or two for dyadic angles."""
+    s = digit_stream(t)
+    if s.per:
+        return [s]
+    # a terminating expansion pre(0) has pre ending in 1, or is 0 = (0); its
+    # twin is (pre - 1)(1), or (1)
+    return [s, DigitStream(max(s.pre - 1, 0), s.p, 1, 1)]
+
+
+def _representatives(x: Address) -> list[Address]:
+    """The addresses sharing x's underlying angle (x itself among them)."""
+    return [Address(_flip_odd(s)) for s in _angle_reps(address_to_angle(x))]
+
+
+def addr_equivalent(x: Address, y: Address, theta0: Fraction) -> bool:
+    """Equal sequences, equal angles, or a critical pair over any expansions."""
+    t = require_nonperiodic(theta0)
+    if x.stream == y.stream:
+        return True
+    if address_to_angle(x) == address_to_angle(y):
+        return True
+    eps = epsilon_star(t)
+    for xr in _representatives(x):
+        for yr in _representatives(y):
+            if _is_critical_pair(xr.stream, yr.stream, eps):
+                return True
+    return False
+
+
+def leaf_addresses_match(theta0: Fraction, depth: int,
+                         build_2L=library_build_2L) -> AddressMatchReport:
+    """Both directions on Leaf objects and Address streams; build_2L(theta0,
+    depth) gives the lamination compared against."""
+    t = require_nonperiodic(theta0)
+    if depth < 0:
+        return AddressMatchReport(0, (), 0, ())
+    lam = build_2L(t, depth)
+    eps = epsilon_star(t)
+    leaf_failures = []
+    count = 0
+    for leaf in lam:
+        count += 1
+        ax, ay = angle_to_address(leaf.a), angle_to_address(leaf.b)
+        if not addr_equivalent(ax, ay, t):
+            leaf_failures.append(leaf)
+    word_failures = []
+    nwords = 0
+    for k in range(depth + 1):
+        side = INSIDE if k % 2 == 0 else OUTSIDE
+        for w in range(1 << k):
+            nwords += 1
+            tu, tv = (address_to_angle(Address(eps.prepended((w << 1) | b, k + 1)))
+                      for b in (0, 1))
+            if tu == tv:
+                continue
+            if not lam.has(side, tu, tv):
+                word_failures.append((format(w, "0%db" % k) if k else "", tu, tv))
+    return AddressMatchReport(count, tuple(leaf_failures), nwords, tuple(word_failures))
 
 
 @st.composite

@@ -4,7 +4,8 @@
 bits, the form ``v2lam.angles.DigitStream`` had before it held packed
 integers.  The functions below build the x0 stream and the critical body by
 interleaving whole streams symbol by symbol, independently of the one bit
-kernel the library uses.  Tests compare the library against these.
+kernel the library uses; ``binary_digit`` reads one digit off the angle
+itself.  Tests compare the library against these.
 """
 from __future__ import annotations
 
@@ -78,6 +79,12 @@ class TupleStream:
 
     def __str__(self) -> str:
         return "%s(%s)" % ("".join(map(str, self.pre)), "".join(map(str, self.period)))
+
+
+def binary_digit(theta: Fraction, m: int) -> int:
+    """m-th binary digit of theta (m >= 1): floor(2^m t) - 2 floor(2^(m-1) t)."""
+    t = angle(theta)
+    return (t.numerator << m) // t.denominator - 2 * ((t.numerator << (m - 1)) // t.denominator)
 
 
 def digit_stream(theta: Fraction) -> TupleStream:

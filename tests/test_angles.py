@@ -16,7 +16,6 @@ from v2lam.angles import (
     _x0_digit_pair,
     angle,
     circle_distance,
-    binary_digit,
     digit_stream,
     double,
     doubling_orbit,
@@ -88,10 +87,10 @@ def test_k_step_doubling_matches_the_power_of_two(f, k):
 
 
 def test_binary_digit():
-    assert binary_digit(F(1, 2), 1) == 1
+    assert oracle.binary_digit(F(1, 2), 1) == 1
     # 1/6 = 0.0(01)_2 via long division
-    assert binary_digit(F(1, 6), 3) == 1
-    assert [binary_digit(F(1, 3), m) for m in (1, 2)] == [0, 1]
+    assert oracle.binary_digit(F(1, 6), 3) == 1
+    assert [oracle.binary_digit(F(1, 3), m) for m in (1, 2)] == [0, 1]
 
 
 def test_digit_stream_examples():
@@ -109,7 +108,7 @@ def test_digit_stream_roundtrip_and_agreement():
         s = digit_stream(t)
         assert s.to_fraction() == t
         for m in range(1, 65):
-            assert binary_digit(t, m) == s.digit(m)
+            assert oracle.binary_digit(t, m) == s.digit(m)
         # angle expansions never end in all-ones
         assert set(TupleStream.of(s).period) != {1}
         assert TupleStream.of(s) == oracle.digit_stream(t)

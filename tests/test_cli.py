@@ -69,7 +69,7 @@ def test_exact_output_prints_beyond_int_digit_limit(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("theta", ["0", "1/6", "5/12", "3/10", "7/9", "11/1024"])
 def test_shifts_match_the_step_by_step_oracle(capsys, theta):
-    from v2lam.symbolic import address_to_angle, angle_to_address, shift
+    from v2lam.symbolic import address_to_angle, angle_to_address
 
     t = Fraction(theta)
     start = angle_to_address(t)
@@ -83,7 +83,7 @@ def test_shifts_match_the_step_by_step_oracle(capsys, theta):
         code, out, _ = run(capsys, "sym", "angle-to-address", "--address", str(start),
                            "--shift", str(k))
         assert code == 0 and out.strip() == str(address_to_angle(addr))
-        doubled, addr = (2 * doubled) % 1, shift(addr, 1)
+        doubled, addr = (2 * doubled) % 1, addr.shift(1)
 
 
 def test_huge_shifts_finish(capsys):
@@ -436,6 +436,15 @@ def test_io_error_is_seventy_four(tmp_path, capsys, argv):
     ("sym", "reg-ray", "--symbol", "G(0;1/2)", "--op", "x"),
     ("dyn", "julia", "--a", "6", "--width", "8", "--height", "8", "--method", "bogus"),
     ("dyn", "ray", "--a", "6", "--theta", "0", "--base", "X"),
+    # a negative size, or 0 where a size must be positive
+    ("dyn", "julia", "--a", "6", "--width", "4", "--height", "4", "--n-max", "-1"),
+    ("dyn", "julia", "--a", "6", "--width", "4", "--height", "4", "--method", "inverse",
+     "--points", "-1"),
+    ("angle", "mu", "--z", "1/2", "--theta", "1/2", "--cap", "-1"),
+    ("angle", "semiconj", "--theta", "1/2", "--cap", "-1"),
+    ("check", "angle", "--samples", "-1"),
+    ("check", "angle", "--samples", "0"),
+    ("dyn", "m2", "--width", "4", "--height", "4", "--n-max", "0", "--out", "unused.pgm"),
 ])
 def test_usage_errors_are_sixty_four(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -458,6 +467,18 @@ def test_fixed_set_flags_refuse_other_words_from_the_config_too(tmp_path, capsys
     code, out, err = run(capsys, "--config", str(cfg), *argv)
     assert code == 64 and out == ""
     assert "usage error: --%s must be one of" % flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--depth", "3", "--at-depth", "-5"),
+    ("--depth", "0"),                       # the default --at-depth is then -1
+    ("--depth", "3", "--at-depth", "4"),    # no leaf is deeper than --depth
+])
+def test_check_invariance_refuses_a_depth_with_no_leaves(capsys, argv):
+    # below depth 0 the report would check nothing and pass
+    code, out, err = run(capsys, "lam", "check-invariance", "--theta", "1/2", *argv)
+    assert code == 64 and out == ""
+    assert "usage error: --at-depth" in err and "is outside 0.." in err
 
 
 def test_failing_report_returns_one(capsys):
@@ -618,6 +639,29 @@ def test_config_fills_required_flags(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(cfg), "lam", "L0")
     assert code == 0
     assert "leaves: 15" in out
+
+
+@pytest.mark.parametrize("key", ["n_mx", "func"])  # a typo; a parser default, no flag
+def test_config_refuses_a_key_no_command_declares(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("%s = 64\nwidth = 4\nheight = 4\n" % key)
+    code, out, err = run(capsys, "--config", str(cfg), "dyn", "m2", "--out",
+                         str(tmp_path / "m2.pgm"))
+    assert code == 64 and out == ""
+    assert "usage error: config key %s is no command's flag" % key in err
+    assert not (tmp_path / "m2.pgm").exists()
+
+
+def test_config_admits_a_key_only_another_command_declares(tmp_path, capsys):
+    # one config file serves every command: dyn m2 has no --theta or --depth
+    cfg = tmp_path / "cfg"
+    cfg.write_text("theta = 1/2\ndepth = 3\nn_max = 64\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "dyn", "m2", "--width", "4",
+                       "--height", "4", "--out", str(tmp_path / "m2.pgm"))
+    assert code == 0 and out.startswith("wrote ")
+    assert "n_max 64" in (tmp_path / "m2.pgm.txt").read_text()
+    code, out, _ = run(capsys, "--config", str(cfg), "lam", "L0")
+    assert code == 0 and "leaves: 15" in out
 
 
 def test_explicit_flag_beats_config(tmp_path, capsys):

@@ -9,6 +9,10 @@
   no assignment to a ``_numerator`` or ``_denominator`` attribute and no
   call of ``Fraction.__new__``.  Fast paths come from better
   representations, not from writes to private attributes.
+* Every top-level function and class in ``src/`` is used by ``src/``: its
+  name appears as a ``Name`` outside its own definition, or some module
+  imports it by name.  Code only the tests reach belongs in the test
+  oracles.  The console entry point ``v2lam.cli:main`` counts as used.
 """
 from __future__ import annotations
 
@@ -79,6 +83,40 @@ def test_scan_finds_fraction_internals():
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_fraction_internals(path):
     assert fraction_internals(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the modules ``sources`` (name
+    -> source text) that no module names outside the definition itself."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        own = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+                own.update((id(n), node.name) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and own.get(id(node)) != node.id:
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted("%s:%s" % d for d in defined if d[1] not in used)
+
+
+def test_scan_finds_an_unreferenced_definition():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    return 1\n\nclass C:\n    pass\n",
+               "b": "from a import g\nprint(g())\n",
+               "c": "def h(x):\n    return x.f\n\nh(C)\n"}
+    # f is named only inside its own definition, and the attribute x.f is not
+    # a use of it; g is imported by name, and C is named in module c
+    assert unreferenced_definitions(sources) == ["a:f"]
+
+
+def test_every_definition_in_src_is_used_by_src():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC_FILES}
+    entry_point = "src/v2lam/cli.py:main"
+    assert [d for d in unreferenced_definitions(sources) if d != entry_point] == []
 
 
 def test_the_exact_layers_and_the_cli_import_no_numpy():

