@@ -262,11 +262,54 @@ def _check_m2_raster(p: CheckParams) -> str:
     esc100, _ = attracted_to_supercycle(100.0, -1.0, p.raster_iters)
     _need(esc100, "a=100 misclassified as member")
     r = m2_raster(p.raster_size, p.raster_size, n_max=p.raster_iters)
-    v = r.values
-    _need((v == v[::-1, :]).all(), "conjugation symmetry broken")
-    members = int((v == 0).sum())
+    _need(_orbits_stay_conjugate(r), "conjugation symmetry broken")
+    members = int((r.values == 0).sum())
     return "member/non-member ok; %dx%d symmetric, %d member pixels" % (
         p.raster_size, p.raster_size, members)
+
+
+def _orbits_stay_conjugate(r) -> bool:
+    """Does the m2 raster ``r`` rest on exact conjugation symmetry?
+
+    ``m2_raster`` iterates half of a window symmetric under conjugation and
+    mirrors it.  That is exact when the pixel parameters of the mirrored rows
+    are the conjugates of the iterated ones, and when the step commutes with
+    conjugation bit for bit (up to the sign of a zero), so that the orbits
+    from -1 at a and at conj(a) stay exact conjugates.  This checks the first
+    on the grid and the second by iterating the raster's own step at both
+    parameters of every iterated pixel, comparing after every step up to the
+    step at which the raster found the orbit at a trapped (all ``n_max``
+    steps for a member).
+    """
+    import numpy as np
+
+    from .dynamics.raster import _f_step
+
+    A = r.xs()[None, :] + 1j * r.ys()[:, None]
+    rows = (r.height + 1) // 2
+    if not np.array_equal(A[rows:][::-1], np.conj(A[:r.height - rows])):
+        return False
+    n_max = r.meta["n_max"]
+    steps = r.values[:rows].ravel()
+    A = A[:rows].ravel()[steps >= 0]
+    steps = steps[steps >= 0]
+    steps[steps == 0] = n_max
+    # Longest orbits first, so the orbits still running are a leading slice.
+    order = np.argsort(-steps, kind="stable")
+    A, steps = A[order], steps[order]
+    running = np.searchsorted(-steps, -np.arange(1, n_max + 1), side="right")
+    AB = np.stack((A, np.conj(A)))
+    z = np.full(AB.shape, -1.0 + 0j)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in running:
+            if not m:
+                break
+            z = _f_step(z[:, :m], AB[:, :m])
+            same = z[1] == np.conj(z[0])
+            # Unequal entries pass only where both orbits left the finite plane.
+            if not same.all() and np.isfinite(z[:, ~same]).any():
+                return False
+    return True
 
 
 def _check_parameter_rays(p: CheckParams) -> str:

@@ -708,7 +708,7 @@ def _build_parser() -> _Parser:
     p = _sub(asub, "x0", "interleaved digit angle x0 and its digit stream",
              "v2lam angle x0 --theta 1/6", registry, _cmd_angle_x0)
     _flag(p, "theta", _angle, REQUIRED)
-    _flag(p, "terms", _int, help="also print the series enclosure with this many terms")
+    _flag(p, "terms", _positive, help="also print the series enclosure with this many terms")
 
     p = _sub(asub, "y0", "quadratic external angle y0",
              "v2lam angle y0 --theta 1/2", registry, _cmd_angle_y0)
@@ -774,7 +774,7 @@ def _build_parser() -> _Parser:
     p = _sub(lsub, "L0", "pullback lamination of the critical leaf",
              "v2lam lam L0 --theta 1/2 --depth 4", registry, _cmd_lam_L0)
     lam_common(p)
-    _flag(p, "measure-cap", _int, help="truncation depth for leaf placement")
+    _flag(p, "measure-cap", _positive, help="truncation depth for leaf placement")
 
     p = _sub(lsub, "L", "inside lamination (optionally mirrored outside)",
              "v2lam lam L --theta 1/2 --depth 4 --svg out.svg", registry, _cmd_lam_L)
@@ -861,8 +861,8 @@ def _build_parser() -> _Parser:
     dsub = dyn.add_subparsers(dest="sub", required=True, metavar="OP")
 
     def grid_common(p, window):
-        _flag(p, "width", _int, 400)
-        _flag(p, "height", _int, 400)
+        _flag(p, "width", _positive, 400)
+        _flag(p, "height", _positive, 400)
         for name, default in zip(("re-min", "re-max", "im-min", "im-max"), window):
             _flag(p, name, _float, default)
         _flag(p, "n-max", _positive, 512)
@@ -939,7 +939,7 @@ def _build_parser() -> _Parser:
     _flag(p, "depth", _count, 8)
     _flag(p, "seed", _int, 0)
     _flag(p, "samples", _positive, 200)
-    _flag(p, "raster-size", _int, 400)
+    _flag(p, "raster-size", _positive, 400)
     _flag(p, "n-max", _positive, 512)
     _flag(p, "steps", _int, 200)
     _flag(p, "leaf-depth", _count, 3)

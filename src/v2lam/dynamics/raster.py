@@ -20,7 +20,26 @@ flat compacted arrays of their grid indices, orbit points and, where these
 vary per pixel, parameters and trap radii; each step advances and tests
 only those pixels, writes each newly trapped pixel's signed step count back
 through its index, and drops it from the arrays.  The rasters supply only
-their start values, step map and trap radii.
+their start values, the number of f steps per kernel step and trap radii.
+Three rules make this cheap without changing a single output value:
+
+- **One rounding.**  Each step of f is computed as ``a / ((z + 2) * z)``
+  with the product formed in place (``_f_step``), so a pixel's orbit rounds
+  the same whether 10 or 10^6 pixels are active; it is a function of its
+  own start and parameter alone.
+- **Certified retirement.**  Every attracting cycle other than the
+  supercycle {0, infinity} attracts the free critical point -1, and pixels
+  caught by one would iterate all ``n_max`` steps only to end as 0.  The
+  kernel saves each orbit point now and then, and when an orbit comes back
+  near its saved point, ``_certify`` tries to prove that the pixel's float
+  orbit never enters a trap: a disc about the point that f^p maps into
+  itself and whose images all miss the traps.  A certified pixel is
+  dropped with value 0, the value it would reach at ``n_max``; boundary
+  and parabolic pixels never certify and keep iterating.
+- **Mirrored windows.**  A window with im_min = -im_max (and, for a Julia
+  set, a real a) has pixel centres that are exact conjugates across its
+  midline, and f commutes with conjugation bit for bit, so only the first
+  ceil(height/2) rows are iterated and the rest are their mirror image.
 
 Outputs are ``Raster`` objects (int32 grids plus geometry) and can be
 written as binary PGM/PPM images with a deterministic text sidecar.
@@ -150,60 +169,193 @@ def _grid(width, height, re_min, re_max, im_min, im_max):
     return xs, ys, dx, dy
 
 
-def _trap_iterate(values, active, step, n_max, *, test_start, inner_sign):
-    """Iterate ``z <- step(z, c)`` on a compacted active set until each pixel is trapped.
+def _trap_iterate(values, active, f_steps, n_max, *, test_start, inner_sign):
+    """Iterate ``z <- f^f_steps(z)`` on a compacted active set until each pixel is settled.
 
     ``active`` is a list ``[idx, z, c, rho, r_out]`` that the kernel empties
     and from then on owns, so it can free each array as the set shrinks.
     Pixel ``idx[i]`` of the flat int32 grid ``values`` starts at ``z[i]``;
     a scalar ``z`` is a start shared by all pixels (only with ``test_start``
     false).  ``c``, ``rho`` and ``r_out`` are scalars or arrays aligned with
-    ``idx``.  At step k = 1 .. n_max the orbit is advanced once (at k = 1
-    only when ``test_start`` is false) and every active point with
-    |z| <= rho, |z| >= r_out or a non-finite z is settled: its pixel gets
-    ``k``, or ``inner_sign * k`` when it lies in the inner disc.  Settled
-    pixels are dropped from the flat arrays, so each step costs only the
-    pixels still active; pixels never trapped keep their value.  Overflow
-    through the pole region is silent and counts as outer-trap entry at
-    that step.
+    ``idx``.  At step k = 1 .. n_max the orbit is advanced by ``f_steps``
+    steps of f_c (at k = 1 only when ``test_start`` is false) and every
+    active point with |z| <= rho, |z| >= r_out or a non-finite z is trapped:
+    its pixel gets ``k``, or ``inner_sign * k`` when it lies in the inner
+    disc.  Trapped pixels are dropped from the flat arrays, so each step
+    costs only the pixels still active; pixels never trapped keep their
+    value.  Overflow through the pole region is silent and counts as
+    outer-trap entry at that step.
+
+    Pixels attracted by a cycle other than the supercycle are retired
+    early.  Each active point is saved at steps 8, 16, 32 and every 32
+    steps after, and a pixel whose orbit comes back to within
+    ``_CLOSE * (1 + |saved point|)`` of its saved point after p steps
+    becomes pending with the first such lag p.  At the next save the pending pixels are
+    passed to ``_certify`` in one batch, unless their remaining work is too
+    small to pay for it (``_GATE``), and those it certifies are dropped with
+    their value 0.
     """
     idx, z, c, rho, r_out = active
     active.clear()
     per_pixel = [np.ndim(x) > 0 for x in (c, rho, r_out)]
+    saved = lag = tol = None
+    saved_at, window_end = 0, _next_save(0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, n_max + 1):
             if not idx.size:
                 break
             if k > 1 or not test_start:
-                z = step(z, c)
+                for _ in range(f_steps):
+                    z = _f_step(z, c)
             mag = np.abs(z)
-            inner = mag <= rho
-            hit = inner | ~np.isfinite(mag) | (mag >= r_out)
-            if not hit.any():
-                continue
-            values[idx[hit]] = k
-            values[idx[inner]] = inner_sign * k
-            # Reassign one array at a time so each old copy is freed at once.
-            keep = ~hit
-            del mag, inner, hit
-            idx = idx[keep]
-            z = z[keep]
-            if per_pixel[0]:
-                c = c[keep]
-            if per_pixel[1]:
-                rho = rho[keep]
-            if per_pixel[2]:
-                r_out = r_out[keep]
+            # nan compares false, so a non-finite point is never inside.
+            inside = (mag > rho) & (mag < r_out)
+            drop = None
+            if not inside.all():
+                drop = ~inside
+                values[idx[drop]] = k
+                values[idx[mag <= rho]] = inner_sign * k
+            del mag, inside
+            if saved is not None:
+                # A point found back has its saved copy set to nan, so only
+                # its first lag in the window is kept.
+                back = np.abs(z - saved) <= tol
+                if back.any():
+                    lag[back] = k - saved_at
+                    saved[back] = np.nan
+                del back
+            if k == window_end:
+                if lag is not None and lag.any():
+                    pending = np.flatnonzero(lag)
+                    if pending.size * (n_max - k) >= _GATE * int(lag.max()):
+                        sub = [x[pending] if per else x
+                               for x, per in zip((c, rho, r_out), per_pixel)]
+                        ok = pending[_certify(z[pending], lag[pending] * f_steps, *sub)[0]]
+                        if ok.size:
+                            drop = np.zeros(idx.size, dtype=bool) if drop is None else drop
+                            drop[ok] = True
+                saved_at, window_end = k, _next_save(k)
+                saved = lag = tol = None
+            if drop is not None:
+                # Reassign one array at a time so each old copy is freed at once.
+                keep = ~drop
+                del drop
+                idx = idx[keep]
+                z = z[keep]
+                if per_pixel[0]:
+                    c = c[keep]
+                if per_pixel[1]:
+                    rho = rho[keep]
+                if per_pixel[2]:
+                    r_out = r_out[keep]
+                if saved is not None:
+                    saved, lag, tol = saved[keep], lag[keep], tol[keep]
+            if saved_at == k and window_end < n_max:
+                # ``z`` is only ever rebound, so ``saved`` may share it.
+                saved = z
+                lag = np.zeros(idx.size, dtype=np.int8)
+                tol = _CLOSE * (1.0 + np.abs(z))
+
+
+#: Relative distance at which an orbit counts as back at its saved point.
+_CLOSE = 1e-3
+
+#: Pixel-steps of remaining work per certification step below which a
+#: window's pending pixels are left to iterate.  One step of ``_certify``
+#: makes some 40 numpy calls, about the cost of this many pixel-steps of the
+#: main loop, so certification never costs much more than it can save.
+_GATE = 2048
+
+
+def _next_save(k):
+    """The save step after step k: 8, 16, 32, then every 32 steps."""
+    return 8 if k < 8 else 2 * k if k < 32 else k + 32
+
+
+def _certify(z, n, c, rho, r_out):
+    """Which points z have a forward orbit under f_c that provably never enters a trap.
+
+    Returns the mask of certified points and the radius r_0 tried for each.
+
+    ``n`` holds each point's candidate cycle length in steps of f.  Along
+    the float orbit z_0 = z, z_1 = f(z_0), ... the multiplier lam of f^n
+    and the closing gap |z_n - z| give a radius
+    r_0 = max(|z_n - z|, 1e-9 (1 + |z|)) (2 + 4/(1 - |lam|)), tried only
+    where |lam| < 0.98.  The disc D_0 = D(z, r_0) is carried through n steps
+    by f(D(x, r)) ⊂ D(f(x), |c| e / (|q| (|q| - e))), with q = x(x + 2)
+    and e = r (|2x + 2| + r) (since w(w + 2) - q = (w - x)(w + x + 2)),
+    where 2e <= |q| keeps |q| - e free of cancellation.  Each new radius is
+    widened by 1e-12 (bound + |centre|), far above the rounding of a float
+    step of f and of the kernel's |z|.  A point is certified when the discs
+    D_1 ... D_n miss both traps and D_n lies inside D(z, (1 - 1e-6) r_0):
+    then f^n maps D_0 into itself, so the float orbit of z stays in
+    D_1 ∪ ... ∪ D_n for ever and is never trapped.  ``c``, ``rho`` and
+    ``r_out`` are scalars or arrays aligned with ``z``.
+    """
+    # Sort by cycle length, longest first, so that the points still moving
+    # at step i are a leading slice.
+    order = np.argsort(-n, kind="stable")
+    z, n = z[order], n[order]
+    c, rho, r_out = (x[order] if np.ndim(x) else x for x in (c, rho, r_out))
+    live = [int(np.count_nonzero(n > i)) for i in range(int(n[0]))]
+    # |f'(w)| = 2 |w + 1| |f(w)| / |q|; the factors 2 are applied at the end.
+    lam = np.ones(z.size, dtype=np.complex128)
+    w = z.copy()
+    for m in live:
+        x = w[:m]
+        q = x + 2.0
+        q *= x
+        fx = _head(c, m) / q
+        x += 1.0
+        x *= fx
+        x /= q
+        lam[:m] *= x
+        w[:m] = fx
+    r0 = np.maximum(np.abs(w - z), 1e-9 * (1.0 + np.abs(z)))
+    lam = np.abs(lam)
+    lam *= 2.0 ** n
+    ok = lam < 0.98
+    r0 *= 2.0 + 4.0 / (1.0 - np.where(ok, lam, 0.0))
+    mod_c = np.abs(c)
+    centre, r = z.copy(), r0.copy()
+    for m in live:
+        x, rm = centre[:m], r[:m]
+        q = x + 2.0
+        q *= x
+        mod_q = np.abs(q)
+        e = np.abs(x + 1.0)
+        e *= 2.0
+        e += rm
+        e *= rm
+        ok[:m] &= e + e <= mod_q
+        bound = _head(mod_c, m) * e
+        bound /= mod_q * (mod_q - e)
+        x[:] = _head(c, m) / q
+        size = np.abs(x)
+        rm[:] = (1.0 + 1e-12) * bound + 1e-12 * size
+        ok[:m] &= (size - rm > _head(rho, m)) & (size + rm < _head(r_out, m))
+    ok &= np.abs(centre - z) + r <= (1.0 - 1e-6) * r0
+    unsort = np.argsort(order)
+    return ok[unsort], r0[unsort]
+
+
+def _head(x, m):
+    """The first m entries of a per-pixel array, or a scalar shared by all pixels."""
+    return x[:m] if np.ndim(x) else x
 
 
 def _f_step(z, a):
-    """One step of f_a, kept out of place: in-place complex products round differently."""
-    return a / (z * (z + 2.0))
+    """One step of f_a as ``a / ((z + 2) * z)``, in that operand order at every size.
 
-
-def _ff_step(z, a):
-    """One step of F = f_a∘f_a; huge |z| acts like infinity (f -> 0 -> non-finite)."""
-    return _f_step(_f_step(z, a), a)
+    Under numpy's temporary elision ``z * (z + 2.0)`` is computed in place
+    as (z + 2)·z once the temporary holds 16,384 elements (256 KiB) or more,
+    and as z·(z + 2) below that; with FMA the two orders round the product
+    differently, so a pixel's value would depend on how many others are
+    still active.  The in-place product fixes the order.
+    """
+    w = z + 2.0
+    w *= z
+    return a / w
 
 
 def m2_raster(
@@ -235,7 +387,8 @@ def m2_raster(
     """
     _certify_trap_once()
     xs, ys, _, _ = _grid(width, height, re_min, re_max, im_min, im_max)
-    A = (xs[None, :] + 1j * ys[:, None]).ravel()
+    rows = _iterated_rows(height, im_min == -im_max)
+    A = (xs[None, :] + 1j * ys[:rows, None]).ravel()
     values = np.zeros(A.size, dtype=np.int32)
     values[A == 0] = -1
     idx = np.flatnonzero(A)
@@ -246,9 +399,9 @@ def m2_raster(
     # arrays, so no full-grid copy outlives the first compaction.
     active = [idx, np.complex128(-1.0), A, rho, r_out]
     del idx, A, rho, r_out
-    _trap_iterate(values, active, _f_step, n_max, test_start=False, inner_sign=1)
+    _trap_iterate(values, active, 1, n_max, test_start=False, inner_sign=1)
     return Raster(
-        width, height, re_min, re_max, im_min, im_max, values.reshape(height, width),
+        width, height, re_min, re_max, im_min, im_max, _mirrored(values, rows, height, width),
         meta={"kind": "m2", "n_max": n_max},
     )
 
@@ -294,14 +447,33 @@ def _julia_escape(a, width, height, re_min, re_max, im_min, im_max, n_max):
     _certify_trap_once()
     rho, r_out = trap_radii(a)
     xs, ys, _, _ = _grid(width, height, re_min, re_max, im_min, im_max)
-    values = np.zeros(width * height, dtype=np.int32)
+    rows = _iterated_rows(height, im_min == -im_max and a.imag == 0)
+    values = np.zeros(width * rows, dtype=np.int32)
     # Step 1 tests the pixel centers themselves; each later step applies F.
-    active = [np.arange(values.size), (xs[None, :] + 1j * ys[:, None]).ravel(), a, rho, r_out]
-    _trap_iterate(values, active, _ff_step, n_max, test_start=True, inner_sign=-1)
+    active = [np.arange(values.size), (xs[None, :] + 1j * ys[:rows, None]).ravel(), a, rho, r_out]
+    _trap_iterate(values, active, 2, n_max, test_start=True, inner_sign=-1)
     return Raster(
-        width, height, re_min, re_max, im_min, im_max, values.reshape(height, width),
+        width, height, re_min, re_max, im_min, im_max, _mirrored(values, rows, height, width),
         meta={"kind": "julia-escape", "a": a, "n_max": n_max, "rho": rho, "R": r_out},
     )
+
+
+def _iterated_rows(height, symmetric):
+    """The rows a raster iterates: ceil(height/2) for a window symmetric under conjugation."""
+    return (height + 1) // 2 if symmetric else height
+
+
+def _mirrored(values, rows, height, width):
+    """The (height, width) grid whose first ``rows`` rows are ``values`` and the rest their mirror.
+
+    Pixel centres of a window with im_min = -im_max are exact conjugates
+    across the midline (see ``_grid``), and the step commutes with
+    conjugation bit for bit, so a mirrored row holds the values it would get.
+    """
+    v = values.reshape(rows, width)
+    if rows == height:
+        return v
+    return np.concatenate((v, v[:height - rows][::-1]))
 
 
 def _julia_inverse(a, width, height, re_min, re_max, im_min, im_max, points, seed):

@@ -445,6 +445,13 @@ def test_io_error_is_seventy_four(tmp_path, capsys, argv):
     ("check", "angle", "--samples", "-1"),
     ("check", "angle", "--samples", "0"),
     ("dyn", "m2", "--width", "4", "--height", "4", "--n-max", "0", "--out", "unused.pgm"),
+    ("dyn", "m2", "--width", "0", "--height", "4", "--out", "unused.pgm"),
+    ("dyn", "m2", "--width", "4", "--height", "0", "--out", "unused.pgm"),
+    ("dyn", "julia", "--a", "6", "--width", "-4", "--height", "4"),
+    ("dyn", "julia", "--a", "6", "--width", "4", "--height", "0"),
+    ("check", "dyn", "--raster-size", "0"),
+    ("lam", "L0", "--theta", "1/2", "--depth", "2", "--measure-cap", "0"),
+    ("angle", "x0", "--theta", "1/6", "--terms", "0"),
 ])
 def test_usage_errors_are_sixty_four(capsys, argv):
     code, out, err = run(capsys, *argv)

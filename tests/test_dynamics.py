@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from v2lam.angles import DomainError
-from v2lam.dynamics import core
+from v2lam.checks import CheckParams, run_check
+from v2lam.dynamics import core, raster
 from v2lam.dynamics import (
     INF,
     NumericError,
@@ -333,8 +334,16 @@ def test_empty_raster():
 
 
 # ---------------------------------------------------------------------------
-# The compacted trap-iteration kernel against the full-grid loops it replaced
+# The compacted trap-iteration kernel against the full-grid loops it replaced,
+# written in the kernel's one operand order
 # ---------------------------------------------------------------------------
+
+def _pinned_f(z, a):
+    """f_a with the product in the kernel's one operand order, (z + 2)·z."""
+    w = z + 2.0
+    w *= z
+    return a / w
+
 
 def _m2_full_grid(r):
     """The full-grid m2 loop: every step masks every pixel of the grid."""
@@ -350,11 +359,8 @@ def _m2_full_grid(r):
     for k in range(1, r.meta["n_max"] + 1):
         if not active.any():
             break
-        za = z[active]
-        den = za * (za + 2.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            za = A[active] / den
-        z[active] = za
+            z[active] = _pinned_f(z[active], A[active])
         mag = np.abs(z)
         with np.errstate(invalid="ignore"):
             hit = active & (~np.isfinite(mag) | (mag <= rho) | (mag >= r_out))
@@ -379,11 +385,8 @@ def _julia_escape_full_grid(r):
         active &= ~(outer | inner)
         if not active.any():
             break
-        Za = Z[active]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = a / (Za * (Za + 2.0))
-            Za = a / (w * (w + 2.0))
-        Z[active] = Za
+            Z[active] = _pinned_f(_pinned_f(Z[active], a), a)
     return values
 
 
@@ -408,8 +411,9 @@ HUGE = dict(re_min=-1e305, re_max=1e305, im_min=-1e305, im_max=1e305)
     ((101, 77), dict(n_max=2)),
     ((101, 77), dict(n_max=4)),
     ((33, 21), dict(n_max=0)),
+    ((120, 91), {}),
 ], ids=["default-400", "zoom", "puncture", "empty", "no-columns", "overflow",
-        "n1", "n2", "n4", "n0"])
+        "n1", "n2", "n4", "n0", "default-odd-height"])
 def test_m2_kernel_matches_full_grid(size, kw):
     r = m2_raster(*size, **kw)
     _assert_same_values(r.values, _m2_full_grid(r))
@@ -429,8 +433,10 @@ A_RAY_1_6 = -0.370367002870486 - 2.97015077044292j
     (1.0, (90, 60), dict(n_max=2)),
     (6.0, (90, 60), dict(n_max=4)),
     (2.0, (0, 5), {}),
+    (0.5, (300, 300), {}),
+    (0.5, (101, 75), {}),
 ], ids=["a1", "a6", "a1e300", "a1e-300", "ray-1/6", "overflow", "n1", "n2", "n4",
-        "empty"])
+        "empty", "a0.5", "a0.5-odd-height"])
 def test_julia_kernel_matches_full_grid(a, size, kw):
     r = julia_raster(a, *size, **kw)
     _assert_same_values(r.values, _julia_escape_full_grid(r))
@@ -448,13 +454,150 @@ def test_julia_kernel_trap_discs_are_closed(a):
         _assert_same_values(r.values, _julia_escape_full_grid(r))
 
 
+@pytest.mark.parametrize("make, f_steps", [
+    (lambda: m2_raster(400, 400), 1),
+    (lambda: julia_raster(0.5, 300, 300), 2),
+], ids=["m2-default-400", "julia-a0.5"])
+def test_oracle_cases_retire_attracted_pixels(make, f_steps, monkeypatch):
+    # The default m2 window holds cycles of periods 1-9 and more; at a = 0.5
+    # 42,196 of the 90,000 Julia pixels are caught by an attracting cycle.
+    certified, work = [], [0]
+    certify, step = raster._certify, raster._f_step
+
+    def counting_certify(*args):
+        ok, r0 = certify(*args)
+        certified.append(int(ok.sum()))
+        return ok, r0
+
+    def counting_step(z, a):
+        work[0] += max(np.size(z), np.size(a))
+        return step(z, a)
+
+    monkeypatch.setattr(raster, "_certify", counting_certify)
+    monkeypatch.setattr(raster, "_f_step", counting_step)
+    r = make()
+    assert sum(certified) > 1000
+    # Without retirement the iterated half's 0-pixels alone would take
+    # n_max steps each; retired ones stop early.
+    undecided = int((r.values[:(r.height + 1) // 2] == 0).sum())
+    assert work[0] < 0.75 * undecided * r.meta["n_max"] * f_steps
+
+
+def _m2_kernel(A, n_max=512):
+    """Values the kernel gives the m2 pixels of parameters ``A``."""
+    values = np.zeros(A.size, dtype=np.int32)
+    rho, r_out = core._trap_radii_of_modulus(np.abs(A))
+    active = [np.arange(A.size), np.complex128(-1.0), A, rho, r_out]
+    raster._trap_iterate(values, active, 1, n_max, test_start=False, inner_sign=1)
+    return values
+
+
+def test_kernel_values_do_not_depend_on_the_active_set_size():
+    # The top half of the default 400^2 window: 80,000 pixels iterated whole
+    # and in chunks below numpy's 16,384-element elision threshold.  With the
+    # product order left to numpy, 3 of them took other values.
+    r = m2_raster(400, 400, n_max=1)
+    A = (r.xs()[None, :] + 1j * r.ys()[:200, None]).ravel()
+    whole = _m2_kernel(A)
+    chunked = np.concatenate([_m2_kernel(A[i:i + 10_000]) for i in range(0, A.size, 10_000)])
+    _assert_same_values(chunked, whole)
+
+
+def _cycle_point(a, steps=2000):
+    """A point of the cycle that attracts -1 under f_a, and its period."""
+    z = -1.0
+    for _ in range(steps):
+        z = core._f(a, z)
+    w = z
+    for p in range(1, 33):
+        w = core._f(a, w)
+        if abs(w - z) <= 1e-10 * (1.0 + abs(z)):
+            return z, p
+    raise AssertionError("no cycle of period <= 32 found at a=%r" % a)
+
+
+# Parameters from the default m2 window with attracting cycles of periods
+# 1-9 but 2 (f(f(-1)) = -1 only at a = 1, and the window's few period-2
+# members have |multiplier| > 0.98), and the Julia parameter 0.5.
+CYCLES = [(0.985 - 0.015j, 1), (1.525 - 0.855j, 3), (2.065 - 1.665j, 4),
+          (0.535 - 1.305j, 5), (1.765 - 1.035j, 6), (1.27 + 0.03j, 7), (0.625 - 1.845j, 7),
+          (1.975 - 1.605j, 8), (1.705 - 0.705j, 9), (0.5, 1)]
+
+
+@pytest.mark.parametrize("a, period", CYCLES, ids=[f"{a}-p{p}" for a, p in CYCLES])
+def test_certified_disc_boundary_orbits_stay_untrapped(a, period):
+    z, p = _cycle_point(a)
+    assert p == period
+    rho, r_out = trap_radii(a)
+    with np.errstate(all="ignore"):
+        ok, r0 = raster._certify(np.array([z, z]), np.array([p, 2 * p]), a, rho, r_out)
+    assert ok.all()  # as m2 and as the Julia kernel, in steps of F, pass them
+    # The certificate is about the whole disc D(z, r0): orbits from its
+    # boundary, in scalar arithmetic, never enter a trap.
+    for k in range(16):
+        w = z + r0[0] * cmath.exp(2j * math.pi * k / 16)
+        for _ in range(512):
+            w = core._f(a, w)
+            assert rho < abs(w) < r_out
+
+
+def test_certificate_requires_every_disc_to_miss_the_traps():
+    # a = 1 has the superattracting fixed point -1; a fake inner trap of
+    # radius 1.5 swallows the disc about it.
+    rho, r_out = trap_radii(1.0)
+    z = np.array([-1.0 + 0j])
+    with np.errstate(all="ignore"):
+        assert raster._certify(z, np.array([1]), 1.0, rho, r_out)[0][0]
+        assert not raster._certify(z, np.array([1]), 1.0, 1.5, r_out)[0][0]
+        # A 3-cycle whose start disc misses a trap that a later disc meets:
+        # |z3| ~ 1.02 lies between the moduli ~0.98 and ~1.75 of its images.
+        a = 1.525 - 0.855j
+        z3, _ = _cycle_point(a)
+        w, ww = core._f(a, z3), core._f(a, core._f(a, z3))
+        assert abs(w) < abs(z3) < abs(ww)
+        rho, r_out = trap_radii(a)
+        n3 = np.array([3])
+        assert raster._certify(np.array([z3]), n3, a, rho, r_out)[0][0]
+        inner, outer = 0.5 * (abs(w) + abs(z3)), 0.5 * (abs(ww) + abs(z3))
+        assert not raster._certify(np.array([z3]), n3, a, inner, r_out)[0][0]
+        assert not raster._certify(np.array([z3]), n3, a, rho, outer)[0][0]
+
+
+def test_certificate_requires_the_last_disc_inside_the_first():
+    # -0.927+0.032i is attracted by the fixed point -1 of f_1, but the disc
+    # the multiplier rule picks about it is not mapped into itself: every disc
+    # misses the traps, and only the containment test refuses it.
+    rho, r_out = trap_radii(1.0)
+    z = np.array([-0.92708552 + 0.03247474j])
+    with np.errstate(all="ignore"):
+        ok, r0 = raster._certify(z, np.array([1]), 1.0, rho, r_out)
+    assert not ok[0]
+    assert rho < abs(z[0]) - r0[0] and abs(z[0]) + r0[0] < r_out
+
+
+def test_check_10_fails_when_the_step_breaks_conjugation_symmetry(monkeypatch):
+    # The mirrored rows of a symmetric window make v == v[::-1] hold by
+    # construction; check 10 tests the premise of the mirror instead.
+    params = CheckParams(raster_size=40, raster_iters=64)
+    assert run_check(10, params).ok
+    step = raster._f_step
+    monkeypatch.setattr(raster, "_f_step", lambda z, a: step(z, a) * (1.0 + 1e-16j))
+    result = run_check(10, params)
+    assert not result.ok and result.detail == "conjugation symmetry broken"
+
+
 _coord = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
 
 
 @st.composite
 def _windows(draw):
+    """A window and n_max; every other window is symmetric under conjugation, so mirrored."""
     re = sorted((draw(_coord), draw(_coord)))
-    im = sorted((draw(_coord), draw(_coord)))
+    if draw(st.booleans()):
+        half = abs(draw(_coord))
+        im = (-half, half)
+    else:
+        im = sorted((draw(_coord), draw(_coord)))
     return dict(re_min=re[0], re_max=re[1], im_min=im[0], im_max=im[1],
                 n_max=draw(st.integers(min_value=0, max_value=80)))
 
@@ -468,8 +611,11 @@ def test_m2_kernel_property(width, height, window):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 24), st.integers(0, 24), _windows(),
-       st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * math.pi))
-def test_julia_kernel_property(width, height, window, log_mod, arg):
-    a = cmath.rect(10.0 ** log_mod, arg)
+       st.floats(-3.0, 3.0), st.sampled_from([None, 0.0, math.pi]), st.floats(0.0, 2.0 * math.pi))
+def test_julia_kernel_property(width, height, window, log_mod, real_arg, arg):
+    # real_arg 0 or pi draws a real a, whose symmetric windows are mirrored.
+    a = cmath.rect(10.0 ** log_mod, arg if real_arg is None else real_arg)
+    if real_arg is not None:
+        a = complex(a.real, 0.0)
     r = julia_raster(a, width, height, **window)
     _assert_same_values(r.values, _julia_escape_full_grid(r))
