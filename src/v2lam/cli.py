@@ -118,6 +118,8 @@ def _count(what: str, text: str, minimum: int = 0) -> int:
 
 #: The kind of a size flag that must be at least 1.
 _positive = functools.partial(_count, minimum=1)
+#: The kind of a ray's step count: a ray needs two points.
+_steps = functools.partial(_count, minimum=2)
 
 
 def _float(what: str, text: str) -> float:
@@ -422,7 +424,7 @@ def _cmd_lam_regions(args) -> int:
     from .laminations import build_2L, complementary_regions
 
     lam = build_2L(args.theta, args.depth)
-    regions = complementary_regions(lam.side_leaves(args.side))
+    regions = complementary_regions(lam, args.side)
     print("regions: %d" % len(regions))
     for cyc in regions:
         print(" ".join("%s(%s,%s)" % (kind, a, b) for kind, a, b in cyc))
@@ -717,7 +719,7 @@ def _build_parser() -> _Parser:
     p = _sub(asub, "nu", "comparison bit nu_m(theta)",
              "v2lam angle nu --theta 1/6 --m 2", registry, _cmd_angle_nu)
     _flag(p, "theta", _angle, REQUIRED)
-    _flag(p, "m", _int, REQUIRED)
+    _flag(p, "m", _count, REQUIRED)
 
     p = _sub(asub, "digits", "binary digit stream (optionally after doublings)",
              "v2lam angle digits --theta 1/6 --count 8", registry, _cmd_angle_digits)
@@ -749,7 +751,7 @@ def _build_parser() -> _Parser:
     p = _sub(asub, "sigma", "critical arc, or periodic-generator arc lengths",
              "v2lam angle sigma --period 2", registry, _cmd_angle_sigma)
     _flag(p, "theta", _angle, help="print the critical arc for this generator")
-    _flag(p, "period", _int, help="print the periodic arc lengths for this period")
+    _flag(p, "period", _positive, help="print the periodic arc lengths for this period")
 
     p = _sub(asub, "semiconj", "doubling/quadrupling semiconjugacy defect report",
              "v2lam angle semiconj --theta 1/2 --samples 64 --cap 24",
@@ -904,7 +906,7 @@ def _build_parser() -> _Parser:
     _flag(p, "theta", _angle, REQUIRED)
     _flag(p, "s-from", _float, 8.0)
     _flag(p, "s-to", _float, 0.001)
-    _flag(p, "steps", _int, 200)
+    _flag(p, "steps", _steps, 200)
     p.add_argument("--out")
 
     p = _sub(dsub, "param-ray", "external parameter ray in the a-plane",
@@ -913,7 +915,7 @@ def _build_parser() -> _Parser:
     _flag(p, "theta", _angle, REQUIRED)
     _flag(p, "s-from", _float, 8.0)
     _flag(p, "s-to", _float, 0.05)
-    _flag(p, "steps", _int, 200)
+    _flag(p, "steps", _steps, 200)
     p.add_argument("--out")
     p.add_argument("--angle-errors", action=_Switch,
                    help="re-evaluate the critical-value angle along the ray")
@@ -941,7 +943,7 @@ def _build_parser() -> _Parser:
     _flag(p, "samples", _positive, 200)
     _flag(p, "raster-size", _positive, 400)
     _flag(p, "n-max", _positive, 512)
-    _flag(p, "steps", _int, 200)
+    _flag(p, "steps", _steps, 200)
     _flag(p, "leaf-depth", _count, 3)
     p.add_argument("--json", action=_Switch,
                    help="print one JSON object per check: number, name, group, ok, "

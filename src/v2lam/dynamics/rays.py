@@ -73,10 +73,6 @@ class RayPath:
     for parameter rays it is the parameter a.
     """
 
-    kind: str                       # "dynamical" | "parameter"
-    base: str | None                # "inf" | "0" for dynamical rays
-    theta: Fraction | None
-    a: complex | None               # parameter (dynamical rays only)
     points: list[tuple[float, complex, float]] = field(default_factory=list)
     crashed: bool = False
     crash_potential: float | None = None
@@ -301,7 +297,7 @@ def trace_dynamical_ray(
     grid = _geometric_grid(s_from, s_to, steps)
     inf_pts = _march_infinity(a, theta, grid)
     if base == "inf":
-        path = RayPath("dynamical", "inf", theta, a, inf_pts)
+        path = RayPath(inf_pts)
         _finish_landing(path)
         return path
 
@@ -331,7 +327,7 @@ def trace_dynamical_ray(
     roots = _inverse_roots(a, [w for _, w, _ in kept])
     pts = [(s, -1.0 + r, res) for (s, _, res), r in zip(kept, roots)]
 
-    path = RayPath("dynamical", "0", theta, a, pts)
+    path = RayPath(pts)
     if crash is not None:
         s_c, w_star, res_star = crash
         path.crashed = True
@@ -376,11 +372,11 @@ def trace_ray_through_point(
     A0 = marcher.anchor(w0, n0)
 
     up_grid = [s for s in reversed(_geometric_grid(s_up, s0, steps)) if s > s0]
-    upper = RayPath("dynamical", "inf", None, a, [(s0, w0, 0.0)])
+    upper = RayPath([(s0, w0, 0.0)])
     upper.points += marcher.walk(w0, 0.0, s0, n0, A0, up_grid)
 
     down_grid = [s for s in _geometric_grid(s0, s_to, steps) if s < s0]
-    lower = RayPath("dynamical", "inf", None, a, [(s0, w0, 0.0)])
+    lower = RayPath([(s0, w0, 0.0)])
     lower.points += marcher.walk(w0, 0.0, s0, n0, A0, down_grid)
     _finish_landing(lower)
     return upper, lower, s0
@@ -411,7 +407,7 @@ def trace_parameter_ray(
     x = -2.0 * cmath.exp(complex(s0, TWO_PI * float(theta0)))
     n, A = 0, _exact_anchor(theta0, 0)
     x, res = marcher.newton(x, n, A, s0)
-    path = RayPath("parameter", None, theta0, None)
+    path = RayPath()
     try:
         for point in marcher.walk(x, res, s0, n, A, grid):
             path.points.append(point)

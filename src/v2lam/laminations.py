@@ -14,9 +14,9 @@ Builders produce:
   found by pulling admitted chords back along doubling,
 * the basilica lamination and matings of two inside laminations.
 
-A ``Lamination`` stores integer chords over one denominator ``den``: a map
-(side, lo, hi) -> depth with 0 <= lo < hi < den meaning the chord
-{lo/den, hi/den}.  Building, deduplication, the crossing sweep, the
+A ``Lamination`` is nothing but integer chords over one denominator
+``den``: a map (side, lo, hi) -> depth with 0 <= lo < hi < den meaning the
+chord {lo/den, hi/den}.  Building, deduplication, the crossing sweep, the
 invariance check, complementary regions, the leaf file and the SVG all run
 on these integers.  ``Leaf``, the validating Fraction form of one chord, is
 built only at the edge: when a caller iterates a lamination (``__iter__``,
@@ -28,6 +28,7 @@ once to the lcm of the denominators they meet.  Each chord concept is
 written once: one crossing predicate (_chords_cross), one sorted sweep
 counting crossing pairs (_crossings), and one conversion of Fractions to
 integers over their common denominator (_over_common_denominator).
+Complementary regions are read off the nesting of non-crossing chords.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _turns_text(x: int, den: int) -> str:
 
 
 class Lamination:
-    """Finite leaf set with a kind tag, generator data, and build depth.
+    """Finite leaf set: integer chords over one denominator.
 
     ``chords`` maps (side, lo, hi) to the leaf depth, lo < hi being integers
     in [0, den) for the chord {lo/den, hi/den}.  A chord reachable at two
@@ -99,11 +100,7 @@ class Lamination:
     denominators) are rescaled once to the lcm of ``den`` and theirs.
     """
 
-    def __init__(self, kind: str = "file", generator=None, depth: int = 0,
-                 leaves: Iterable[Leaf] = (), den: int = 1):
-        self.kind = kind
-        self.generator = generator
-        self.depth = depth
+    def __init__(self, leaves: Iterable[Leaf] = (), den: int = 1):
         leaves = list(leaves)
         ints, common = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
         self.den = lcm(den, common)
@@ -169,7 +166,7 @@ class Lamination:
                        for s, a, b in self.chords)
 
     @classmethod
-    def from_text(cls, text: str, kind: str = "file") -> "Lamination":
+    def from_text(cls, text: str) -> "Lamination":
         leaves = []
         for line in text.splitlines():
             line = line.strip()
@@ -179,7 +176,7 @@ class Lamination:
             if len(parts) != 3:
                 raise DomainError("bad leaf line: %r" % line)
             leaves.append(Leaf(angle(parts[1]), angle(parts[2]), parts[0]))
-        return cls(kind=kind, leaves=leaves)
+        return cls(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +252,7 @@ def build_L0(theta0: Fraction, depth: int, M: Optional[int] = None) -> Laminatio
         raise DomainError("depth must be >= 0")
     arcs = [(h_arc(t, t0, M), m) for m in range(depth + 1) for t in preimages_of_angle(t0, m)]
     ints, den = _over_common_denominator([x for ha, _ in arcs for x in (ha.start, ha.end)])
-    lam = Lamination(kind="L0", generator=t0, depth=depth, den=den)
+    lam = Lamination(den=den)
     for i, (_, m) in enumerate(arcs):
         a, b = ints[2 * i], ints[2 * i + 1]
         if a == b:
@@ -264,8 +261,8 @@ def build_L0(theta0: Fraction, depth: int, M: Optional[int] = None) -> Laminatio
     return lam
 
 
-def _half_arc_pullbacks(kind: str, theta0: Fraction, depth: int, bits: int,
-                        pull, sides: tuple[str, ...]) -> Lamination:
+def _half_arc_pullbacks(theta0: Fraction, depth: int, bits: int, pull,
+                        sides: tuple[str, ...]) -> Lamination:
     """The bridges over the pullbacks of the half-arc (x0, x0 + 1/2).
 
     Each pullback step divides the arc length by 2^bits.  Arc starts are
@@ -281,7 +278,7 @@ def _half_arc_pullbacks(kind: str, theta0: Fraction, depth: int, bits: int,
     x0 = x0_digits(theta0)
     e = bits * depth + 1
     D = x0.denominator << e
-    lam = Lamination(kind=kind, generator=theta0, depth=depth, den=D)
+    lam = Lamination(den=D)
     add = lam.add
     starts, length = [x0.numerator << e], D >> 1
     for n in range(depth + 1):
@@ -315,7 +312,7 @@ def build_L(theta0: Fraction, depth: int) -> Lamination:
     (1/2) * 4^-n; the system is invariant under the antipodal map.  The
     arcs are carried as integers over one denominator.
     """
-    return _half_arc_pullbacks("L", theta0, depth, 2, _quad_pull, (INSIDE,))
+    return _half_arc_pullbacks(theta0, depth, 2, _quad_pull, (INSIDE,))
 
 
 def build_2L(theta0: Fraction, depth: int) -> Lamination:
@@ -325,7 +322,7 @@ def build_2L(theta0: Fraction, depth: int) -> Lamination:
     and outside for odd n.  The arcs are carried as integers over one
     denominator.
     """
-    return _half_arc_pullbacks("twoSided", theta0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
+    return _half_arc_pullbacks(theta0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
 
 
 def mirror_outside(lam: Lamination) -> Lamination:
@@ -335,7 +332,7 @@ def mirror_outside(lam: Lamination) -> Lamination:
     coalesced keeping the smaller depth.
     """
     den = lam.den
-    out = Lamination(kind=lam.kind, generator=lam.generator, depth=lam.depth, den=den)
+    out = Lamination(den=den)
     for (side, a, b), d in lam.chords.items():
         if side == INSIDE:
             ia, ib = -2 * a % den, -2 * b % den
@@ -503,7 +500,7 @@ def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
                     admitted.add(c)
                     work.append(c)
 
-    lam = Lamination(kind="quadratic", generator=y0, depth=depth, den=den)
+    lam = Lamination(den=den)
     lam.add(INSIDE, l0a, l0b, 0)
     for p, q in sorted(admitted):
         lam.add(INSIDE, p, q, max(first_depth[p], first_depth[q]))
@@ -527,7 +524,7 @@ def build_basilica(depth: int) -> Lamination:
     if depth < 0:
         raise DomainError("depth must be >= 0")
     den = 3 << depth
-    lam = Lamination(kind="basilica", generator=Fraction(1, 3), depth=depth, den=den)
+    lam = Lamination(den=den)
     major = (den // 3, 2 * den // 3)
     lam.add(INSIDE, *major, 0)
     layer = [major]
@@ -542,8 +539,7 @@ def build_basilica(depth: int) -> Lamination:
 def mate(L1: Lamination, L2: Lamination) -> Lamination:
     """Two-sided mating: L1 inside; L2 outside with angles negated mod 1."""
     den = lcm(L1.den, L2.den)
-    out = Lamination(kind="mating", generator=(L1.generator, L2.generator),
-                     depth=max(L1.depth, L2.depth), den=den)
+    out = Lamination(den=den)
     for lam, side, sign in ((L1, INSIDE, 1), (L2, OUTSIDE, -1)):
         k = sign * (den // lam.den)
         for (s, a, b), d in lam.chords.items():
@@ -556,97 +552,58 @@ def mate(L1: Lamination, L2: Lamination) -> Lamination:
 # complementary regions
 
 
-def complementary_regions(leaves: Sequence[Leaf]) -> list[list[tuple]]:
-    """Faces of a non-crossing chord arrangement in the closed disk.
+def complementary_regions(lam: Lamination, side: str) -> list[list[tuple]]:
+    """Faces of the chords of one side of lam in the closed disk.
 
     Returns the regions that touch the circle, each as a boundary cycle of
     ("chord", from_angle, to_angle) and ("arc", from_angle, to_angle) edges
     in counterclockwise walk order, angles as Fractions.  Pure-chord
     pockets (faces meeting the circle in no arc, only at vertices) are not
-    listed.  The empty arrangement yields the single full-disk region.
+    listed.  No chords yield the single full-disk region; crossing chords
+    are refused.
+
+    Non-crossing chords are nested or disjoint, so a face is the inside of
+    one chord (lo, hi), bounded by hi -> lo and a walk from lo to hi, or the
+    outer face, a walk from the least vertex v0 round to v0.  The walk takes
+    at each vertex the outermost chord from there that stays in the face,
+    else the arc to the next vertex.  Faces are listed in the order of their
+    first chord half-edge (lo -> hi of the k-th chord in sorted order is
+    number 2k, hi -> lo is 2k + 1), each cycle starting at that edge.
     """
-    ints, den = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
-    ends = list(zip(ints[::2], ints[1::2]))
-    bad = _crossings(ends)
+    chords = sorted((a, b) for s, a, b in lam.chords if s == side)
+    bad = _crossings(chords)
     if bad:
         raise DomainError("crossing chord pairs: %d" % bad)
-    chords = sorted(set(ends))
     if not chords:
         return [[("arc", Fraction(0), Fraction(0))]]
-
+    his: dict[int, list[int]] = {}     # the sorted his of the chords from each lo
+    for lo, hi in chords:
+        his.setdefault(lo, []).append(hi)
+    number = {c: 2 * k for k, c in enumerate(chords)}   # of the half-edge lo -> hi
     verts = sorted({x for c in chords for x in c})
-    vid = {v: i for i, v in enumerate(verts)}
-    nvert = len(verts)
+    succ = dict(zip(verts, verts[1:] + verts[:1]))
+    turn = {v: Fraction(v, lam.den) for v in verts}
 
-    # Half-edges: ("chord", i, j) from verts[i] to verts[j], and ("arc", i)
-    # the ccw circle arc from verts[i] to its circular successor, plus the
-    # reversed arc ("rarc", i).  Departure directions, in turns as integers
-    # over 4*den: chord i->j: (t_i + t_j')/2 + 1/4 with t_j' the ccw lift of
-    # t_j; ccw arc at t: t + 1/4; cw arc at t: t + 3/4.
-    den4 = 4 * den
-    outgoing: dict[int, list[tuple[int, tuple]]] = {i: [] for i in range(nvert)}
+    def walk(edge: tuple, end: int) -> list[tuple]:
+        """edge, then the outermost chord or the next arc up to end."""
+        cycle, x = [edge], edge[2]
+        while x != end:
+            out = his.get(x)
+            y, kind = (out[-1], "chord") if out else (succ[x], "arc")
+            cycle.append((kind, x, y))
+            x = y
+        return cycle
 
-    def chord_dir(i: int, j: int) -> int:
-        ti = verts[i]
-        tj = ti + (verts[j] - ti) % den
-        return (2 * (ti + tj) + den) % den4
-
-    half_edges: list[tuple] = []
-    for (a, b) in chords:
-        i, j = vid[a], vid[b]
-        for (s, t) in ((i, j), (j, i)):
-            h = ("chord", s, t)
-            half_edges.append(h)
-            outgoing[s].append((chord_dir(s, t), h))
-    for i in range(nvert):
-        h = ("arc", i)                      # ccw from verts[i]
-        half_edges.append(h)
-        outgoing[i].append(((4 * verts[i] + den) % den4, h))
-        h = ("rarc", i)                     # cw from successor back to verts[i]
-        half_edges.append(h)
-        succ = (i + 1) % nvert
-        outgoing[succ].append(((4 * verts[succ] + 3 * den) % den4, h))
-
-    for i in range(nvert):
-        outgoing[i].sort()
-
-    def twin(h: tuple) -> tuple:
-        if h[0] == "chord":
-            return ("chord", h[2], h[1])
-        if h[0] == "arc":
-            return ("rarc", h[1])
-        return ("arc", h[1])
-
-    ring_pos = {
-        e: (i, k) for i in range(nvert) for k, (_, e) in enumerate(outgoing[i])
-    }
-
-    def next_half_edge(h: tuple) -> tuple:
-        back = twin(h)
-        v, pos = ring_pos[back]
-        return outgoing[v][pos - 1][1]  # next clockwise from the reversed edge
-
-    turns = [Fraction(v, den) for v in verts]
-    seen: set[tuple] = set()
-    regions = []
-    for start in half_edges:
-        if start in seen:
-            continue
-        cycle = []
-        h = start
-        while h not in seen:
-            seen.add(h)
-            cycle.append(h)
-            h = next_half_edge(h)
-        kinds = {e[0] for e in cycle}
-        if "rarc" in kinds or "arc" not in kinds:
-            continue  # outer face, or a pure-chord pocket
-        walk = []
-        for e in cycle:
-            if e[0] == "chord":
-                walk.append(("chord", turns[e[1]], turns[e[2]]))
-            else:
-                i = e[1]
-                walk.append(("arc", turns[i], turns[(i + 1) % nvert]))
-        regions.append(walk)
-    return regions
+    v0 = verts[0]
+    faces = [(number[v0, his[v0][-1]], walk(("chord", v0, his[v0][-1]), v0))]
+    for lo, hi in chords:
+        j = bisect_left(his[lo], hi)
+        if j:   # the child from lo comes first
+            child = (lo, his[lo][j - 1])
+            faces.append((number[child], walk(("chord", *child), hi) + [("chord", hi, lo)]))
+        else:
+            back = [("chord", hi, lo)]
+            faces.append((number[lo, hi] + 1, back + walk(("arc", lo, succ[lo]), hi)))
+    # the numbers differ, so no two cycles are compared
+    return [[(kind, turn[x], turn[y]) for kind, x, y in cycle]
+            for _, cycle in sorted(faces) if any(e[0] == "arc" for e in cycle)]

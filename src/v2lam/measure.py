@@ -45,12 +45,9 @@ class Arc:
     def length(self) -> Fraction:
         return angle(self.end - self.start)
 
-    def contains(self, t: Fraction, strict: bool = True) -> bool:
-        """Membership of angle t in the (open by default) arc."""
-        d = angle(Fraction(t) - self.start)
-        if strict:
-            return Fraction(0) < d < self.length
-        return d <= self.length
+    def contains(self, t: Fraction) -> bool:
+        """Membership of angle t in the open arc."""
+        return Fraction(0) < angle(Fraction(t) - self.start) < self.length
 
     def __str__(self) -> str:
         return "[%s, %s)" % (self.start, self.end)
@@ -223,10 +220,6 @@ class SemiConjReport:
     skipped: list[Fraction]
     max_defect: Fraction
 
-    @property
-    def ok(self) -> bool:
-        return True  # defect magnitude is the caller's acceptance knob
-
 
 def _interval_gap(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> Fraction:
     """Circular distance between two (mod 1) intervals; 0 if they overlap."""
@@ -259,7 +252,7 @@ def semiconjugacy_check(theta0: Fraction, samples: list[Fraction], M: int) -> Se
     worst = Fraction(0)
     for u in samples:
         u = angle(u)
-        if sigma.contains(u, strict=True):
+        if sigma.contains(u):
             skipped.append(u)
             continue
         lo, hi = h_point(u, t0, M, bits)

@@ -15,6 +15,10 @@
   pair scan, and the basilica filter that tests every candidate against the
   whole accumulated leaf set, as they were before the library's one
   predicate and one sorted sweep.
+* ``complementary_regions``: the faces found by a general planar face walk
+  (half-edges, twins, departure directions over 4*den, the next half-edge
+  clockwise at each vertex), as it was before the library read them off
+  the nesting of the chords.
 * ``AtomicMeasure``: the depth-capped atom list of the measure, with its
   exact truncated mass.
 * ``addr_equivalent``/``leaf_addresses_match``: the address relation decided
@@ -49,6 +53,7 @@ from v2lam.laminations import (
     OUTSIDE,
     InvarianceReport,
     Leaf,
+    _crossings,
     _orbit_admits,
     _over_common_denominator,
     build_2L as library_build_2L,
@@ -69,10 +74,7 @@ class Lamination:
     """Leaves deduplicated by (side, Fraction a, Fraction b), keeping the
     smaller depth; iteration in insertion order."""
 
-    def __init__(self, kind: str = "file", generator=None, depth: int = 0, leaves=()):
-        self.kind = kind
-        self.generator = generator
-        self.depth = depth
+    def __init__(self, leaves=()):
         self._by_key: dict[tuple, Leaf] = {}
         for leaf in leaves:
             self.add(leaf)
@@ -111,8 +113,8 @@ class Lamination:
         return "".join("%s\n" % l for l in self)
 
     @classmethod
-    def from_text(cls, text: str, kind: str = "file") -> "Lamination":
-        lam = cls(kind=kind)
+    def from_text(cls, text: str) -> "Lamination":
+        lam = cls()
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -126,7 +128,7 @@ class Lamination:
 
 def mirror_outside(lam) -> Lamination:
     """Each inside leaf {a,b} to the outside leaf {-2a, -2b}, on Fractions."""
-    out = Lamination(kind=lam.kind, generator=lam.generator, depth=lam.depth)
+    out = Lamination()
     for l in lam.side_leaves(INSIDE):
         ia, ib = angle(-2 * l.a), angle(-2 * l.b)
         if ia == ib:
@@ -165,8 +167,7 @@ def check_two_sided_invariance(lam: Lamination, depth: int) -> InvarianceReport:
 
 def mate(L1, L2) -> Lamination:
     """L1's inside leaves inside; L2's inside leaves negated, outside."""
-    out = Lamination(kind="mating", generator=(L1.generator, L2.generator),
-                     depth=max(L1.depth, L2.depth))
+    out = Lamination()
     for l in L1.side_leaves(INSIDE):
         out.add(Leaf(l.a, l.b, INSIDE, l.depth))
     for l in L2.side_leaves(INSIDE):
@@ -187,7 +188,7 @@ def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
                 first_depth.setdefault(t, k)
     points = sorted(first_depth)
     (l0a, l0b, *ints), den = _over_common_denominator([major.a, major.b, *points])
-    lam = Lamination(kind="quadratic", generator=y0, depth=depth)
+    lam = Lamination()
     lam.add(major)
     n = len(points)
     for i in range(n):
@@ -211,10 +212,10 @@ def _arc_preimages_neg2(start: Fraction, length: Fraction):
     yield (angle(s + HALF), length / 2)
 
 
-def _pullbacks(kind: str, theta0: Fraction, depth: int, preimages, sides) -> Lamination:
+def _pullbacks(theta0: Fraction, depth: int, preimages, sides) -> Lamination:
     t0 = require_nonperiodic(theta0)
     sigma = sigma0_arc(t0)
-    lam = Lamination(kind=kind, generator=t0, depth=depth)
+    lam = Lamination()
     layer = [(sigma.start, sigma.length)]
     for n in range(depth + 1):
         for start, length in layer:
@@ -226,12 +227,12 @@ def _pullbacks(kind: str, theta0: Fraction, depth: int, preimages, sides) -> Lam
 
 def build_L(theta0: Fraction, depth: int) -> Lamination:
     """Bridges over the quadrupling preimages of the half-arc, on Fractions."""
-    return _pullbacks("L", theta0, depth, _arc_preimages_quad, lambda n: INSIDE)
+    return _pullbacks(theta0, depth, _arc_preimages_quad, lambda n: INSIDE)
 
 
 def build_2L(theta0: Fraction, depth: int) -> Lamination:
     """Bridges over the t -> -2t preimages of the half-arc, on Fractions."""
-    return _pullbacks("twoSided", theta0, depth, _arc_preimages_neg2,
+    return _pullbacks(theta0, depth, _arc_preimages_neg2,
                       lambda n: INSIDE if n % 2 == 0 else OUTSIDE)
 
 
@@ -311,7 +312,7 @@ def build_basilica(depth: int) -> Lamination:
     """Basilica preimages filtered against every accumulated leaf."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    lam = Lamination(kind="basilica", generator=Fraction(1, 3), depth=depth)
+    lam = Lamination()
     lam.add(Leaf(Fraction(1, 3), Fraction(2, 3), INSIDE, 0))
     den = 3 << depth
     accum = [(den // 3, 2 * den // 3)]
@@ -338,6 +339,103 @@ def build_basilica(depth: int) -> Lamination:
         accum.extend(nxt)
         layer = nxt
     return lam
+
+
+def complementary_regions(lam, side: str) -> list[list[tuple]]:
+    """Faces of the side's chords in the closed disk, by a planar face walk.
+
+    Returns the regions that touch the circle, each as a boundary cycle of
+    ("chord", from_angle, to_angle) and ("arc", from_angle, to_angle) edges
+    in counterclockwise walk order, angles as Fractions.  Pure-chord
+    pockets (faces meeting the circle in no arc, only at vertices) are not
+    listed.  The empty arrangement yields the single full-disk region.
+    """
+    leaves = lam.side_leaves(side)
+    ints, den = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
+    ends = list(zip(ints[::2], ints[1::2]))
+    bad = _crossings(ends)
+    if bad:
+        raise DomainError("crossing chord pairs: %d" % bad)
+    chords = sorted(set(ends))
+    if not chords:
+        return [[("arc", Fraction(0), Fraction(0))]]
+
+    verts = sorted({x for c in chords for x in c})
+    vid = {v: i for i, v in enumerate(verts)}
+    nvert = len(verts)
+
+    # Half-edges: ("chord", i, j) from verts[i] to verts[j], and ("arc", i)
+    # the ccw circle arc from verts[i] to its circular successor, plus the
+    # reversed arc ("rarc", i).  Departure directions, in turns as integers
+    # over 4*den: chord i->j: (t_i + t_j')/2 + 1/4 with t_j' the ccw lift of
+    # t_j; ccw arc at t: t + 1/4; cw arc at t: t + 3/4.
+    den4 = 4 * den
+    outgoing: dict[int, list[tuple[int, tuple]]] = {i: [] for i in range(nvert)}
+
+    def chord_dir(i: int, j: int) -> int:
+        ti = verts[i]
+        tj = ti + (verts[j] - ti) % den
+        return (2 * (ti + tj) + den) % den4
+
+    half_edges: list[tuple] = []
+    for (a, b) in chords:
+        i, j = vid[a], vid[b]
+        for (s, t) in ((i, j), (j, i)):
+            h = ("chord", s, t)
+            half_edges.append(h)
+            outgoing[s].append((chord_dir(s, t), h))
+    for i in range(nvert):
+        h = ("arc", i)                      # ccw from verts[i]
+        half_edges.append(h)
+        outgoing[i].append(((4 * verts[i] + den) % den4, h))
+        h = ("rarc", i)                     # cw from successor back to verts[i]
+        half_edges.append(h)
+        succ = (i + 1) % nvert
+        outgoing[succ].append(((4 * verts[succ] + 3 * den) % den4, h))
+
+    for i in range(nvert):
+        outgoing[i].sort()
+
+    def twin(h: tuple) -> tuple:
+        if h[0] == "chord":
+            return ("chord", h[2], h[1])
+        if h[0] == "arc":
+            return ("rarc", h[1])
+        return ("arc", h[1])
+
+    ring_pos = {
+        e: (i, k) for i in range(nvert) for k, (_, e) in enumerate(outgoing[i])
+    }
+
+    def next_half_edge(h: tuple) -> tuple:
+        back = twin(h)
+        v, pos = ring_pos[back]
+        return outgoing[v][pos - 1][1]  # next clockwise from the reversed edge
+
+    turns = [Fraction(v, den) for v in verts]
+    seen: set[tuple] = set()
+    regions = []
+    for start in half_edges:
+        if start in seen:
+            continue
+        cycle = []
+        h = start
+        while h not in seen:
+            seen.add(h)
+            cycle.append(h)
+            h = next_half_edge(h)
+        kinds = {e[0] for e in cycle}
+        if "rarc" in kinds or "arc" not in kinds:
+            continue  # outer face, or a pure-chord pocket
+        walk = []
+        for e in cycle:
+            if e[0] == "chord":
+                walk.append(("chord", turns[e[1]], turns[e[2]]))
+            else:
+                i = e[1]
+                walk.append(("arc", turns[i], turns[(i + 1) % nvert]))
+        regions.append(walk)
+    return regions
 
 
 @dataclass

@@ -452,6 +452,15 @@ def test_io_error_is_seventy_four(tmp_path, capsys, argv):
     ("check", "dyn", "--raster-size", "0"),
     ("lam", "L0", "--theta", "1/2", "--depth", "2", "--measure-cap", "0"),
     ("angle", "x0", "--theta", "1/6", "--terms", "0"),
+    ("angle", "sigma", "--period", "0"),
+    ("angle", "sigma", "--period", "-2"),
+    ("angle", "nu", "--theta", "1/6", "--m", "-1"),
+    # a ray needs two points
+    ("dyn", "ray", "--a", "6", "--theta", "0", "--steps", "1"),
+    ("dyn", "ray", "--a", "6", "--theta", "0", "--steps", "0"),
+    ("dyn", "param-ray", "--theta", "1/6", "--steps", "1"),
+    ("dyn", "param-ray", "--theta", "1/6", "--steps", "0"),
+    ("check", "dyn", "--steps", "1", "--raster-size", "8"),
 ])
 def test_usage_errors_are_sixty_four(capsys, argv):
     code, out, err = run(capsys, *argv)

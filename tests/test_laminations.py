@@ -225,19 +225,33 @@ def test_mate():
 
 
 def test_complementary_regions():
-    assert len(complementary_regions([Leaf(Fr(0), Fr(1, 2))])) == 2
-    assert len(complementary_regions([])) == 1
+    assert len(complementary_regions(Lamination(leaves=[Leaf(Fr(0), Fr(1, 2))]), INSIDE)) == 2
+    assert complementary_regions(Lamination(), INSIDE) == [[("arc", Fr(0), Fr(0))]]
     lam = build_quadratic_lamination(Fr(0), 1)
-    regions = complementary_regions(lam.side_leaves(INSIDE))
+    regions = complementary_regions(lam, INSIDE)
     assert len(regions) == 4
     # every listed region alternates to include at least one circle arc
     for cycle in regions:
         assert any(kind == "arc" for kind, *_ in cycle)
+    assert complementary_regions(lam, OUTSIDE) == complementary_regions(Lamination(), INSIDE)
     with pytest.raises(DomainError, match="crossing chord pairs: 1$"):
-        complementary_regions([Leaf(Fr(0), Fr(1, 2)), Leaf(Fr(1, 4), Fr(3, 4))])
+        complementary_regions(Lamination(leaves=[Leaf(Fr(0), Fr(1, 2)),
+                                                 Leaf(Fr(1, 4), Fr(3, 4))]), INSIDE)
     with pytest.raises(DomainError, match="crossing chord pairs: 3$"):
-        complementary_regions([Leaf(Fr(0), Fr(1, 2)), Leaf(Fr(1, 4), Fr(3, 4)),
-                               Leaf(Fr(1, 8), Fr(5, 8))])
+        complementary_regions(Lamination(leaves=[Leaf(Fr(0), Fr(1, 2)), Leaf(Fr(1, 4), Fr(3, 4)),
+                                                 Leaf(Fr(1, 8), Fr(5, 8))]), INSIDE)
+
+
+def test_complementary_regions_skip_pockets_and_start_at_the_first_half_edge():
+    # the triangle 0, 1/4, 1/2 is a pocket inside {0, 1/2}; chord k's
+    # half-edges are 2k (lo -> hi) and 2k + 1 (hi -> lo) in sorted order
+    lam = Lamination(leaves=[Leaf(Fr(0), Fr(1, 2)), Leaf(Fr(0), Fr(1, 4)),
+                             Leaf(Fr(1, 4), Fr(1, 2))])
+    assert complementary_regions(lam, INSIDE) == [
+        [("chord", Fr(1, 4), Fr(0)), ("arc", Fr(0), Fr(1, 4))],          # half-edge 1
+        [("chord", Fr(0), Fr(1, 2)), ("arc", Fr(1, 2), Fr(0))],          # 2, the outer face
+        [("chord", Fr(1, 2), Fr(1, 4)), ("arc", Fr(1, 4), Fr(1, 2))],    # 5
+    ]
 
 
 def test_leaf_text_roundtrip():
@@ -267,7 +281,6 @@ def _same_lamination(fast, slow):
     assert fast.to_text() == slow.to_text()
     assert [l.key for l in fast] == [l.key for l in slow]
     assert [l.depth for l in fast] == [l.depth for l in slow]
-    assert (fast.kind, fast.generator, fast.depth) == (slow.kind, slow.generator, slow.depth)
     assert len(fast) == len(slow)
 
 
@@ -380,6 +393,7 @@ def test_building_and_emitting_construct_no_leaf(monkeypatch):
     render_svg(lam, color_by_depth=True)
     count_same_side_crossings(lam)
     assert check_two_sided_invariance(lam, 9).ok
+    complementary_regions(lam, INSIDE)
     for other in (build_L(Fr(5, 12), 4), mirror_outside(build_L(Fr(5, 12), 4)),
                   build_quadratic_lamination(Fr(1, 7), 5), build_basilica(5)):
         other.to_text()
@@ -450,3 +464,66 @@ def test_count_same_side_crossings_matches_pair_scan(t, depth):
 def test_count_crossings_of_collapsing_quadratic_matches_pair_scan(depth):
     lam = build_quadratic_lamination(Fr(0), depth)
     assert count_same_side_crossings(lam) == oracle.count_same_side_crossings(lam)
+
+
+# ---------------------------------------------------------------------------
+# complementary regions against the planar face walk
+# ---------------------------------------------------------------------------
+
+def _same_regions(lam):
+    for side in (INSIDE, OUTSIDE):
+        try:
+            want = oracle.complementary_regions(lam, side)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match="^%s$" % exc):
+                complementary_regions(lam, side)
+        else:
+            assert complementary_regions(lam, side) == want
+
+
+@st.composite
+def _chord_families(draw):
+    """Leaves of both sides over one small or non-dyadic denominator.
+
+    Each drawn chord is kept when it crosses no kept chord of its side, and
+    now and then regardless, so some families cross; a kept chord is
+    sometimes repeated, or split at an inner point into two chords that
+    close a pocket with it.
+    """
+    den = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 16, 24, 30)))
+    kept = {INSIDE: [], OUTSIDE: []}
+    leaves = []
+    for _ in range(draw(st.integers(0, 12))):
+        side = draw(st.sampled_from((INSIDE, OUTSIDE)))
+        how = draw(st.sampled_from(("new", "new", "new", "any", "repeat", "pocket")))
+        if how in ("repeat", "pocket") and kept[side]:
+            a, b = draw(st.sampled_from(kept[side]))
+            chords = [(a, b)]
+            if how == "pocket" and b - a > 1:
+                c = draw(st.integers(a + 1, b - 1))
+                chords = [(a, c), (c, b)]
+        else:
+            a, b = sorted(draw(st.lists(st.integers(0, den - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            chords = [(a, b)]
+            if how != "any" and any(laminations._chords_cross(a, b, *c) for c in kept[side]):
+                chords = []
+        for a, b in chords:
+            kept[side].append((a, b))
+            leaves.append(Leaf(Fr(a, den), Fr(b, den), side, draw(st.integers(0, 3))))
+    return leaves
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(leaves=_chord_families())
+def test_complementary_regions_match_face_walk(leaves):
+    _same_regions(Lamination(leaves=leaves))
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_complementary_regions_of_built_laminations_match_face_walk(depth):
+    # the quadratic lamination of 1/3 collapses a class, so from depth 1 on it crosses
+    for lam in (build_2L(Fr(5, 12), depth), build_basilica(depth),
+                build_quadratic_lamination(Fr(1, 5), depth),
+                build_quadratic_lamination(Fr(1, 3), min(depth, 6))):
+        _same_regions(lam)
