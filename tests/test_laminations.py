@@ -475,8 +475,9 @@ def _same_regions(lam):
         try:
             want = oracle.complementary_regions(lam, side)
         except DomainError as exc:
-            with pytest.raises(DomainError, match="^%s$" % exc):
+            with pytest.raises(DomainError) as got:
                 complementary_regions(lam, side)
+            assert str(got.value) == str(exc)
         else:
             assert complementary_regions(lam, side) == want
 
