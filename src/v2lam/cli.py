@@ -421,13 +421,15 @@ def _cmd_lam_check_invariance(args) -> int:
 
 
 def _cmd_lam_regions(args) -> int:
-    from .laminations import build_2L, complementary_regions
+    from .laminations import _turns_text, build_2L, complementary_regions
 
     lam = build_2L(args.theta, args.depth)
     regions = complementary_regions(lam, args.side)
+    # each vertex's text once, however many edges meet there
+    text = {x: _turns_text(x, lam.den) for cycle in regions for _, x, _ in cycle}
     print("regions: %d" % len(regions))
-    for cyc in regions:
-        print(" ".join("%s(%s,%s)" % (kind, a, b) for kind, a, b in cyc))
+    for cycle in regions:
+        print(" ".join("%s(%s,%s)" % (kind, text[x], text[y]) for kind, x, y in cycle))
     return 0
 
 
@@ -985,7 +987,7 @@ def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read config %s: %s" % (path, exc))
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()

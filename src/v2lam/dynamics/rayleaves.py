@@ -20,10 +20,12 @@ coordinates:
    pullbacks, the separatrices, and their deck copies under z -> -2-z),
    which splits the plane into the two sides corresponding to the model
    arcs (0, 1/2) and (1/2, 1);
-3. for each leg take a deep sample point, record the itinerary of sides of
-   its f-orbit while the orbit potential stays small (side bits are
-   crossing parities against Sigma, dropped when the margin to the
-   polyline is too small to trust);
+3. for each leg take two deep sample points and walk their f-orbits while
+   the orbit potential stays small; one batched side test over the orbit
+   points of every sample of every leg gives each point its side bit (the
+   crossing parity of the segment from the point to a reference point
+   against Sigma) and its margin to the polyline, and each itinerary
+   stops at its first point whose margin is too small to trust;
 4. convert the itinerary to an exact dyadic interval by nested pullback
    under m with Fraction arithmetic; the midpoint is the coordinate.
 
@@ -48,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..angles import HALF, DomainError, circle_distance, x0_digits
+from ..angles import HALF, DomainError, NumericError, circle_distance, x0_digits
 from .core import _f, _inverse_roots, _require_param, green_value, is_infinite
 from .rays import trace_dynamical_ray, trace_ray_through_point
 
@@ -81,7 +83,33 @@ class RayLeaf:
 # ---------------------------------------------------------------------------
 
 class _Sigma:
-    """Polyline through far / omega / 0 / -1 / -2 / omega' / far, with side tests."""
+    """Polyline through far / omega / 0 / -1 / -2 / omega' / far, with side tests.
+
+    The segments are indexed once, in blocks of ``_BLOCK`` consecutive
+    segments.  A block keeps its bounding box, its first vertex, the
+    distance from ``ref`` to its box, and the range of directions under
+    which ``ref`` sees it.  ``side_bits`` tests a batch of points against
+    the blocks and runs the per-segment expressions on the surviving
+    (point, segment) pairs only.
+
+    The result is bit-identical to running the same expressions on every
+    segment.  They are elementwise, so a pair gives the same floats alone
+    or among all segments.  A segment that crosses [p, ref] has a point on
+    it, so ref sees the segment's block in p's direction and no farther
+    than |p - ref|.  The segment nearest p is no farther than the nearest
+    block vertex, and a pruned block's box is farther than that.  Each
+    pruning test is padded by ``_PAD`` (relative, or in radians) and by
+    ``tol``, far beyond the rounding of the quantities compared, and blocks
+    too close to ref for reliable directions are tested whatever the
+    direction.  Among equally near segments the first in polyline order
+    sets the margin, as ``argmin`` over all would.  This holds for finite
+    points far inside the float range, as orbit points of small potential
+    are.
+    """
+
+    _BLOCK = 16
+    _CHUNK = 64      # points per batch; bounds the (point, block) and pair arrays
+    _PAD = 1e-9      # relative and angular slack of the pruning tests
 
     def __init__(self, vertices: list[complex], ref: complex):
         pts = np.asarray(vertices, dtype=np.complex128)
@@ -93,35 +121,104 @@ class _Sigma:
         self.ey = self.y2 - self.y1
         self.seg_len = np.hypot(self.ex, self.ey)
         self.ref = ref
+        qx, qy = ref.real, ref.imag
+        # The terms of the side test that do not depend on the point.
+        self.d4 = self.ex * (qy - self.y1) - self.ey * (qx - self.x1)
+        self.denom = self.ex * self.ex + self.ey * self.ey
+        # Absolute slack, far above the rounding of any distance computed here.
+        self.tol = self._PAD * (1.0 + float(np.max(np.abs(pts))) + abs(ref))
 
-    def side_bit(self, p: complex) -> tuple[int, float]:
-        """(crossing parity of [p, ref] against the polyline, margin of p).
+        starts = np.arange(0, len(self.x1), self._BLOCK)
+        self.bx0 = np.minimum.reduceat(np.minimum(self.x1, self.x2), starts)
+        self.bx1 = np.maximum.reduceat(np.maximum(self.x1, self.x2), starts)
+        self.by0 = np.minimum.reduceat(np.minimum(self.y1, self.y2), starts)
+        self.by1 = np.maximum.reduceat(np.maximum(self.y1, self.y2), starts)
+        self.vx, self.vy = self.x1[starts], self.y1[starts]
+        self.ref_near = np.sqrt(self._box_dist2(qx, qy))
+        # Vertex directions from ref, unwrapped along the polyline: a segment
+        # that misses ref turns the direction by less than pi.
+        ang = np.angle(pts - ref)
+        turn = (np.diff(ang) + np.pi) % (2.0 * np.pi) - np.pi
+        unwrapped = ang[0] + np.concatenate(([0.0], np.cumsum(turn)))
+        lo = np.minimum.reduceat(np.minimum(unwrapped[:-1], unwrapped[1:]), starts)
+        hi = np.maximum.reduceat(np.maximum(unwrapped[:-1], unwrapped[1:]), starts)
+        self.mid = (0.5 * (lo + hi) + np.pi) % (2.0 * np.pi) - np.pi
+        self.half = 0.5 * (hi - lo) + self._PAD
+        # Blocks close to ref are tested in every direction: only a segment
+        # that passes close to ref turns by nearly pi, which unwraps either
+        # way, and a point whose direction from ref is unreliable (closer
+        # than 1e3 * tol) reaches no other block.
+        self.always = self.ref_near <= 2e3 * self.tol
+
+    def _box_dist2(self, px, py):
+        """Squared distance from each point (rows) to each block box (columns)."""
+        gx = np.maximum(np.maximum(self.bx0 - px, px - self.bx1), 0.0)
+        gy = np.maximum(np.maximum(self.by0 - py, py - self.by1), 0.0)
+        return gx * gx + gy * gy
+
+    def side_bits(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: (crossing parity of [p, ref] against the polyline, margin of p).
 
         The margin is the distance from p to the polyline relative to the
         local segment length; bits with small margin are untrustworthy
         (the polyline is a chordal approximation of the true curve).
+        Points go through in chunks of ``_CHUNK``.
         """
+        parity = np.empty(len(points), dtype=np.int64)
+        margin = np.empty(len(points), dtype=np.float64)
+        for k in range(0, len(points), self._CHUNK):
+            chunk = slice(k, k + self._CHUNK)
+            parity[chunk], margin[chunk] = self._side_bits(points[chunk])
+        return parity, margin
+
+    def _pairs(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (point, segment) pairs of the (point, block) pairs set in ``mask``,
+        ordered by point, then segment."""
+        pi, bi = np.nonzero(mask)
+        seg = (bi[:, None] * self._BLOCK + np.arange(self._BLOCK)).ravel()
+        pi = np.repeat(pi, self._BLOCK)
+        keep = seg < len(self.x1)
+        return pi[keep], seg[keep]
+
+    def _side_bits(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         px, py = p.real, p.imag
         qx, qy = self.ref.real, self.ref.imag
-        dx, dy = qx - px, qy - py
+        # Crossing candidates: blocks that ref sees in p's direction, no
+        # farther than p.
+        rp = np.hypot(px - qx, py - qy)
+        off = np.abs(np.arctan2(py - qy, px - qx)[:, None] - self.mid)
+        seen = (off <= self.half) | (off >= 2.0 * np.pi - self.half) | self.always
+        crossable = seen & (self.ref_near <= (rp * (1.0 + self._PAD) + self.tol)[:, None])
+        # Margin candidates: blocks within reach of the nearest block vertex.
+        cx, cy = px[:, None] - self.vx, py[:, None] - self.vy
+        reach = np.sqrt(np.min(cx * cx + cy * cy, axis=1)) * (1.0 + self._PAD) + self.tol
+        close = self._box_dist2(px[:, None], py[:, None]) <= (reach * reach)[:, None]
+
         # Proper-crossing test: endpoints of each polyline segment strictly
         # on opposite sides of [p, q], and vice versa.
-        d1 = dx * (self.y1 - py) - dy * (self.x1 - px)
-        d2 = dx * (self.y2 - py) - dy * (self.x2 - px)
-        d3 = self.ex * (py - self.y1) - self.ey * (px - self.x1)
-        d4 = self.ex * (qy - self.y1) - self.ey * (qx - self.x1)
-        crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-        parity = int(np.count_nonzero(crossing)) & 1
-        # Distance from p to each segment.
-        t = ((px - self.x1) * self.ex + (py - self.y1) * self.ey)
-        denom = self.ex * self.ex + self.ey * self.ey
+        i, s = self._pairs(crossable)
+        x1, y1, pxi, pyi = self.x1[s], self.y1[s], px[i], py[i]
+        dx, dy = qx - pxi, qy - pyi
+        d1 = dx * (y1 - pyi) - dy * (x1 - pxi)
+        d2 = dx * (self.y2[s] - pyi) - dy * (self.x2[s] - pxi)
+        d3 = self.ex[s] * (pyi - y1) - self.ey[s] * (pxi - x1)
+        crossing = (d1 * d2 < 0.0) & (d3 * self.d4[s] < 0.0)
+        parity = np.bincount(i[crossing], minlength=len(p)) & 1
+        # Distance from p to each segment; the first nearest segment in
+        # polyline order sets the margin, as argmin would.
+        i, s = self._pairs(close)
+        x1, y1, ex, ey, denom = self.x1[s], self.y1[s], self.ex[s], self.ey[s], self.denom[s]
+        pxi, pyi = px[i], py[i]
+        t = ((pxi - x1) * ex + (pyi - y1) * ey)
         with np.errstate(invalid="ignore", divide="ignore"):
             t = np.clip(np.where(denom > 0, t / denom, 0.0), 0.0, 1.0)
-        cx = self.x1 + t * self.ex - px
-        cy = self.y1 + t * self.ey - py
+        cx = x1 + t * ex - pxi
+        cy = y1 + t * ey - pyi
         dist = np.hypot(cx, cy)
-        i = int(np.argmin(dist))
-        margin = float(dist[i]) / (0.05 * float(self.seg_len[i]) + 1e-12)
+        nearest = np.minimum.reduceat(dist, np.flatnonzero(np.diff(i, prepend=-1)))
+        hit = np.flatnonzero(dist == nearest[i])
+        first = hit[np.flatnonzero(np.diff(i[hit], prepend=-1))]
+        margin = dist[first] / (0.05 * self.seg_len[s[first]] + 1e-12)
         return parity, margin
 
 
@@ -181,24 +278,36 @@ def _pullback_leg(a: complex, saddle: complex, parent_leg, parent_depth: int):
 # Itinerary -> exact circle coordinate
 # ---------------------------------------------------------------------------
 
-def _itinerary_bits(sigma: _Sigma, a: complex, z: complex, pot: float,
-                    depth: int) -> list[int]:
-    bits: list[int] = []
+def _orbit(a: complex, z: complex, pot: float, depth: int) -> list[complex]:
+    """The f-orbit of a leg sample while its potential stays at most ``_S_STOP``."""
+    orbit: list[complex] = []
     in_zero_half = depth % 2 == 0
     for _ in range(_MAX_BITS):
         if pot > _S_STOP:
             break
-        parity, margin = sigma.side_bit(z)
-        if margin < 1.0:
-            break
-        bits.append(parity)
+        orbit.append(z)
         if not in_zero_half:
             pot *= 2.0
         in_zero_half = not in_zero_half
         z = _f(a, z)
         if is_infinite(z):
             break
-    return bits
+    return orbit
+
+
+def _itineraries(sigma: _Sigma, orbits: list[list[complex]]) -> list[list[int]]:
+    """Side bits of every orbit, each cut at its first point of margin < 1."""
+    parity, margin = sigma.side_bits(
+        np.array([z for orbit in orbits for z in orbit], dtype=np.complex128))
+    untrusted = margin < 1.0
+    out, k = [], 0
+    for orbit in orbits:
+        end = k + len(orbit)
+        cut = np.flatnonzero(untrusted[k:end])
+        stop = k + cut[0] if len(cut) else end
+        out.append(parity[k:stop].tolist())
+        k = end
+    return out
 
 
 def _interval_from_bits(bits: list[int]) -> tuple[Fraction, Fraction]:
@@ -217,18 +326,22 @@ def _interval_from_bits(bits: list[int]) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _leg_coordinate(sigma: _Sigma, a: complex, leg, depth: int) -> tuple[float, bool, float]:
-    """(coordinate, unresolved, err) for one leg from two deep samples."""
+def _samples(leg) -> list[tuple[float, complex]]:
+    """Two deep samples of a leg: its last point, and the last point at twice
+    that potential or more."""
     deep_pot = leg[-1][0]
-    estimates: list[tuple[float, int]] = []
-    targets = [len(leg) - 1]
+    samples = [leg[-1]]
     for j in range(len(leg) - 1, -1, -1):
         if leg[j][0] >= 2.0 * deep_pot:
-            targets.append(j)
+            samples.append(leg[j])
             break
-    for j in targets:
-        pot, z = leg[j]
-        bits = _itinerary_bits(sigma, a, z, pot, depth)
+    return samples
+
+
+def _leg_coordinate(itineraries: list[list[int]]) -> tuple[float, bool, float]:
+    """(coordinate, unresolved, err) for one leg from its samples' itineraries."""
+    estimates: list[tuple[float, int]] = []
+    for bits in itineraries:
         if len(bits) >= _MIN_BITS:
             lo, hi = _interval_from_bits(bits)
             estimates.append((float((lo + hi) / 2), len(bits)))
@@ -256,6 +369,8 @@ def ray_leaf_endpoints(a: complex, depth: int, theta0: Fraction | None = None) -
     order: depth-major, then by the branch choices of the saddle tree.
     Pass ``theta0`` (the angle whose parameter ray the caller took ``a``
     from) to resolve the global mirror ambiguity of the parametrization.
+    Raises ``NumericError`` when no leaf resolves, as at the ends of the
+    1/2, 1/4 and 3/4 parameter rays.
     """
     if depth < 0:
         return []
@@ -296,10 +411,14 @@ def ray_leaf_endpoints(a: complex, depth: int, theta0: Fraction | None = None) -
                 leaves_raw.append(entry)
         frontier = nxt
 
+    # One batched side test for the orbits of every sample of every leg.
+    samples = [[(d, pot, z) for pot, z in _samples(leg)]
+               for _, d, la, lb in leaves_raw for leg in (la, lb)]
+    bits = iter(_itineraries(sigma, [_orbit(a, z, pot, d) for ss in samples for d, pot, z in ss]))
+    coords = [_leg_coordinate([next(bits) for _ in ss]) for ss in samples]
+
     leaves: list[RayLeaf] = []
-    for saddle, d, la, lb in leaves_raw:
-        t1, u1, e1 = _leg_coordinate(sigma, a, la, d)
-        t2, u2, e2 = _leg_coordinate(sigma, a, lb, d)
+    for (saddle, d, _, _), (t1, u1, e1), (t2, u2, e2) in zip(leaves_raw, coords[::2], coords[1::2]):
         leaves.append(
             RayLeaf(
                 saddle=saddle,
@@ -311,6 +430,8 @@ def ray_leaf_endpoints(a: complex, depth: int, theta0: Fraction | None = None) -
                 err=max(e1, e2),
             )
         )
+    if all(lf.unresolved for lf in leaves):
+        raise NumericError("no ray leaf resolves at a=%r" % a)
 
     if theta0 is not None:
         _apply_mirror_calibration(leaves, Fraction(theta0))

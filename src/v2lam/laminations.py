@@ -552,15 +552,15 @@ def mate(L1: Lamination, L2: Lamination) -> Lamination:
 # complementary regions
 
 
-def complementary_regions(lam: Lamination, side: str) -> list[list[tuple]]:
+def complementary_regions(lam: Lamination, side: str) -> list[list[tuple[str, int, int]]]:
     """Faces of the chords of one side of lam in the closed disk.
 
     Returns the regions that touch the circle, each as a boundary cycle of
     ("chord", from_angle, to_angle) and ("arc", from_angle, to_angle) edges
-    in counterclockwise walk order, angles as Fractions.  Pure-chord
-    pockets (faces meeting the circle in no arc, only at vertices) are not
-    listed.  No chords yield the single full-disk region; crossing chords
-    are refused.
+    in counterclockwise walk order, an angle x standing for x/lam.den as in
+    ``lam.chords``.  Pure-chord pockets (faces meeting the circle in no
+    arc, only at vertices) are not listed.  No chords yield the single
+    full-disk region; crossing chords are refused.
 
     Non-crossing chords are nested or disjoint, so a face is the inside of
     one chord (lo, hi), bounded by hi -> lo and a walk from lo to hi, or the
@@ -575,14 +575,13 @@ def complementary_regions(lam: Lamination, side: str) -> list[list[tuple]]:
     if bad:
         raise DomainError("crossing chord pairs: %d" % bad)
     if not chords:
-        return [[("arc", Fraction(0), Fraction(0))]]
+        return [[("arc", 0, 0)]]
     his: dict[int, list[int]] = {}     # the sorted his of the chords from each lo
     for lo, hi in chords:
         his.setdefault(lo, []).append(hi)
     number = {c: 2 * k for k, c in enumerate(chords)}   # of the half-edge lo -> hi
     verts = sorted({x for c in chords for x in c})
     succ = dict(zip(verts, verts[1:] + verts[:1]))
-    turn = {v: Fraction(v, lam.den) for v in verts}
 
     def walk(edge: tuple, end: int) -> list[tuple]:
         """edge, then the outermost chord or the next arc up to end."""
@@ -605,5 +604,4 @@ def complementary_regions(lam: Lamination, side: str) -> list[list[tuple]]:
             back = [("chord", hi, lo)]
             faces.append((number[lo, hi] + 1, back + walk(("arc", lo, succ[lo]), hi)))
     # the numbers differ, so no two cycles are compared
-    return [[(kind, turn[x], turn[y]) for kind, x, y in cycle]
-            for _, cycle in sorted(faces) if any(e[0] == "arc" for e in cycle)]
+    return [cycle for _, cycle in sorted(faces) if any(e[0] == "arc" for e in cycle)]

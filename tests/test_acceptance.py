@@ -25,7 +25,7 @@ BUDGET_SECONDS = {
     9: 5.0,   # fixed points, Green, escape coordinate
     10: 60.0,  # parameter raster membership
     11: 60.0,  # parameter rays
-    12: 120.0,  # ray leaves vs. lamination
+    12: 10.0,  # ray leaves vs. lamination
 }
 
 PARAMS = CheckParams()

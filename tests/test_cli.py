@@ -728,6 +728,15 @@ def test_malformed_config_line_is_usage_error(tmp_path, capsys):
     assert "key=value" in err
 
 
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_bytes(b"theta = 1/6\n\xff\xfe\n")
+    code, out, err = run(capsys, "--config", str(cfg), "angle", "x0")
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: cannot read config %s: " % cfg)
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # output spot checks across subcommands
 # ---------------------------------------------------------------------------
@@ -819,6 +828,31 @@ def test_dyn_ray_leaves_listing(capsys):
     assert len(lines) == 3
     assert lines[0].startswith("0 I ")
     assert all(ln.startswith("1 O ") for ln in lines[1:])
+
+
+def test_dyn_ray_leaves_where_no_leaf_resolves_exits_two(capsys):
+    from v2lam.dynamics import trace_parameter_ray
+
+    a = trace_parameter_ray(Fraction(1, 2), s_from=8.0, s_to=0.5, steps=120).points[-1][1]
+    code, out, err = run(capsys, "dyn", "ray-leaves", "--a=%r,%r" % (a.real, a.imag),
+                         "--depth", "1", "--theta0", "1/2")
+    assert (code, out) == (2, "")
+    assert err.startswith("numeric error: no ray leaf resolves")
+
+
+@pytest.mark.parametrize("side", ["I", "O"])
+def test_lam_regions_prints_each_fraction_as_str_does(capsys, side):
+    from v2lam.laminations import build_2L, complementary_regions
+
+    lam = build_2L(Fraction(5, 12), 8)
+    regions = complementary_regions(lam, side)
+    want = "regions: %d\n" % len(regions) + "".join(
+        " ".join("%s(%s,%s)" % (kind, Fraction(a, lam.den), Fraction(b, lam.den))
+                 for kind, a, b in cyc) + "\n" for cyc in regions)
+    code, out, _ = run(capsys, "lam", "regions", "--theta", "5/12", "--depth", "8",
+                       "--side", side)
+    assert (code, out) == (0, want)
+    assert len(regions) > 100
 
 
 def _examples():

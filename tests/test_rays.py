@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +17,13 @@ from v2lam.dynamics import (
     green_value,
     is_infinite,
     ray_leaf_endpoints,
+    rayleaves,
     trace_dynamical_ray,
     trace_parameter_ray,
     trace_ray_through_point,
 )
 from v2lam.dynamics.core import NumericError, _f, _inverse_roots, apply_f
-from v2lam.dynamics.rayleaves import _pullback_leg
+from v2lam.dynamics.rayleaves import _pullback_leg, _Sigma
 from v2lam.dynamics.rays import _Marcher, window_exponent
 from v2lam.laminations import build_2L
 
@@ -250,6 +252,168 @@ def test_ray_leaf_validation():
     with pytest.raises(DomainError):
         ray_leaf_endpoints(1.0, 1)     # member parameter
     assert ray_leaf_endpoints(6.0, -1) == []
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the full-scan side test that the indexed, batched one replaced
+# ---------------------------------------------------------------------------
+
+def _side_bit_oracle(sigma, p):
+    """(crossing parity, margin) of one point, scanning every segment of sigma
+    with the expressions that ``_Sigma.side_bits`` runs on its candidates."""
+    px, py = p.real, p.imag
+    qx, qy = sigma.ref.real, sigma.ref.imag
+    dx, dy = qx - px, qy - py
+    d1 = dx * (sigma.y1 - py) - dy * (sigma.x1 - px)
+    d2 = dx * (sigma.y2 - py) - dy * (sigma.x2 - px)
+    d3 = sigma.ex * (py - sigma.y1) - sigma.ey * (px - sigma.x1)
+    d4 = sigma.ex * (qy - sigma.y1) - sigma.ey * (qx - sigma.x1)
+    crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    parity = int(np.count_nonzero(crossing)) & 1
+    t = ((px - sigma.x1) * sigma.ex + (py - sigma.y1) * sigma.ey)
+    denom = sigma.ex * sigma.ex + sigma.ey * sigma.ey
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.clip(np.where(denom > 0, t / denom, 0.0), 0.0, 1.0)
+    cx = sigma.x1 + t * sigma.ex - px
+    cy = sigma.y1 + t * sigma.ey - py
+    dist = np.hypot(cx, cy)
+    i = int(np.argmin(dist))
+    margin = float(dist[i]) / (0.05 * float(sigma.seg_len[i]) + 1e-12)
+    return parity, margin
+
+
+def _itineraries_oracle(sigma, orbits):
+    """Side bits point by point, each orbit stopped at its first margin < 1."""
+    out = []
+    for orbit in orbits:
+        bits = []
+        for z in orbit:
+            parity, margin = _side_bit_oracle(sigma, z)
+            if margin < 1.0:
+                break
+            bits.append(parity)
+        out.append(bits)
+    return out
+
+
+def _batched(sigma, points):
+    parity, margin = sigma.side_bits(np.array(points, dtype=np.complex128))
+    return [(int(b), float(m)) for b, m in zip(parity, margin)]
+
+
+@pytest.fixture(scope="module")
+def sixth_sigma(a_on_sixth_ray):
+    """The separation curve at the end of the 1/6 ray, and the orbit points
+    that depth 3 tests against it."""
+    calls = []
+    side_bits = _Sigma.side_bits
+
+    def recording(sigma, points):
+        calls.append((sigma, points))
+        return side_bits(sigma, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Sigma, "side_bits", recording)
+        ray_leaf_endpoints(a_on_sixth_ray, 3, theta0=Fr(1, 6))
+    ((sigma, points),) = calls
+    return sigma, list(points)
+
+
+def test_side_bits_match_the_full_scan_on_orbit_points(sixth_sigma):
+    sigma, points = sixth_sigma
+    assert len(points) == 1156
+    assert _batched(sigma, points) == [_side_bit_oracle(sigma, z) for z in points]
+
+
+@pytest.mark.parametrize("ends", [(1.0, -1.0), (-1.0, 1.0)], ids=["leftward", "rightward"])
+def test_side_bits_match_the_full_scan_next_to_ref(ends):
+    # the first segment passes 1e-17 from ref: seen from ref, it turns by pi
+    # up to rounding
+    a, b = ends
+    sigma = _Sigma([complex(a, 1e-17), complex(b, 1e-17), complex(b, 5.0)], 0j)
+    points = [complex(x, y) for x in (-2.0, -0.5, 0.0, 0.5, 2.0)
+              for y in (-1.0, -1e-17, 0.0, 1e-17, 2e-17, 1.0, 6.0)]
+    got = _batched(sigma, points)
+    assert got == [_side_bit_oracle(sigma, z) for z in points]
+    assert sum(parity for parity, _ in got) > 0
+
+
+def _vertex_index(sigma):
+    # any vertex, or one that two blocks share
+    shared = st.integers(1, (len(sigma.x1) - 1) // _Sigma._BLOCK).map(lambda b: b * _Sigma._BLOCK)
+    return st.integers(0, len(sigma.x1) - 1) | shared
+
+
+def _near_vertex(sigma):
+    def build(k, ox, oy):
+        x, y = float(sigma.x1[k]), float(sigma.y1[k])
+        return complex(ox(x), oy(y))
+    offsets = st.sampled_from([
+        lambda v: v,
+        lambda v: math.nextafter(v, math.inf),
+        lambda v: math.nextafter(v, -math.inf),
+    ]) | st.builds(lambda e, sign: lambda v: v + sign * 10.0 ** e,
+                   st.integers(-15, -3), st.sampled_from([1.0, -1.0]))
+    return st.builds(build, _vertex_index(sigma), offsets, offsets)
+
+
+def _on_segment(sigma):
+    def build(k, u):
+        return complex(sigma.x1[k] + u * sigma.ex[k], sigma.y1[k] + u * sigma.ey[k])
+    return st.builds(build, st.integers(0, len(sigma.x1) - 1), st.floats(0.0, 1.0))
+
+
+def _behind_vertex(sigma):
+    # on the line from ref through a vertex
+    def build(k, lam):
+        return sigma.ref + lam * (complex(sigma.x1[k], sigma.y1[k]) - sigma.ref)
+    return st.builds(build, _vertex_index(sigma), st.floats(1.0, 4.0))
+
+
+def _far(sigma):
+    return st.builds(lambda r, t: sigma.ref + r * cmath.exp(2j * math.pi * t),
+                     st.floats(10.0, 1e4), st.floats(0.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def side_test_points(sixth_sigma):
+    sigma, orbit = sixth_sigma
+    drawn = st.lists(_near_vertex(sigma) | _on_segment(sigma) | _behind_vertex(sigma)
+                     | _far(sigma) | st.just(sigma.ref) | st.sampled_from(orbit),
+                     min_size=1, max_size=24)
+    chunk = _Sigma._CHUNK
+    sizes = st.sampled_from([1, chunk - 1, chunk, chunk + 1, 255, 256, 257])
+    # drawn points first, then orbit points up to a size at a chunk boundary
+    return st.builds(lambda pts, n: (pts + orbit)[:n], drawn, sizes)
+
+
+def test_side_bits_match_the_full_scan(sixth_sigma, side_test_points):
+    sigma, _ = sixth_sigma
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(points=side_test_points)
+    def check(points):
+        assert _batched(sigma, points) == [_side_bit_oracle(sigma, z) for z in points]
+
+    check()
+
+
+@pytest.mark.parametrize("theta0, depth", [(Fr(1, 6), d) for d in range(6)] + [(Fr(5, 12), 5)],
+                         ids=lambda v: str(v))
+def test_ray_leaves_match_the_full_scan_run(monkeypatch, theta0, depth):
+    a = trace_parameter_ray(theta0, s_from=8.0, s_to=0.5, steps=120).points[-1][1]
+    got = ray_leaf_endpoints(a, depth, theta0=theta0)
+    monkeypatch.setattr(rayleaves, "_itineraries", _itineraries_oracle)
+    want = ray_leaf_endpoints(a, depth, theta0=theta0)
+    assert repr(got) == repr(want)
+    assert sum(lf.unresolved for lf in got) < len(got)
+
+
+@pytest.mark.parametrize("theta0", [Fr(1, 2), Fr(1, 4), Fr(3, 4)], ids=str)
+def test_ray_leaves_refuse_a_parameter_where_no_leaf_resolves(theta0):
+    a = trace_parameter_ray(theta0, s_from=8.0, s_to=0.5, steps=120).points[-1][1]
+    with pytest.raises(NumericError, match="no ray leaf resolves"):
+        ray_leaf_endpoints(a, 1, theta0=theta0)
 
 
 def test_parameter_ray_truncates_on_newton_failure(monkeypatch):
