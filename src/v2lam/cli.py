@@ -425,7 +425,8 @@ def _cmd_lam_regions(args) -> int:
 
     lam = build_2L(args.theta, args.depth)
     regions = complementary_regions(lam, args.side)
-    # each vertex's text once, however many edges meet there
+    # each vertex's text once, however many edges meet there (a cycle's
+    # edges start at all of its vertices)
     text = {x: _turns_text(x, lam.den) for cycle in regions for _, x, _ in cycle}
     print("regions: %d" % len(regions))
     for cycle in regions:
