@@ -331,32 +331,22 @@ def _check_parameter_rays(p: CheckParams) -> str:
 
 def _check_ray_leaves(p: CheckParams) -> str:
     from .dynamics import ray_leaf_endpoints, trace_parameter_ray
-    from .dynamics.rayleaves import _pair_dist
 
     theta0 = Fraction(1, 6)
     ray = trace_parameter_ray(theta0, s_from=8.0, s_to=0.5, steps=120)
     _need(ray.complete, "parameter trace incomplete")
     a = ray.points[-1][1]
     leaves = ray_leaf_endpoints(a, p.leaf_depth, theta0=theta0)
-    model: dict[tuple, list] = {}
-    for leaf in build_2L(theta0, p.leaf_depth).leaves:
-        model.setdefault((leaf.depth, leaf.side), []).append(
-            (float(leaf.a), float(leaf.b)))
-
-    unresolved = 0
-    worst = 0.0
+    lam = build_2L(theta0, p.leaf_depth)
+    claimed = set()
     for lf in leaves:
-        if lf.unresolved:
-            unresolved += 1
-            continue
-        dists = [_pair_dist((lf.t1, lf.t2), c) for c in model[(lf.depth, lf.side)]]
-        best = min(dists)
-        worst = max(worst, best)
-        _need(best < 1e-2, "leaf at depth %d off by %.3g" % (lf.depth, best))
-    _need(unresolved / len(leaves) < 0.2,
-          "%d/%d leaves unresolved" % (unresolved, len(leaves)))
-    return "%d leaves within %.1e of model; %d unresolved" % (
-        len(leaves) - unresolved, max(worst, 1e-12), unresolved)
+        hits = [key for key, d in lam.chords.items()
+                if (d, key[0]) == (lf.depth, lf.side) and lf.lands_on(key[1], key[2], lam.den)]
+        _need(len(hits) == 1, "leaf at depth %d lands on %d model leaves" % (lf.depth, len(hits)))
+        _need(hits[0] not in claimed, "two leaves land on one model leaf at depth %d" % lf.depth)
+        claimed.add(hits[0])
+    return "%d leaves land one-to-one on model leaves by exact containment; %d unresolved" % (
+        len(leaves), sum(lf.unresolved for lf in leaves))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,14 @@ def _require_param(a: complex) -> complex:
     return a
 
 
+def _require_point(z: complex) -> complex:
+    """z as a complex; ``DomainError`` for a NaN part (an infinite one is ``INF``)."""
+    z = complex(z)
+    if cmath.isnan(z):
+        raise DomainError("point z must not be NaN")
+    return z
+
+
 def apply_f(a: complex, z: complex) -> complex:
     """One step of f_a(z) = a/(z^2 + 2z), total on the sphere.
 
@@ -335,11 +343,12 @@ def attracted_to_supercycle(a: complex, z: complex, n_max: int = 512) -> tuple[b
     Returns ``(True, k)`` with the first step index k at which the orbit
     lies in {|z| <= rho} ∪ {|z| >= R} (k = 0 if z starts there), or
     ``(False, None)`` if it has not entered after ``n_max`` steps.
+    Raises ``DomainError`` for a NaN z.
     """
     a = _require_param(a)
+    z = _require_point(z)
     _certify_trap_once()
     rho, r_out = trap_radii(a)
-    z = complex(z)
     for k in range(n_max + 1):
         if is_infinite(z) or not rho < _abs(z) < r_out:
             return True, k
@@ -374,12 +383,12 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
     or once it overflows or F(w) underflows (huge |a|, w not a pole) with
     log|F(w)| computed from logarithms, using the asymptotic normalizations
     above; otherwise it returns 2^-n log|F^n(z)|.  Raises ``DomainError``
-    for n < 0.
+    for n < 0 or a NaN z.
     """
     a = _require_param(a)
     if n < 0:
         raise DomainError("green_value needs n >= 0")
-    z = complex(z)
+    z = _require_point(z)
     log_a = math.log(abs(a))
     w = z
     for k in range(n + 1):

@@ -27,19 +27,20 @@ coordinates:
    against Sigma) and its margin to the polyline, and each itinerary
    stops at its first point whose margin is too small to trust;
 4. convert the itinerary to an exact dyadic interval by nested pullback
-   under m with Fraction arithmetic; the midpoint is the coordinate.
+   under m on integer numerators; the midpoint is the coordinate.
 
-Two deep samples per leg give independent estimates; a leaf is
-``unresolved`` when either estimate has too few trusted bits or the two
-disagree beyond 5e-3.
+Two deep samples per leg give independent estimates; a leg keeps the one
+with more bits.  A leaf is ``unresolved`` when either estimate has too
+few trusted bits or the two midpoints disagree beyond 5e-3.
 
 Orientation: h and t -> -t give equally valid parametrizations (both
 conjugate m to f|J and fix omega), so the measured coordinates carry a
 global mirror ambiguity.  Passing the defining angle ``theta0`` resolves
-it: the depth-0 leaf is compared against {x0, x0 + 1/2} for the
-corresponding interleaved angle x0 and the mirror with the smaller
-deviation is chosen.  Without ``theta0`` a fixed convention (side of the
-zero-angle ray) is used and the result may be the mirror image.
+it: when the depth-0 leaf's intervals miss {x0, x0 + 1/2} for the
+corresponding interleaved angle x0 but their mirror images contain it,
+every interval is mirrored exactly.  Without ``theta0`` a fixed
+convention (side of the zero-angle ray) is used and the result may be the
+mirror image.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..angles import HALF, DomainError, NumericError, circle_distance, x0_digits
+from ..angles import DomainError, NumericError, circle_distance, x0_digits
 from .core import _f, _inverse_roots, _require_param, green_value, is_infinite
 from .rays import trace_dynamical_ray, trace_ray_through_point
 
@@ -67,15 +68,49 @@ _MAX_BITS, _MIN_BITS = 40, 8
 
 @dataclass
 class RayLeaf:
-    """One measured leaf: a saddle with the h-coordinates of its leg landings."""
+    """One measured leaf: a saddle with the h-coordinates of its leg landings.
+
+    A leg's landing is the dyadic interval [num/2^bits, (num+1)/2^bits] of
+    its best estimate as ``(num, bits)``, or ``None`` when it has no
+    estimate; ``t1`` and ``t2`` are the midpoints (0.0 for ``None``).
+    """
 
     saddle: complex
     depth: int
     side: str            # "I" for even depth (0-half), "O" for odd (infinity-half)
-    t1: float
-    t2: float
+    leg1: tuple[int, int] | None
+    leg2: tuple[int, int] | None
     unresolved: bool
     err: float
+
+    @property
+    def t1(self) -> float:
+        return _midpoint(self.leg1)
+
+    @property
+    def t2(self) -> float:
+        return _midpoint(self.leg2)
+
+    def lands_on(self, lo: int, hi: int, den: int) -> bool:
+        """Whether the two legs' intervals contain lo/den and hi/den, in either order."""
+        return ((_contains(self.leg1, lo, den) and _contains(self.leg2, hi, den))
+                or (_contains(self.leg1, hi, den) and _contains(self.leg2, lo, den)))
+
+
+def _midpoint(leg: tuple[int, int] | None) -> float:
+    """The midpoint of a dyadic interval; exact, as bits <= ``_MAX_BITS``."""
+    return 0.0 if leg is None else (2 * leg[0] + 1) / (1 << (leg[1] + 1))
+
+
+def _contains(leg: tuple[int, int] | None, x: int, den: int) -> bool:
+    """Whether the dyadic interval contains x/den on the circle (x/den = 0 is also 1)."""
+    return leg is not None and any(leg[0] * den <= y << leg[1] <= (leg[0] + 1) * den
+                                   for y in (x, x + den))
+
+
+def _mirror(leg: tuple[int, int] | None) -> tuple[int, int] | None:
+    """The image of a dyadic interval under t -> -t."""
+    return None if leg is None else ((1 << leg[1]) - 1 - leg[0], leg[1])
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +345,21 @@ def _itineraries(sigma: _Sigma, orbits: list[list[complex]]) -> list[list[int]]:
     return out
 
 
-def _interval_from_bits(bits: list[int]) -> tuple[Fraction, Fraction]:
-    """Nested m-pullback: the interval of t whose m-itinerary matches bits.
+def _interval(bits: list[int]) -> tuple[int, int]:
+    """Nested m-pullback: the interval [num/2^k, (num+1)/2^k], k = len(bits),
+    of t whose m-itinerary matches bits, as (num, k).
 
     Bit 0 stands for the model arc (0, 1/2), bit 1 for (1/2, 1).  The
     m-preimage of a non-wrapping interval (lo, hi) inside one arc is
     ((1-hi)/2, (1-lo)/2) in arc 0 together with its +1/2 translate in
-    arc 1, so the refinement never wraps and selection is exact.
+    arc 1, so the refinement never wraps and selection is exact.  Over
+    2^(k+1), that takes num to 2^k - 1 - num, plus 2^k in arc 1.
     """
-    lo, hi = (Fraction(0), HALF) if bits[-1] == 0 else (HALF, Fraction(1))
+    num, k = bits[-1], 1
     for b in reversed(bits[:-1]):
-        lo, hi = (1 - hi) / 2, (1 - lo) / 2
-        if b == 1:
-            lo, hi = lo + HALF, hi + HALF
-    return lo, hi
+        num = ((1 + b) << k) - 1 - num
+        k += 1
+    return num, k
 
 
 def _samples(leg) -> list[tuple[float, complex]]:
@@ -338,22 +374,17 @@ def _samples(leg) -> list[tuple[float, complex]]:
     return samples
 
 
-def _leg_coordinate(itineraries: list[list[int]]) -> tuple[float, bool, float]:
-    """(coordinate, unresolved, err) for one leg from its samples' itineraries."""
-    estimates: list[tuple[float, int]] = []
-    for bits in itineraries:
-        if len(bits) >= _MIN_BITS:
-            lo, hi = _interval_from_bits(bits)
-            estimates.append((float((lo + hi) / 2), len(bits)))
+def _leg_coordinate(itineraries: list[list[int]]) -> tuple[tuple[int, int] | None, bool, float]:
+    """(interval with the most bits, unresolved, err) for one leg from its samples' itineraries."""
+    estimates = [_interval(bits) for bits in itineraries if len(bits) >= _MIN_BITS]
     if not estimates:
-        return 0.0, True, 1.0
-    t_best = max(estimates, key=lambda e: e[1])
-    width = 2.0 ** (-t_best[1])
+        return None, True, 1.0
+    best = max(estimates, key=lambda e: e[1])
+    width = 2.0 ** (-best[1])
     if len(estimates) < 2:
-        return t_best[0], True, width
-    spread = circle_distance(estimates[0][0], estimates[1][0])
-    unresolved = spread > 5e-3
-    return t_best[0], unresolved, max(width, spread)
+        return best, True, width
+    spread = circle_distance(_midpoint(estimates[0]), _midpoint(estimates[1]))
+    return best, spread > 5e-3, max(width, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +432,7 @@ def ray_leaf_endpoints(a: complex, depth: int, theta0: Fraction | None = None) -
         for saddle, pd, la, lb in frontier:
             (r,) = _inverse_roots(a, [saddle])
             for q in (-1.0 + r, -1.0 - r):
-                entry = (
-                    q,
-                    d,
-                    _pullback_leg(a, q, la, pd),
-                    _pullback_leg(a, q, lb, pd),
-                )
+                entry = (q, d, _pullback_leg(a, q, la, pd), _pullback_leg(a, q, lb, pd))
                 nxt.append(entry)
                 leaves_raw.append(entry)
         frontier = nxt
@@ -417,19 +443,9 @@ def ray_leaf_endpoints(a: complex, depth: int, theta0: Fraction | None = None) -
     bits = iter(_itineraries(sigma, [_orbit(a, z, pot, d) for ss in samples for d, pot, z in ss]))
     coords = [_leg_coordinate([next(bits) for _ in ss]) for ss in samples]
 
-    leaves: list[RayLeaf] = []
-    for (saddle, d, _, _), (t1, u1, e1), (t2, u2, e2) in zip(leaves_raw, coords[::2], coords[1::2]):
-        leaves.append(
-            RayLeaf(
-                saddle=saddle,
-                depth=d,
-                side="I" if d % 2 == 0 else "O",
-                t1=t1,
-                t2=t2,
-                unresolved=u1 or u2,
-                err=max(e1, e2),
-            )
-        )
+    leaves = [RayLeaf(saddle, d, "I" if d % 2 == 0 else "O", leg1, leg2, u1 or u2, max(e1, e2))
+              for (saddle, d, _, _), (leg1, u1, e1), (leg2, u2, e2)
+              in zip(leaves_raw, coords[::2], coords[1::2])]
     if all(lf.unresolved for lf in leaves):
         raise NumericError("no ray leaf resolves at a=%r" % a)
 
@@ -442,21 +458,14 @@ def _apply_mirror_calibration(leaves: list[RayLeaf], theta0: Fraction) -> None:
     """Resolve the parametrization mirror using the depth-0 leaf.
 
     Only the 1-bit orientation is taken from the expected pair
-    {x0, x0 + 1/2}; the coordinate values themselves remain measurements.
+    {x0, x0 + 1/2}; the intervals themselves remain measurements.
     """
-    x0 = float(x0_digits(theta0))
-    base = next((lf for lf in leaves if lf.depth == 0), None)
-    if base is None or base.unresolved:
+    x0 = x0_digits(theta0)
+    den, lo = 2 * x0.denominator, 2 * x0.numerator
+    hi = (lo + x0.denominator) % den
+    base = leaves[0]     # the depth-0 leaf
+    if base.unresolved or base.lands_on(lo, hi, den):
         return
-    direct = _pair_dist((base.t1, base.t2), (x0, (x0 + 0.5) % 1.0))
-    mirrored = _pair_dist(((-base.t1) % 1.0, (-base.t2) % 1.0), (x0, (x0 + 0.5) % 1.0))
-    if mirrored < direct:
+    if base.lands_on(-lo % den, -hi % den, den):     # its mirror image lands on {x0, x0 + 1/2}
         for lf in leaves:
-            lf.t1 = (-lf.t1) % 1.0
-            lf.t2 = (-lf.t2) % 1.0
-
-
-def _pair_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    d1 = max(circle_distance(p[0], q[0]), circle_distance(p[1], q[1]))
-    d2 = max(circle_distance(p[0], q[1]), circle_distance(p[1], q[0]))
-    return min(d1, d2)
+            lf.leg1, lf.leg2 = _mirror(lf.leg1), _mirror(lf.leg2)

@@ -332,6 +332,23 @@ def test_dyn_fixed_prints_the_offset_of_a_point_printed_as_the_pole(capsys, a, w
     assert len(_fixed_rows(out)) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("--a", "1", "--z", "nan,0"),
+    ("--a", "1", "--z", "0,nan", "--trap"),
+    ("--a", "6", "--z", "inf,nan", "--boettcher"),
+    ("--a=nan,0", "--z", "3,1"),
+], ids=["z-real", "z-imag-trap", "z-inf-nan", "a"])
+def test_dyn_green_refuses_a_nan_input_as_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, "dyn", "green", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+def test_dyn_green_at_infinity_prints_the_sentinel(capsys):
+    code, out, _ = run(capsys, "dyn", "green", "--a", "1", "--z", "inf,0", "--trap")
+    assert (code, out) == (0, "G = inf\nattracted: True at step 0\n")
+
+
 def test_dyn_green_tiny_parameter_stays_finite(capsys):
     # far out, the half step a/(w^2+2w) underflows to 0; G must not become
     # the pole sentinel inf but equal log|phi|

@@ -134,6 +134,20 @@ def test_attracted_examples():
     assert not ok and step is None
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.inf, math.nan), math.nan])
+def test_a_nan_point_is_a_domain_error_at_every_entry(z):
+    for call in (green_value, attracted_to_supercycle, boettcher_infty):
+        with pytest.raises(DomainError):
+            call(1.0, z)
+
+
+def test_infinity_stays_the_sentinel_point():
+    assert green_value(1.0, INF) == math.inf
+    assert green_value(1.0, complex(0.0, -math.inf)) == math.inf
+    assert attracted_to_supercycle(1.0, INF) == (True, 0)
+
+
 # ---------------------------------------------------------------------------
 # Green function
 # ---------------------------------------------------------------------------

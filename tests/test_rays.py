@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from v2lam.angles import DomainError
 from v2lam.dynamics import (
     INF,
+    RayLeaf,
     apply_F,
     boettcher_infty,
     critical_value_angle_error,
@@ -252,6 +254,81 @@ def test_ray_leaf_validation():
     with pytest.raises(DomainError):
         ray_leaf_endpoints(1.0, 1)     # member parameter
     assert ray_leaf_endpoints(6.0, -1) == []
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Fraction pullback that the integer dyadic intervals replaced
+# ---------------------------------------------------------------------------
+
+def _interval_oracle(bits):
+    """Nested m-pullback in Fraction arithmetic: the interval (lo, hi) of t
+    whose m-itinerary matches bits."""
+    half = Fr(1, 2)
+    lo, hi = (Fr(0), half) if bits[-1] == 0 else (half, Fr(1))
+    for b in reversed(bits[:-1]):
+        lo, hi = (1 - hi) / 2, (1 - lo) / 2
+        if b == 1:
+            lo, hi = lo + half, hi + half
+    return lo, hi
+
+
+def _as_fractions(leg):
+    num, bits = leg
+    return Fr(num, 1 << bits), Fr(num + 1, 1 << bits)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=rayleaves._MAX_BITS))
+def test_integer_intervals_match_the_fraction_pullback(bits):
+    lo, hi = _interval_oracle(bits)
+    leg = rayleaves._interval(bits)
+    assert leg[1] == len(bits) and _as_fractions(leg) == (lo, hi)
+    mirrored = rayleaves._mirror(leg)
+    assert _as_fractions(mirrored) == (1 - hi, 1 - lo)
+    lf = RayLeaf(-1 + 0j, 0, "I", leg, mirrored, False, 0.0)
+    assert lf.t1 == float((lo + hi) / 2)
+    assert lf.t2 == (-lf.t1) % 1.0
+
+
+def _leg_at(x, bits=20):
+    """The dyadic interval of ``bits`` bits that contains the angle x."""
+    return (x.numerator << bits) // x.denominator, bits
+
+
+def test_lands_on_is_exact_containment_in_either_order():
+    lo, hi, den = 11, 41, 60
+    lf = RayLeaf(-1 + 0j, 0, "I", _leg_at(Fr(lo, den)), _leg_at(Fr(hi, den)), False, 0.0)
+    assert lf.lands_on(lo, hi, den) and lf.lands_on(hi, lo, den)
+    assert lf.lands_on(2 * lo, 2 * hi, 2 * den)
+    assert not lf.lands_on(lo, hi + 1, den) and not lf.lands_on(lo, lo, den)
+    # one step of 2^-bits off the endpoint, or no interval at all
+    num, bits = lf.leg1
+    for leg1 in ((num + 1, bits), (num - 1, bits), None):
+        assert not replace(lf, leg1=leg1).lands_on(lo, hi, den)
+    # the circle closes: 0 is also 1, at both ends of an interval
+    for leg1 in ((0, 3), (7, 3)):
+        assert RayLeaf(0j, 1, "O", leg1, (3, 3), False, 0.0).lands_on(0, 1, 2)
+
+
+def test_mirror_calibration_flips_mirrored_leaves_back_exactly():
+    # the depth-0 leaf of 2L(1/6) is {x0, x0 + 1/2} = {11/60, 41/60}
+    direct = [RayLeaf(-1 + 0j, 0, "I", _leg_at(Fr(41, 60)), _leg_at(Fr(11, 60)), False, 1e-6),
+              RayLeaf(0.5 + 0j, 1, "O", _leg_at(Fr(1, 7)), None, True, 1.0)]
+    mirrored = [replace(lf, leg1=rayleaves._mirror(lf.leg1), leg2=rayleaves._mirror(lf.leg2))
+                for lf in direct]
+    assert mirrored != direct
+    for leaves in (direct, mirrored):
+        got = [replace(lf) for lf in leaves]
+        rayleaves._apply_mirror_calibration(got, Fr(1, 6))
+        assert got == direct
+    # a depth-0 leaf that lands in neither orientation, or is unresolved,
+    # leaves the orientation as measured
+    astray = [replace(direct[0], leg2=_leg_at(Fr(1, 3)))] + direct[1:]
+    unresolved = [replace(mirrored[0], unresolved=True)] + mirrored[1:]
+    for leaves in (astray, unresolved):
+        got = [replace(lf) for lf in leaves]
+        rayleaves._apply_mirror_calibration(got, Fr(1, 6))
+        assert got == leaves
 
 
 # ---------------------------------------------------------------------------
