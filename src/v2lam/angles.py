@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -75,13 +74,6 @@ def nu(theta: Fraction, m: int) -> int:
     return 1 if double(t, m) >= t else 0
 
 
-def _pack(bits: tuple) -> int:
-    """The bits (each 0 or 1, most significant first) as one integer."""
-    if any(b not in (0, 1) for b in bits):
-        raise DomainError("bits must be 0 or 1")
-    return int("".join("01"[b] for b in bits) or "0", 2)
-
-
 def _rotate(word: int, l: int, s: int) -> int:
     """The l-bit word rotated left by s (mod l) places."""
     s %= l
@@ -110,7 +102,7 @@ class DigitStream:
     1 is the top bit of ``pre``.  This is a pure symbol sequence.  Streams
     produced from angle expansions (digit_stream) never carry an all-ones
     period; address streams may.  Canonical form: shortest period, then
-    shortest preperiod.  ``make`` and ``parse`` validate and canonicalise.
+    shortest preperiod.  ``parse`` validates and canonicalises.
     """
 
     pre: int
@@ -119,14 +111,6 @@ class DigitStream:
     l: int
 
     # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def make(pre: Iterable[int], period: Iterable[int]) -> "DigitStream":
-        """Canonical stream from preperiod and period bit sequences."""
-        pre, period = tuple(pre), tuple(period)
-        if not period:
-            raise DomainError("period must be non-empty")
-        return DigitStream(_pack(pre), len(pre), _pack(period), len(period)).canonical()
 
     def canonical(self) -> "DigitStream":
         """Shortest-period, shortest-preperiod representative (symbolwise)."""
@@ -276,11 +260,12 @@ def x0_series(theta0: Fraction, M: int) -> tuple[Fraction, Fraction]:
     if M < 1:
         raise DomainError("M must be >= 1")
     num, den = t.numerator, t.denominator
-    total = Fraction(0)
+    # lo = s / 2^(2M+1) with s = sum of the terms' numerators times 4^(M-m)
+    s = 0
     for m in range(1, M + 1):
-        fl = ((((1 << m) - 1) * num) // den + 1)
-        total += Fraction(fl, 1 << (2 * m + 1))
-    return total, total + Fraction(1, 1 << (M + 1))
+        s = (s << 2) + (((1 << m) - 1) * num) // den + 1
+    D = 1 << (2 * M + 1)
+    return Fraction(s, D), Fraction(s + (1 << M), D)
 
 
 def _factor_small(n: int) -> dict[int, int]:

@@ -162,9 +162,12 @@ def _check_invariance(p: CheckParams) -> str:
 def _check_construction_equivalence(p: CheckParams) -> str:
     for t0 in p.thetas:
         for d in range(min(p.depth, 8) + 1):
-            two = build_2L(t0, d).key_set()
-            ins = build_L(t0, d // 2).key_set()
-            outs = mirror_outside(build_L(t0, (d + 1) // 2)).key_set()
+            lams = (build_2L(t0, d), build_L(t0, d // 2),
+                    mirror_outside(build_L(t0, (d + 1) // 2)))
+            # the chords of all three as integers over one denominator
+            den = math.lcm(*(lam.den for lam in lams))
+            two, ins, outs = ({(s, a * (den // lam.den), b * (den // lam.den))
+                               for s, a, b in lam.chords} for lam in lams)
             _need(two == (ins | outs),
                   "leaf sets differ at theta0=%s depth=%d" % (t0, d))
     return "two-sided == one-sided + mirrored, depths 0..%d" % min(p.depth, 8)

@@ -575,16 +575,18 @@ def _cmd_dyn_green(args) -> int:
     )
 
     a, z = args.a, args.z
-    print("G = %.15g" % green_value(a, z, args.n))
+    # Compute every view first, so a failing one prints nothing.
+    lines = ["G = %.15g" % green_value(a, z, args.n)]
     if args.boettcher:
-        print("phi = %s" % _fmt_c(boettcher_infty(a, z)))
+        lines.append("phi = %s" % _fmt_c(boettcher_infty(a, z)))
     if args.trap:
         hit, k = attracted_to_supercycle(a, z)
-        print("attracted: %s%s" % (hit, "" if k is None else " at step %d" % k))
+        lines.append("attracted: %s%s" % (hit, "" if k is None else " at step %d" % k))
     w = z
     for i in range(args.orbit):
         w = apply_f(a, w)
-        print("f^%d = %s" % (i + 1, "inf" if is_infinite(w) else _fmt_c(w)))
+        lines.append("f^%d = %s" % (i + 1, "inf" if is_infinite(w) else _fmt_c(w)))
+    print("\n".join(lines))
     return 0
 
 
@@ -633,9 +635,11 @@ def _cmd_dyn_ray_leaves(args) -> int:
     leaves = ray_leaf_endpoints(args.a, args.depth, theta0=args.theta0)
     lines = []
     for lf in leaves:
-        lines.append("%d %s %.9f %.9f err=%.2g%s" % (
-            lf.depth, lf.side, lf.t1, lf.t2, lf.err,
-            " unresolved" if lf.unresolved else ""))
+        # a leg with no interval has no coordinate to print
+        legs = " ".join("-" if leg is None else "%.9f" % t
+                        for leg, t in ((lf.leg1, lf.t1), (lf.leg2, lf.t2)))
+        lines.append("%d %s %s err=%.2g%s" % (
+            lf.depth, lf.side, legs, lf.err, " unresolved" if lf.unresolved else ""))
     text = "".join(ln + "\n" for ln in lines)
     if args.out:
         _write_text(args.out, text)

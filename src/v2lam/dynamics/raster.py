@@ -47,6 +47,7 @@ written as binary PGM/PPM images with a deterministic text sidecar.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -496,7 +497,7 @@ def _julia_inverse(a, width, height, re_min, re_max, im_min, im_max, points, see
         if w == 0:
             w = start
             continue
-        root = complex(np.sqrt(complex(1.0 + a / w)))
+        root = cmath.sqrt(1.0 + a / w)
         z = -1.0 + root if rng.random() < 0.5 else -1.0 - root
         w = z
         if steps <= transient:

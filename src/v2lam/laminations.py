@@ -19,16 +19,16 @@ A ``Lamination`` is nothing but integer chords over one denominator
 chord {lo/den, hi/den}.  Building, deduplication, the crossing sweep, the
 invariance check, complementary regions, the leaf file and the SVG all run
 on these integers.  ``Leaf``, the validating Fraction form of one chord, is
-built only at the edge: when a caller iterates a lamination (``__iter__``,
-``leaves``, ``side_leaves``), when ``Lamination.from_text`` parses a leaf
-file, and for single chords tested by ``pairs_cross``/``leaves_cross`` and
-``leaf_in_quadratic_lamination``.  Laminations built from Fractions
-(``from_text``, the ``leaves`` argument, ``build_L0``) and ``mate`` rescale
-once to the lcm of the denominators they meet.  Each chord concept is
-written once: one crossing predicate (_chords_cross), one sorted sweep
-counting crossing pairs (_crossings), and one conversion of Fractions to
-integers over their common denominator (_over_common_denominator).
-Complementary regions are read off the nesting of non-crossing chords.
+built only where a chord meets the outside world: a chord given by the
+caller (``leaves_cross``, ``leaf_in_quadratic_lamination``, the CLI's
+``lam cross`` and ``lam quadratic --leaf``) and a failing chord in a report
+(``InvarianceReport``, ``v2lam.symbolic.AddressMatchReport``).  ``build_L0``
+and ``mate`` rescale once to the lcm of the denominators they meet.  Each
+chord concept is written once: one crossing predicate (_chords_cross), one
+sorted sweep counting crossing pairs (_crossings), and one conversion of
+Fractions to integers over their common denominator
+(_over_common_denominator).  Complementary regions are read off the
+nesting of non-crossing chords.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .angles import HALF, DomainError, angle, require_nonperiodic, x0_digits
 from .measure import h_arc, preimages_of_angle
@@ -67,17 +67,6 @@ class Leaf:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def key(self) -> tuple:
-        return (self.side, self.a, self.b)
-
-    @property
-    def endpoints(self) -> tuple[Fraction, Fraction]:
-        return (self.a, self.b)
-
-    def antipode(self) -> "Leaf":
-        return Leaf(angle(self.a + HALF), angle(self.b + HALF), self.side, self.depth)
-
     def __str__(self) -> str:
         return "%s %s %s" % (self.side, self.a, self.b)
 
@@ -95,19 +84,13 @@ class Lamination:
 
     ``chords`` maps (side, lo, hi) to the leaf depth, lo < hi being integers
     in [0, den) for the chord {lo/den, hi/den}.  A chord reachable at two
-    depths keeps the smaller depth.  Iteration order is insertion order,
-    which builders keep deterministic.  ``leaves`` (Leaf objects over any
-    denominators) are rescaled once to the lcm of ``den`` and theirs.
+    depths keeps the smaller depth.  ``chords`` keeps insertion order,
+    which builders keep deterministic.
     """
 
-    def __init__(self, leaves: Iterable[Leaf] = (), den: int = 1):
-        leaves = list(leaves)
-        ints, common = _over_common_denominator([x for l in leaves for x in (l.a, l.b)])
-        self.den = lcm(den, common)
+    def __init__(self, den: int):
+        self.den = den
         self.chords: dict[tuple[str, int, int], int] = {}
-        k = self.den // common
-        for i, l in enumerate(leaves):
-            self.add(l.side, ints[2 * i] * k, ints[2 * i + 1] * k, l.depth)
 
     def add(self, side: str, a: int, b: int, depth: int) -> None:
         """Add the chord {a/den, b/den} on side; a != b are integers in [0, den)."""
@@ -120,63 +103,13 @@ class Lamination:
         side, a, b = key
         return Leaf(Fraction(a, self.den), Fraction(b, self.den), side, depth)
 
-    @property
-    def leaves(self) -> list[Leaf]:
-        return list(self)
-
-    def __iter__(self) -> Iterator[Leaf]:
-        return (self._leaf(key, d) for key, d in self.chords.items())
-
     def __len__(self) -> int:
         return len(self.chords)
-
-    def __contains__(self, item) -> bool:
-        """A Leaf, or an integer key (side, lo, hi) over den."""
-        if isinstance(item, Leaf):
-            return self.has(item.side, item.a, item.b)
-        return tuple(item) in self.chords
-
-    def _scaled(self, x) -> Optional[int]:
-        """The angle x as an integer over den, or None when it is not one."""
-        x = angle(x)
-        n, r = divmod(x.numerator * self.den, x.denominator)
-        return None if r else n
-
-    def has(self, side: str, a, b) -> bool:
-        """Whether the chord between the angles a and b is a leaf of side.
-
-        An endpoint that is not an integer over den is on no leaf.
-        """
-        ia, ib = self._scaled(a), self._scaled(b)
-        if ia is None or ib is None:
-            return False
-        return ((side, ia, ib) if ia < ib else (side, ib, ia)) in self.chords
-
-    def side_leaves(self, side: str) -> list[Leaf]:
-        return [self._leaf(key, d) for key, d in self.chords.items() if key[0] == side]
-
-    def key_set(self) -> frozenset:
-        """{(side, a, b)} with Fraction endpoints a < b."""
-        den = self.den
-        return frozenset((s, Fraction(a, den), Fraction(b, den)) for s, a, b in self.chords)
 
     def to_text(self) -> str:
         den = self.den
         return "".join("%s %s %s\n" % (s, _turns_text(a, den), _turns_text(b, den))
                        for s, a, b in self.chords)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Lamination":
-        leaves = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DomainError("bad leaf line: %r" % line)
-            leaves.append(Leaf(angle(parts[1]), angle(parts[2]), parts[0]))
-        return cls(leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,6 @@ class Address:
             raise DomainError("leading bit must be 0 or 1")
         return Address(body.prepended(leading, 1))
 
-    def digit(self, m: int) -> int:
-        return self.stream.digit(m)
-
-    def prefix(self, n: int) -> list[int]:
-        return self.stream.prefix(n)
-
     def shift(self, k: int) -> "Address":
         """Drop the first k bits."""
         return Address(self.stream.shifted(k))

@@ -3,9 +3,12 @@
 * ``Lamination``: the leaf store as it was before the library's integer
   chords, one validating ``Leaf`` per leaf keyed by ``(side, a, b)`` with
   ``Fraction`` endpoints; ``mirror_outside``, ``check_two_sided_invariance``
-  and ``mate`` run on it with ``Fraction`` arithmetic.
-* ``build_L``/``build_2L``/``cumulative``: the forms the library's builders
-  and ``v2lam.measure.cumulative`` had before they ran on integers over one
+  and ``mate`` run on it with ``Fraction`` arithmetic.  ``Lamination.of``
+  is the Fraction view of a library lamination's integer chords, through
+  which tests read the library's laminations.
+* ``build_L``/``build_2L``/``cumulative``/``x0_series``: the forms the
+  library's builders, ``v2lam.measure.cumulative`` and
+  ``v2lam.angles.x0_series`` had before they ran on integers over one
   shared denominator; every arc start, arc length and partial sum is a
   ``Fraction``.
 * ``build_quadratic_lamination``: the O(n^2) loop that walks the doubling
@@ -79,14 +82,17 @@ class Lamination:
         for leaf in leaves:
             self.add(leaf)
 
-    def add(self, leaf: Leaf) -> None:
-        old = self._by_key.get(leaf.key)
-        if old is None or leaf.depth < old.depth:
-            self._by_key[leaf.key] = leaf
+    @classmethod
+    def of(cls, lam) -> "Lamination":
+        """The chords of the library lamination lam as Leafs, in its order."""
+        return cls(Leaf(Fraction(a, lam.den), Fraction(b, lam.den), side, d)
+                   for (side, a, b), d in lam.chords.items())
 
-    @property
-    def leaves(self) -> list[Leaf]:
-        return list(self._by_key.values())
+    def add(self, leaf: Leaf) -> None:
+        key = (leaf.side, leaf.a, leaf.b)
+        old = self._by_key.get(key)
+        if old is None or leaf.depth < old.depth:
+            self._by_key[key] = leaf
 
     def __iter__(self):
         return iter(self._by_key.values())
@@ -95,7 +101,7 @@ class Lamination:
         return len(self._by_key)
 
     def __contains__(self, leaf: Leaf) -> bool:
-        return leaf.key in self._by_key
+        return (leaf.side, leaf.a, leaf.b) in self._by_key
 
     def has(self, side: str, a: Fraction, b: Fraction) -> bool:
         a, b = angle(a), angle(b)
@@ -183,7 +189,7 @@ def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
     major = quadratic_major(y0)
     first_depth: dict[Fraction, int] = {}
     for k in range(depth + 1):
-        for e in major.endpoints:
+        for e in (major.a, major.b):
             for t in preimages_of_angle(e, k):
                 first_depth.setdefault(t, k)
     points = sorted(first_depth)
@@ -258,6 +264,15 @@ def cumulative(theta0: Fraction, t: Fraction, M=None) -> Fraction:
         ctail += c * Fraction(1, 4**j)
     total += HALF * Fraction(1, 4**P) * ctail / (1 - Fraction(1, 4**L))
     return total
+
+
+def x0_series(theta0: Fraction, M: int) -> tuple[Fraction, Fraction]:
+    """The enclosure [lo, lo + 2^-(M+1)] of x0, lo summed term by term on Fractions."""
+    t = angle(theta0)
+    total = Fraction(0)
+    for m in range(1, M + 1):
+        total += Fraction(((1 << m) - 1) * t.numerator // t.denominator + 1, 1 << (2 * m + 1))
+    return total, total + Fraction(1, 1 << (M + 1))
 
 
 def _strictly_inside(x: Fraction, start: Fraction, length: Fraction) -> bool:
@@ -528,7 +543,7 @@ def leaf_addresses_match(theta0: Fraction, depth: int,
     t = require_nonperiodic(theta0)
     if depth < 0:
         return AddressMatchReport(0, (), 0, ())
-    lam = build_2L(t, depth)
+    lam = Lamination.of(build_2L(t, depth))
     eps = epsilon_star(t)
     leaf_failures = []
     count = 0

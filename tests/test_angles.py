@@ -28,6 +28,7 @@ from v2lam.angles import (
 )
 from v2lam.symbolic import critical_address
 
+import exact_oracles
 import stream_oracles as oracle
 from stream_oracles import TupleStream, nu_stream
 
@@ -116,9 +117,9 @@ def test_digit_stream_roundtrip_and_agreement():
 
 def test_digit_stream_canonical_minimal():
     # canonicalization folds representational slack
-    assert DigitStream.make([0, 0, 1], [0, 1, 1, 1]) == DigitStream.make([0, 0], [1, 0, 1, 1])
-    assert DigitStream.make([], [0, 1, 0, 1]) == DigitStream.make([], [0, 1])
-    assert DigitStream.make([1, 0], [0, 0]) == DigitStream.make([1], [0])
+    assert DigitStream.parse("001(0111)") == DigitStream.parse("00(1011)")
+    assert DigitStream.parse("(0101)") == DigitStream.parse("(01)")
+    assert DigitStream.parse("10(00)") == DigitStream.parse("1(0)")
 
 
 def test_digit_stream_parse():
@@ -250,7 +251,7 @@ periods = st.tuples(st.lists(st.integers(0, 1), min_size=1, max_size=6),
 
 @given(pre=bit_lists, per=periods)
 def test_stream_print_parse_round_trip(pre, per):
-    s = DigitStream.make(pre, per)
+    s = TupleStream.make(pre, per).packed()
     assert str(s) == str(TupleStream.make(pre, per))
     assert DigitStream.parse(str(s)) == s
     assert DigitStream.parse(str(TupleStream(tuple(pre), tuple(per)))) == s
@@ -258,7 +259,8 @@ def test_stream_print_parse_round_trip(pre, per):
 
 @given(pre=bit_lists, per=periods, k=st.integers(0, 25), word=bit_lists)
 def test_stream_operations_match_tuple_oracle(pre, per, k, word):
-    s, o = DigitStream.make(pre, per), TupleStream.make(pre, per)
+    o = TupleStream.make(pre, per)
+    s = o.packed()
     assert TupleStream.of(s) == o
     assert TupleStream(tuple(pre), tuple(per)).packed().canonical() == s
     assert s.canonical() == s
@@ -273,9 +275,9 @@ def test_stream_operations_match_tuple_oracle(pre, per, k, word):
 
 def test_stream_rejects_bad_bits():
     with pytest.raises(DomainError):
-        DigitStream.make([0, 2], [1])
+        DigitStream.parse("02(1)")
     with pytest.raises(DomainError):
-        DigitStream.make([0, 1], [])
+        DigitStream.parse("01()")
     with pytest.raises(DomainError):
         DigitStream.parse("0(012)")
 
@@ -299,6 +301,12 @@ def test_x0_fast_paths_agree_with_interleave_oracle(t):
     x0 = oracle.x0_digit_stream(t)
     assert x0_digits(t) == F(num, den) == stream.to_fraction() == x0.to_fraction()
     assert TupleStream.of(stream) == x0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t=even_angles(), M=st.integers(1, 64))
+def test_x0_series_matches_the_fraction_sum(t, M):
+    assert x0_series(t, M) == exact_oracles.x0_series(t, M)
 
 
 @settings(max_examples=60, deadline=None)

@@ -344,6 +344,17 @@ def test_dyn_green_refuses_a_nan_input_as_a_domain_error(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("--a", "1", "--z", "0.3,0.2", "--boettcher"), 2),
+    (("--a", "1", "--z", "0,0", "--boettcher"), 1),
+], ids=["bounded-orbit-phi", "pole-phi"])
+def test_dyn_green_prints_nothing_when_a_later_view_fails(capsys, argv, want):
+    # G alone is defined at both points; the phi view fails after it
+    code, out, err = run(capsys, "dyn", "green", *argv)
+    assert (code, out) == (want, "")
+    assert err
+
+
 def test_dyn_green_at_infinity_prints_the_sentinel(capsys):
     code, out, _ = run(capsys, "dyn", "green", "--a", "1", "--z", "inf,0", "--trap")
     assert (code, out) == (0, "G = inf\nattracted: True at step 0\n")
@@ -845,6 +856,21 @@ def test_dyn_ray_leaves_listing(capsys):
     assert len(lines) == 3
     assert lines[0].startswith("0 I ")
     assert all(ln.startswith("1 O ") for ln in lines[1:])
+
+
+def test_dyn_ray_leaves_prints_a_dash_for_a_leg_with_no_interval(monkeypatch, capsys):
+    from v2lam import dynamics
+    from v2lam.dynamics import RayLeaf
+
+    leaves = [RayLeaf(0j, 0, "I", (3, 2), (1, 3), False, 0.0),
+              RayLeaf(0j, 1, "O", (5, 4), None, True, 1.0),
+              RayLeaf(0j, 1, "O", None, None, True, 1.0)]
+    monkeypatch.setattr(dynamics, "ray_leaf_endpoints", lambda a, depth, theta0: leaves)
+    code, out, _ = run(capsys, "dyn", "ray-leaves", "--a=-0.37,-2.97",
+                       "--depth", "1", "--theta0", "1/6")
+    assert (code, out) == (0, "0 I 0.875000000 0.187500000 err=0\n"
+                               "1 O 0.343750000 - err=1 unresolved\n"
+                               "1 O - - err=1 unresolved\n")
 
 
 def test_dyn_ray_leaves_where_no_leaf_resolves_exits_two(capsys):

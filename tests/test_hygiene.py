@@ -13,6 +13,10 @@
   name appears as a ``Name`` outside its own definition, or some module
   imports it by name.  Code only the tests reach belongs in the test
   oracles.  The console entry point ``v2lam.cli:main`` counts as used.
+* Every method and property defined in a class body in ``src/`` is used by
+  ``src/``: its name appears as a ``Name`` or an attribute outside its own
+  definition.  Dunder methods and the override of standard-library API
+  ``_Parser.error`` (``argparse``) are exempt.
 """
 from __future__ import annotations
 
@@ -117,6 +121,47 @@ def test_every_definition_in_src_is_used_by_src():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC_FILES}
     entry_point = "src/v2lam/cli.py:main"
     assert [d for d in unreferenced_definitions(sources) if d != entry_point] == []
+
+
+def unreferenced_methods(sources: dict[str, str]) -> list[str]:
+    """The non-dunder methods and properties of the classes in the modules
+    ``sources`` whose name no module mentions, as a ``Name`` or an
+    attribute, outside the method itself."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        own = {}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    defined.append((module, cls.name, node.name))
+                    own.update((id(n), node.name) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and own.get(id(node)) != name:
+                used.add(name)
+    return sorted("%s:%s.%s" % d for d in defined if d[2] not in used)
+
+
+def test_scan_finds_an_unused_method():
+    sources = {"a": ("class C:\n    def __init__(self):\n        self.f()\n\n"
+                     "    def f(self):\n        return self.g\n\n"
+                     "    @property\n    def g(self):\n        return 1\n\n"
+                     "    def h(self):\n        return self.h()\n"),
+               "b": "def k(x):\n    return x.i\n\nclass D:\n    def i(self):\n        pass\n"}
+    # f and the property g are used inside C's other methods, i by module b;
+    # h is named only inside its own definition, and __init__ is a dunder
+    assert unreferenced_methods(sources) == ["a:C.h"]
+
+
+def test_every_method_in_src_is_used_by_src():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC_FILES}
+    argparse_override = "src/v2lam/cli.py:_Parser.error"
+    assert [m for m in unreferenced_methods(sources) if m != argparse_override] == []
 
 
 def test_the_exact_layers_and_the_cli_import_no_numpy():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_oracles as oracle
 from v2lam.angles import DomainError
 from v2lam.dynamics import (
     INF,
@@ -225,7 +226,7 @@ def test_ray_leaf_depth0_is_half_turn_pair(leaves_depth2):
 def test_ray_leaves_match_model(leaves_depth2):
     lam = build_2L(Fr(1, 6), 2)
     cands = {}
-    for leaf in lam.leaves:
+    for leaf in oracle.Lamination.of(lam):
         cands.setdefault((leaf.depth, leaf.side), []).append((float(leaf.a), float(leaf.b)))
     unresolved = 0
     matched = set()

@@ -32,7 +32,7 @@ from stream_oracles import TupleStream
 
 
 def addr(pre, period):
-    return Address(DigitStream.make(pre, period))
+    return Address(TupleStream.make(pre, period).packed())
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def test_address_print_parse_roundtrip():
     a = addr((1, 1, 1, 0), (1, 0))
     assert str(a) == "1|1(10)"
     assert Address.parse(str(a)) == a
-    assert Address.parse("0|10(01)").prefix(6) == [0, 1, 0, 0, 1, 0]
+    assert Address.parse("0|10(01)").stream.prefix(6) == [0, 1, 0, 0, 1, 0]
     with pytest.raises(DomainError):
         Address.parse("10(01)")
     with pytest.raises(DomainError):
@@ -53,17 +53,17 @@ def test_address_print_parse_roundtrip():
 def test_address_leading_body_shift():
     a = addr((0,), (1, 0))  # 0,1,0,1,0,...
     assert a.leading == 0
-    assert a.body == DigitStream.make((), (1, 0))
+    assert a.body == TupleStream.make((), (1, 0)).packed()
     # shift drops the first bit: 1,0,1,0,... printed with the lead absorbed
     s = a.shift(1)
-    assert s.prefix(6) == [1, 0, 1, 0, 1, 0]
+    assert s.stream.prefix(6) == [1, 0, 1, 0, 1, 0]
     assert str(s) == "1|(01)"
     # all-zeros is shift-invariant
     zeros = addr((), (0,))
     assert zeros.shift(1) == zeros
     # double shift of a preperiod-2 stream drops both preperiod bits
     b = addr((1, 0), (0, 1, 1))
-    assert b.shift(1).shift(1).prefix(6) == b.prefix(8)[2:]
+    assert b.shift(1).shift(1).stream.prefix(6) == b.stream.prefix(8)[2:]
     assert b.shift(2) == b.shift(1).shift(1)
 
 
@@ -74,7 +74,7 @@ def test_address_leading_body_shift():
 def test_epsilon_star_half():
     d = epsilon_star(F(1, 2))
     assert d.prefix(8) == [1, 1, 0, 1, 0, 1, 0, 1]
-    assert d == DigitStream.make((1, 1), (0, 1))
+    assert d == TupleStream.make((1, 1), (0, 1)).packed()
 
 
 def test_epsilon_star_one_sixth():
@@ -90,7 +90,7 @@ def test_critical_address_pair_structure():
         assert a0.body == a1.body == epsilon_star(t)
         # the two addresses differ exactly in position 1
         assert a0.stream.shifted(1) == a1.stream.shifted(1)
-        assert a0.digit(1) != a1.digit(1)
+        assert a0.stream.digit(1) != a1.stream.digit(1)
 
 
 def test_critical_address_rejects_periodic():
@@ -104,8 +104,8 @@ def test_critical_address_rejects_periodic():
 
 
 def test_angle_to_address_examples():
-    assert angle_to_address(F(1, 4)).prefix(8) == [1, 1, 1, 0, 1, 0, 1, 0]
-    assert angle_to_address(F(3, 4)).prefix(6) == [0, 1, 1, 0, 1, 0]
+    assert angle_to_address(F(1, 4)).stream.prefix(8) == [1, 1, 1, 0, 1, 0, 1, 0]
+    assert angle_to_address(F(3, 4)).stream.prefix(6) == [0, 1, 1, 0, 1, 0]
 
 
 def test_address_to_angle_examples():
@@ -167,8 +167,8 @@ def test_rule1_omega_pair():
 def test_rule2_common_prefix_pair():
     x = addr((1, 0), (0, 1))  # 1,0,0,1,0,1,...
     y = addr((1, 1), (1, 0))  # 1,1,1,0,1,0,...
-    assert x.prefix(7) == [1, 0, 0, 1, 0, 1, 0]
-    assert y.prefix(7) == [1, 1, 1, 0, 1, 0, 1]
+    assert x.stream.prefix(7) == [1, 0, 0, 1, 0, 1, 0]
+    assert y.stream.prefix(7) == [1, 1, 1, 0, 1, 0, 1]
     assert addr_equivalent(x, y, F(1, 6))
     assert addr_equivalent(x, y, F(1, 2))
     # both name the angle 1/4
@@ -315,7 +315,7 @@ def test_shift_compatibility_sweep():
     """x ~ y implies shift(x) ~ shift(y), away from the omega pair."""
     theta0 = F(1, 6)
     eps = TupleStream.of(epsilon_star(theta0))
-    omega = {DigitStream.make((), (0, 1)), DigitStream.make((), (1, 0))}
+    omega = {TupleStream.make((), (0, 1)).packed(), TupleStream.make((), (1, 0)).packed()}
     pairs = []
     # same-angle pairs for a spread of dyadic angles
     for den_exp in range(1, 6):
@@ -344,16 +344,16 @@ periods = st.lists(st.integers(0, 1), min_size=1, max_size=6)
 
 @given(lead=st.integers(0, 1), pre=bit_lists, per=periods)
 def test_address_print_parse_round_trip_property(lead, pre, per):
-    a = Address.from_leading_body(lead, DigitStream.make(pre, per))
+    a = Address.from_leading_body(lead, TupleStream.make(pre, per).packed())
     assert TupleStream.of(a.stream) == TupleStream.make([lead] + pre, per)
     assert str(a) == "%d|%s" % (lead, TupleStream.make(pre, per))
     assert Address.parse(str(a)) == a
-    assert (a.leading, a.body) == (lead, DigitStream.make(pre, per))
+    assert (a.leading, a.body) == (lead, TupleStream.make(pre, per).packed())
 
 
 @given(pre=bit_lists, per=periods)
 def test_flip_odd_matches_oracle_and_is_an_involution(pre, per):
-    s = DigitStream.make(pre, per)
+    s = TupleStream.make(pre, per).packed()
     flipped = _flip_odd(s)
     assert TupleStream.of(flipped) == oracle.flip_odd(TupleStream.make(pre, per))
     assert _flip_odd(flipped) == s
