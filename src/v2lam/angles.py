@@ -348,8 +348,6 @@ def _interleaved_bit_ints(theta0: Fraction) -> tuple[int, int, int, int]:
         inter[1::2] = nu_bits
 
         def bits_to_int(a: "np.ndarray") -> int:
-            if not len(a):
-                return 0
             packed = np.packbits(a)
             return int.from_bytes(packed.tobytes(), "big") >> (-len(a) % 8)
 

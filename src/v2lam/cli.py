@@ -298,11 +298,10 @@ def _cmd_angle_mu(args) -> int:
 
 
 def _cmd_angle_h_arc(args) -> int:
-    from .measure import h_arc
+    from .measure import h_arc, truncation_width
 
-    ha = h_arc(args.z, args.theta, args.cap)
-    print(ha.arc)
-    print("enclosure %s" % ha.enclosure)
+    print(h_arc(args.z, args.theta, args.cap))
+    print("enclosure %s" % truncation_width(args.cap))
     return 0
 
 

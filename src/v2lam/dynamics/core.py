@@ -156,35 +156,27 @@ def _inverse_roots(a: complex, ws, prev: complex | None = None) -> list[complex]
 def fixed_points(a: complex) -> list[complex]:
     """The three finite fixed points of f_a, i.e. roots of z^3 + 2z^2 = a.
 
-    Roots are Newton-polished to a residual |z^3 + 2z^2 - a| below 1e-10
-    times the size of the terms, |z|^2 (|z| + 2) + |a|, and returned sorted
-    by (real, imag).  The root within 1e-3 of the pole -2 (|a| below about
-    4e-3) is found as -2 + w by a contraction on w (``_near_pole_root``),
-    and the pair ±sqrt(a/2) + ... within 1e-3 of the pole 0 (|a| below about
-    2e-6) by a contraction on z (``_near_zero_root``); both already meet the
-    tolerance.  Raises ``NumericError`` when a root misses that tolerance or
+    Roots of ``np.roots`` are accepted at a residual |z^3 + 2z^2 - a| below
+    1e-10 times the size of the terms, |z|^2 (|z| + 2) + |a|, the scale of
+    its rounding error, and returned sorted by (real, imag).  The root
+    within 1e-3 of the pole -2 (|a| below about 4e-3) is found as -2 + w by
+    a contraction on w (``_near_pole_root``), and the pair ±sqrt(a/2) + ...
+    within 1e-3 of the pole 0 (|a| below about 2e-6) by a contraction on z
+    (``_near_zero_root``); both already meet the tolerance.  Raises ``NumericError`` when a root misses that tolerance or
     rounds onto a pole (0 or -2), as the root -2 + a/4 + ... does for real a
-    with |a| below about 4e-16.
+    with |a| below about 4e-16 (9e-16 for negative a).
     """
     a = _require_param(a)
     roots = [complex(r) for r in np.roots([1.0, 2.0, 0.0, -a])]
     if sum(abs(z) < 1e-3 for z in roots) == 2:
         # np.roots returns this pair as exactly 0 for |a| below about 1e-50,
-        # where the Newton polish cannot move, so both are found anew
+        # so both are found anew
         roots = [max(roots, key=abs), _near_zero_root(a, 1.0), _near_zero_root(a, -1.0)]
     out: list[complex] = []
     for z in roots:
         if abs(z + 2.0) < 1e-3:
             z = _near_pole_root(a)
-        for _ in range(8):
-            p = z * z * z + 2.0 * z * z - a
-            if abs(p) < 1e-12 * _cubic_scale(a, z):
-                break
-            dp = 3.0 * z * z + 4.0 * z
-            if dp == 0:
-                break
-            z = z - p / dp
-        if abs(z * z * z + 2.0 * z * z - a) >= 1e-10 * _cubic_scale(a, z):
+        if abs(z * z * z + 2.0 * z * z - a) >= 1e-10 * (abs(z) ** 2 * (abs(z) + 2.0) + abs(a)):
             raise NumericError(f"fixed-point residual above tolerance for a={a}")
         if z == 0 or z == -2:
             raise NumericError(f"a fixed point of f_a rounds onto a pole for a={a}")
@@ -198,9 +190,9 @@ def _near_pole_root(a: complex) -> complex:
 
     z^2 (z + 2) = a reads w = a / (w - 2)^2 in w = z + 2.  Iterated from
     w = 0 this is a contraction with factor about |a|/4, so w is found to
-    full relative accuracy in a few steps; polishing the root of the cubic
-    instead loses it, since that root carries an absolute error of one
-    rounding of 2.
+    full relative accuracy in a few steps; the root that ``np.roots`` gives
+    loses it, since that root carries an absolute error of one rounding
+    of 2.
     """
     return _contract_from_zero(lambda w: a / ((w - 2.0) * (w - 2.0))) - 2.0
 
@@ -224,11 +216,6 @@ def _contract_from_zero(step) -> complex:
             break
         z = nxt
     return z
-
-
-def _cubic_scale(a: complex, z: complex) -> float:
-    """Size of the terms of z^3 + 2z^2 - a, the scale of its rounding error."""
-    return abs(z) ** 2 * (abs(z) + 2.0) + abs(a)
 
 
 def fixed_point_multiplier(a: complex, z: complex) -> complex:
@@ -291,10 +278,8 @@ def trap_radii(a: complex) -> tuple[float, float]:
       |f| >= |a|/(3rho) >= 7 > 2rho and |F(z)| <= |z|/2, so orbits inside
       either disc converge to the 2-cycle.
 
-    The inequalities are exact in real arithmetic; ``attracted_to_supercycle``
-    additionally certifies them numerically (once per process) on a sample
-    grid of radii and arguments.  Raises ``NumericError`` when R overflows
-    double precision (|a| beyond ~4.5e307).
+    The inequalities are exact in real arithmetic.  Raises ``NumericError``
+    when R overflows double precision (|a| beyond ~4.5e307).
     """
     rho, r_out = _trap_radii_of_modulus(abs(_require_param(a)))
     return float(rho), float(r_out)
@@ -310,33 +295,6 @@ def _trap_radii_of_modulus(m):
     return np.minimum(0.25, m / 21.0), r_out
 
 
-_trap_certified = False
-
-
-def _certify_trap_once() -> None:
-    """Numerically spot-check the trap inequalities on a grid (first use only)."""
-    global _trap_certified
-    if _trap_certified:
-        return
-    for ea in range(-3, 4):
-        a = complex(10.0 ** ea, 0.37 * 10.0 ** ea)
-        rho, r_out = trap_radii(a)
-        for k in range(16):
-            u = cmath.exp(2j * math.pi * k / 16.0)
-            z_out = r_out * u
-            fz = _f(a, z_out)
-            if is_infinite(fz) or abs(fz) > rho * (1.0 + 1e-9):
-                raise NumericError("trap certification failed on outer circle")
-            z_in = rho * u
-            fz = _f(a, z_in)
-            if not is_infinite(fz) and abs(fz) < r_out * (1.0 - 1e-9):
-                raise NumericError("trap certification failed on inner circle")
-            ffz = _f(a, fz)
-            if not is_infinite(ffz) and abs(ffz) > 0.5 * rho * (1.0 + 1e-9):
-                raise NumericError("trap certification failed on contraction")
-    _trap_certified = True
-
-
 def attracted_to_supercycle(a: complex, z: complex, n_max: int = 512) -> tuple[bool, int | None]:
     """Does the orbit of z enter the certified trap within n_max steps of f?
 
@@ -347,7 +305,6 @@ def attracted_to_supercycle(a: complex, z: complex, n_max: int = 512) -> tuple[b
     """
     a = _require_param(a)
     z = _require_point(z)
-    _certify_trap_once()
     rho, r_out = trap_radii(a)
     for k in range(n_max + 1):
         if is_infinite(z) or not rho < _abs(z) < r_out:
@@ -512,8 +469,10 @@ def blaschke_critical_points(b: complex) -> tuple[complex, complex]:
     """The two critical points of B_b, ordered with |c1| < 1 < |c2|.
 
     They are (-1 ± sqrt(1 - |b|^2)) / conj(b); their product has modulus 1
-    (they are symmetric in the unit circle).  Raises ``NumericError`` when
-    the outer one leaves double range (|b| below ~1e-308).
+    (they are symmetric in the unit circle).  The + sign is the inner one:
+    with s = sqrt(1 - |b|^2), |c1| = (1 - s)/|b| = |b|/(1 + s) < 1, and s is
+    at least 1e-8 for every float |b| < 1.  Raises ``NumericError`` when the
+    outer one leaves double range (|b| below ~1e-308).
     """
     b = _require_blaschke_param(b)
     s = math.sqrt(1.0 - abs(b) ** 2)
@@ -521,6 +480,4 @@ def blaschke_critical_points(b: complex) -> tuple[complex, complex]:
     c2 = (-1.0 - s) / b.conjugate()
     if is_infinite(c2):
         raise NumericError(f"Blaschke critical point -2/conj(b) leaves double range for b={b}")
-    if abs(c1) >= 1.0:
-        c1, c2 = c2, c1
     return c1, c2

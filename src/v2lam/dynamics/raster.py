@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..angles import DomainError
-from .core import (NumericError, _certify_trap_once, _trap_radii_of_modulus, fixed_point_multiplier,
-                   fixed_points, trap_radii)
+from .core import (NumericError, _trap_radii_of_modulus, fixed_point_multiplier, fixed_points,
+                   trap_radii)
 
 __all__ = [
     "Raster",
@@ -386,7 +386,6 @@ def m2_raster(
     values (overflow through the pole region) count as trap entry at that
     step.
     """
-    _certify_trap_once()
     xs, ys, _, _ = _grid(width, height, re_min, re_max, im_min, im_max)
     rows = _iterated_rows(height, im_min == -im_max)
     A = (xs[None, :] + 1j * ys[:rows, None]).ravel()
@@ -445,7 +444,6 @@ def julia_raster(
 
 
 def _julia_escape(a, width, height, re_min, re_max, im_min, im_max, n_max):
-    _certify_trap_once()
     rho, r_out = trap_radii(a)
     xs, ys, _, _ = _grid(width, height, re_min, re_max, im_min, im_max)
     rows = _iterated_rows(height, im_min == -im_max and a.imag == 0)

@@ -238,33 +238,26 @@ def _geometric_grid(s_from: float, s_to: float, steps: int) -> list[float]:
     return out
 
 
-def _start_infinity(marcher: _Marcher, theta: Fraction, s: float):
-    """The infinity-ray point solved at potential s0 = max(8, s): (x, res, s0, n, A)."""
-    s0, A = max(8.0, s), _exact_anchor(theta, 0)
+def _march_infinity(a: complex, theta: Fraction, grid: list[float]) -> list[tuple[float, complex, float]]:
+    """Solve the infinity-ray of exact angle theta on a decreasing grid.
+
+    The first point is solved at potential s0 = max(8, grid[0]) in window 0.
+    """
+    marcher = _Marcher(a, theta, "dyn")
+    s0, A = max(8.0, grid[0]), _exact_anchor(theta, 0)
     x = 2.0 * cmath.exp(complex(s0, TWO_PI * float(theta % 1)))
     x, res = marcher.newton(x, 0, A, s0)
-    return x, res, s0, 0, A
-
-
-def _march_infinity(a: complex, theta: Fraction, grid: list[float]) -> list[tuple[float, complex, float]]:
-    """Solve the infinity-ray of exact angle theta on a decreasing grid."""
-    marcher = _Marcher(a, theta, "dyn")
-    x, res, s0, n, A = _start_infinity(marcher, theta, grid[0])
-    return list(marcher.walk(x, res, s0, n, A, grid))
+    return list(marcher.walk(x, res, s0, 0, A, grid))
 
 
 def _solve_infinity_at(a: complex, theta: Fraction, s_star: float,
-                       start: tuple[float, complex] | None = None) -> tuple[complex, float]:
-    """The infinity-ray point of angle theta at one precise potential."""
+                       start: tuple[float, complex]) -> tuple[complex, float]:
+    """The infinity-ray point of angle theta at potential s_star, walked down
+    from ``start``, an infinity-ray point (s0, x) at a potential s0 > s_star."""
+    s0, x = start
+    n = window_exponent(s0)
     marcher = _Marcher(a, theta, "dyn")
-    if start is None or start[0] < s_star:
-        x, res, s0, n, A = _start_infinity(marcher, theta, s_star)
-    else:
-        s0, x = start
-        n = window_exponent(s0)
-        A = _exact_anchor(theta, n)
-        res = 0.0
-    ((_, x, res),) = marcher.walk(x, res, s0, n, A, [s_star])
+    ((_, x, res),) = marcher.walk(x, 0.0, s0, n, _exact_anchor(theta, n), [s_star])
     return x, res
 
 
@@ -312,8 +305,8 @@ def trace_dynamical_ray(
         )
     crash: tuple[float, complex, float] | None = None
     if s_star > s_to:
-        above = [(s, w) for s, w, _ in inf_pts if s > s_star]
-        start = above[-1] if above else None
+        # inf_pts starts at grid[0] = s_from > s_star, so a point above s* exists
+        start = [(s, w) for s, w, _ in inf_pts if s > s_star][-1]
         try:
             w_star, res_star = _solve_infinity_at(a, theta, s_star, start)
             if abs(w_star + a) / abs(a) < 1e-3:

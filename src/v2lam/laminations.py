@@ -338,10 +338,10 @@ def check_two_sided_invariance(lam: Lamination, depth: int) -> InvarianceReport:
 # quadratic laminations, basilica, matings
 
 
-def quadratic_major(y0: Fraction) -> Leaf:
-    """The generating chord {y0/2, y0/2 + 1/2}."""
+def quadratic_major(y0: Fraction) -> tuple[Fraction, Fraction]:
+    """The endpoints (y0/2, y0/2 + 1/2) of the generating chord, both in [0, 1)."""
     y0 = angle(y0)
-    return Leaf(angle(y0 / 2), angle(y0 / 2 + HALF), INSIDE, 0)
+    return y0 / 2, y0 / 2 + HALF
 
 
 def _orbit_admits(a: int, b: int, l0a: int, l0b: int, den: int) -> bool:
@@ -370,8 +370,7 @@ def leaf_in_quadratic_lamination(y0: Fraction, leaf: Leaf | tuple) -> bool:
         a, b = leaf.a, leaf.b
     else:
         a, b = (angle(x) for x in leaf)
-    major = quadratic_major(y0)
-    (ia, ib, l0a, l0b), den = _over_common_denominator([a, b, major.a, major.b])
+    (ia, ib, l0a, l0b), den = _over_common_denominator([a, b, *quadratic_major(y0)])
     return _orbit_admits(ia, ib, l0a, l0b, den)
 
 

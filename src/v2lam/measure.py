@@ -146,37 +146,19 @@ def truncation_width(M: Optional[int]) -> Fraction:
     return Fraction(0) if M is None else Fraction(1, 1 << (M + 1))
 
 
-@dataclass(frozen=True)
-class HArc:
-    """h-preimage arc of an atom, with the endpoint enclosure width."""
-
-    arc: Arc
-    enclosure: Fraction
-
-    @property
-    def start(self) -> Fraction:
-        return self.arc.start
-
-    @property
-    def end(self) -> Fraction:
-        return self.arc.end
-
-    def __str__(self) -> str:
-        return str(self.arc)
-
-
-def h_arc(z: Fraction, theta0: Fraction, M: Optional[int] = None) -> HArc:
+def h_arc(z: Fraction, theta0: Fraction, M: Optional[int] = None) -> Arc:
     """The full h-preimage arc of the circle point at angle z.
 
     Start = F(z), end = F(z) + weight(z); zero-length for non-atoms.  With a
     depth cap M both endpoints are truncations from below, each within
-    2^-(M+1) of the exact value; with M=None they are exact.
+    ``truncation_width(M)`` = 2^-(M+1) of the exact value; with M=None they
+    are exact.
     """
     t0 = require_nonperiodic(theta0)
     z = angle(z)
     start = cumulative(t0, z, M)
     w = mu_weight(z, t0, M)
-    return HArc(Arc(angle(start), angle(start + w)), truncation_width(M))
+    return Arc(angle(start), angle(start + w))
 
 
 def sigma0_arc(theta0: Fraction) -> Arc:
@@ -231,8 +213,6 @@ def _interval_gap(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) ->
     b0, b1 = angle(b[0]), angle(b[0]) + lb
     fwd = angle(b0 - a1)  # ccw gap from a to b
     bwd = angle(a0 - b1)  # ccw gap from b to a
-    if fwd == 0 or bwd == 0:
-        return Fraction(0)
     if fwd + bwd > 1:  # the two arcs overlap
         return Fraction(0)
     return min(fwd, bwd)

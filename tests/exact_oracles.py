@@ -186,7 +186,7 @@ def build_quadratic_lamination(y0: Fraction, depth: int) -> Lamination:
     y0 = angle(y0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    major = quadratic_major(y0)
+    major = Leaf(*quadratic_major(y0))
     first_depth: dict[Fraction, int] = {}
     for k in range(depth + 1):
         for e in (major.a, major.b):

@@ -196,6 +196,32 @@ def test_numeric_error_is_two(capsys):
     assert "numeric error:" in err
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    # an atom deeper than the measure cap weighs 0 there: its arc collapses
+    ("lam L0 --theta 1/2 --depth 3 --measure-cap 1", 1, "",
+     "error: leaf endpoints must be distinct\n"),
+    # 1/3 is periodic: its hits on its own orbit repeat with period 2, at
+    # depths 0, 2 and 4 up to either cap
+    ("angle mu --z 1/3 --theta 1/3 --cap 5", 0, "273/512\n", ""),
+    ("angle mu --z 1/3 --theta 1/3 --cap 4", 0, "273/512\n", ""),
+    # s_from below G(-a): the 0-based ray would start past the crash
+    ("dyn ray --a 6 --base 0 --theta 1/3 --s-from 0.01 --s-to 0.001", 1, "",
+     "error: s_from must exceed the critical-value potential G(-a) = 0.878159 for a 0-based ray\n"),
+], ids=["L0-collapsed-leaf", "mu-periodic-cycle", "mu-periodic-cycle-at-cap",
+        "ray-0-below-crash"])
+def test_library_branches_through_the_cli(capsys, argv, code, out, err):
+    assert run(capsys, *shlex.split(argv)) == (code, out, err)
+
+
+def test_lam_mate_draws_an_antipodal_outside_chord_as_two_radial_rays(tmp_path, capsys):
+    svg = tmp_path / "mate.svg"
+    code, _, _ = run(capsys, "lam", "mate", "--outer-y0", "1/3", "--depth", "0", "--svg", str(svg))
+    assert code == 0
+    assert ('<path d="M 174.000000 64.192379 L 24.000000 -195.615242 '
+            'M 474.000000 583.807621 L 624.000000 843.615242" stroke="#d62728" '
+            'stroke-width="1.000000" fill="none"/>') in svg.read_text().splitlines()
+
+
 WINDOW_RASTERS = {
     "m2": ("dyn", "m2", "--width", "8", "--height", "8"),
     "julia": ("dyn", "julia", "--a", "1", "--width", "8", "--height", "8"),

@@ -88,6 +88,29 @@ def test_fixed_points_vieta_random():
             assert abs(apply_f(a, z) - z) < 1e-8 * max(1.0, abs(z))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-300.0, 300.0), st.sampled_from(["real", "imag", "general"]),
+       st.floats(0.0, 2.0 * math.pi))
+def test_fixed_points_need_no_polish(log_mod, kind, arg):
+    # |a| log-uniform over the float range: every root np.roots or a near-pole
+    # contraction gives already meets a relative residual of 1e-12
+    unit = {"real": complex(math.copysign(1.0, math.cos(arg)), 0.0),
+            "imag": complex(0.0, math.copysign(1.0, math.cos(arg))),
+            "general": cmath.rect(1.0, arg)}[kind]
+    a = 10.0 ** log_mod * unit
+    try:
+        roots = fixed_points(a)
+    except NumericError as e:
+        # only a real a whose root -2 + a/4 + ... rounds onto the pole -2
+        assert "rounds onto a pole" in str(e)
+        assert a.imag == 0 and -2.0 + a.real / 4.0 == -2.0
+        return
+    assert len(roots) == 3
+    for z in roots:
+        rel = abs(z * z * z + 2.0 * z * z - a) / (abs(z) ** 2 * (abs(z) + 2.0) + abs(a))
+        assert rel <= 1e-12 or min(abs(z), abs(z + 2.0)) < 1e-3
+
+
 def test_multiplier_golden():
     z = (-1.0 + math.sqrt(5.0)) / 2.0
     assert abs(multiplier(1.0, z) - (1.0 - math.sqrt(5.0))) < 1e-9
@@ -112,18 +135,30 @@ def test_trap_radii_values():
     assert r_out == pytest.approx(1.0 + math.sqrt(401.0))
 
 
+def _assert_trap_inequalities(a, z_out, z_in):
+    """The three trap inequalities at a, from z_out on |z| = R and z_in on |z| = rho."""
+    rho, r_out = trap_radii(a)
+    assert abs(apply_f(a, z_out)) <= rho * (1 + 1e-9)
+    fz = apply_f(a, z_in)
+    assert is_infinite(fz) or abs(fz) >= r_out * (1 - 1e-9)
+    ffz = apply_f(a, fz)
+    assert is_infinite(ffz) or abs(ffz) <= 0.5 * rho * (1 + 1e-9)
+
+
 def test_trap_inequalities_sampled():
     rng = random.Random(3)
     for _ in range(200):
         a = cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(0, 2 * math.pi))
         rho, r_out = trap_radii(a)
-        z = cmath.rect(r_out, rng.uniform(0, 2 * math.pi))
-        assert abs(apply_f(a, z)) <= rho * (1 + 1e-9)
-        z = cmath.rect(rho, rng.uniform(0, 2 * math.pi))
-        fz = apply_f(a, z)
-        assert is_infinite(fz) or abs(fz) >= r_out * (1 - 1e-9)
-        ffz = apply_f(a, fz)
-        assert is_infinite(ffz) or abs(ffz) <= 0.5 * rho * (1 + 1e-9)
+        z_out = cmath.rect(r_out, rng.uniform(0, 2 * math.pi))
+        _assert_trap_inequalities(a, z_out, cmath.rect(rho, rng.uniform(0, 2 * math.pi)))
+    # a fixed grid: a = 10^k (1 + 0.37i) for k = -3..3, at 16 angles each
+    for k in range(-3, 4):
+        a = complex(10.0 ** k, 0.37 * 10.0 ** k)
+        rho, r_out = trap_radii(a)
+        for j in range(16):
+            u = cmath.exp(2j * math.pi * j / 16.0)
+            _assert_trap_inequalities(a, r_out * u, rho * u)
 
 
 def test_attracted_examples():
@@ -316,6 +351,14 @@ def test_julia_methods_agree():
     esc = julia_raster(6.0, 160, 160, n_max=256)
     inv = julia_raster(6.0, 160, 160, method="inverse", points=60000, seed=2)
     assert julia_agreement(esc, inv) >= 0.9
+
+
+def test_julia_agreement_without_inverse_hits_is_zero():
+    # a window far outside the Julia set: the inverse orbit never lands in it
+    window = dict(re_min=100.0, re_max=101.0, im_min=100.0, im_max=101.0)
+    inv = julia_raster(1.0, 8, 8, method="inverse", points=1000, **window)
+    assert not inv.values.any()
+    assert julia_agreement(julia_raster(1.0, 8, 8, n_max=8, **window), inv) == 0.0
 
 
 def test_julia_inverse_requires_repelling_point():

@@ -187,7 +187,7 @@ def test_build_quadratic_third():
     assert lam.has(INSIDE, Fr(1, 3), Fr(2, 3))
     assert lam.has(INSIDE, Fr(1, 6), Fr(1, 3))
     for d in range(4):
-        assert quadratic_major(Fr(1, 3)) in view(build_quadratic_lamination(Fr(1, 3), d))
+        assert Leaf(*quadratic_major(Fr(1, 3))) in view(build_quadratic_lamination(Fr(1, 3), d))
 
 
 def test_quadratic_backward_invariance():

@@ -9,6 +9,7 @@ import exact_oracles as oracle
 from v2lam.angles import DomainError, x0_digits
 from v2lam.measure import (
     Arc,
+    _interval_gap,
     cumulative,
     h_arc,
     h_point,
@@ -75,17 +76,17 @@ def test_cumulative_rejects_periodic():
 
 
 def test_h_arc_examples():
-    assert str(h_arc(Fr(1, 2), Fr(1, 2)).arc) == "[1/4, 3/4)"
-    assert str(h_arc(Fr(1, 4), Fr(1, 2)).arc) == "[1/16, 3/16)"
-    assert str(h_arc(Fr(3, 4), Fr(1, 2)).arc) == "[13/16, 15/16)"
+    assert str(h_arc(Fr(1, 2), Fr(1, 2))) == "[1/4, 3/4)"
+    assert str(h_arc(Fr(1, 4), Fr(1, 2))) == "[1/16, 3/16)"
+    assert str(h_arc(Fr(3, 4), Fr(1, 2))) == "[13/16, 15/16)"
     # non-atom angles collapse to a point
-    ha = h_arc(Fr(1, 3), Fr(1, 2))
-    assert ha.arc.length == 0
-    # truncated endpoints carry the stated enclosure
-    ha = h_arc(Fr(1, 2), Fr(1, 2), M=30)
-    assert ha.enclosure == Fr(1, 2**31)
+    arc = h_arc(Fr(1, 3), Fr(1, 2))
+    assert arc.length == 0
+    # truncated endpoints lie within the truncation width below the exact ones
+    arc = h_arc(Fr(1, 2), Fr(1, 2), M=30)
+    assert truncation_width(30) == Fr(1, 2**31)
     x0 = x0_digits(Fr(1, 2))
-    assert x0 - ha.enclosure < ha.start <= x0
+    assert x0 - truncation_width(30) < arc.start <= x0
 
 
 def test_sigma0_arc():
@@ -130,6 +131,23 @@ def test_h_point_hits_atoms():
     assert lo <= Fr(1, 2) <= hi and hi - lo <= Fr(1, 2**48)
     lo, hi = h_point(Fr(1, 16), Fr(1, 2))
     assert lo <= Fr(1, 4) <= hi
+
+
+def test_h_point_beyond_the_truncated_mass():
+    # with a depth cap M the cumulative function stays below 1 - 2^-(M+1);
+    # a point beyond it gets the last bisection cell
+    assert h_point(Fr(31, 32), Fr(1, 2), M=3) == (1 - Fr(1, 2**48), Fr(1))
+
+
+@pytest.mark.parametrize("a, b, gap", [
+    ((Fr(0), Fr(1, 8)), (Fr(1, 2), Fr(5, 8)), Fr(3, 8)),
+    ((Fr(0), Fr(1, 8)), (Fr(3, 16), Fr(1, 4)), Fr(1, 16)),
+    ((Fr(0), Fr(1, 4)), (Fr(1, 2), Fr(1, 4)), Fr(0)),    # lengths add up to a full turn
+    ((Fr(0), Fr(1, 4)), (Fr(1, 4), Fr(1, 2)), Fr(0)),     # the arcs touch
+    ((Fr(0), Fr(1, 8)), (Fr(1, 16), Fr(1, 2)), Fr(0)),    # the arcs overlap
+], ids=["apart", "near", "full-turn", "touching", "overlapping"])
+def test_interval_gap(a, b, gap):
+    assert _interval_gap(a, b) == gap == _interval_gap(b, a)
 
 
 def test_semiconjugacy_defects():
