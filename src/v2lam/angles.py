@@ -185,14 +185,15 @@ def digit_stream(theta: Fraction) -> DigitStream:
 
     Long division: for t = num/den in lowest terms the preperiod is e bits,
     e the power of 2 in den, after which the remainder r cycles with period
-    L; the bits are floor(2^e t) and floor(2^L r/den).  Both lengths are
-    minimal, and the expansion never ends in all-ones.
+    L, the order of 2 modulo the odd part den/2^e; the bits are
+    floor(2^e t) and floor(2^L r/den).  Both lengths are minimal, and the
+    expansion never ends in all-ones.
     """
     t = angle(theta)
     num, den = t.numerator, t.denominator
     e = (den & -den).bit_length() - 1
     pre, r = divmod(num << e, den)
-    L = _doubling_period(r, den)
+    L = _order_of_two(den >> e)
     return DigitStream(pre, e, (r << L) // den, L)
 
 
@@ -291,7 +292,10 @@ def _order_of_two(m: int) -> int:
     that every caller then computes.
     """
     if m >= 1 << 40:
-        return _doubling_period(1, m)
+        k, v = 1, 2
+        while v != 1:
+            k, v = k + 1, 2 * v % m
+        return k
     lam = 1
     for p, k in _factor_small(m).items():
         lam = math.lcm(lam, (p - 1) * p ** (k - 1))
@@ -300,14 +304,6 @@ def _order_of_two(m: int) -> int:
         while d % q == 0 and pow(2, d // q, m) == 1:
             d //= q
     return d
-
-
-def _doubling_period(r: int, den: int) -> int:
-    """Steps of r -> 2r mod den until r comes back (r must lie on a cycle)."""
-    k, v = 1, 2 * r % den
-    while v != r:
-        k, v = k + 1, 2 * v % den
-    return k
 
 
 def _interleaved_bit_ints(theta0: Fraction) -> tuple[int, int, int, int]:

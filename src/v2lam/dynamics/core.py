@@ -83,11 +83,17 @@ def is_infinite(z: complex) -> bool:
 
 
 def _require_param(a: complex) -> complex:
+    """a as a complex, the one gate of the parameter: ``DomainError`` for
+    a = 0 or a non-finite part, ``NumericError`` for finite parts whose
+    modulus |a|, which every use of a takes, is beyond the float range.
+    """
     a = complex(a)
     if a == 0:
         raise DomainError("parameter a must be nonzero")
     if is_infinite(a):
         raise DomainError("parameter a must be finite")
+    if _abs(a) == math.inf:
+        raise NumericError("|a| exceeds the float range")
     return a
 
 
@@ -347,8 +353,8 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
         raise DomainError("green_value needs n >= 0")
     z = _require_point(z)
     log_a = math.log(abs(a))
-    w = z
-    for k in range(n + 1):
+    w, k = z, 0
+    while True:
         if cmath.isnan(w):
             raise NumericError("green_value hit NaN")
         if is_infinite(w):
@@ -376,7 +382,7 @@ def green_value(a: complex, z: complex, n: int = 64) -> float:
             # not a preimage of 0 but an underflow of a/(half^2 + 2 half)
             log_fw = log_a - _log_abs(half) - _log_abs(half + 2.0)
             return _halved(log_fw + math.log(4.0) - log_a, k + 1)
-    raise NumericError("green_value: unreachable")
+        k += 1
 
 
 #: Steps of F the Boettcher product may take before it gives up.

@@ -23,7 +23,7 @@ Supported traces:
   potential.  This branch crashes into the critical point -1 exactly when
   the infinity-ray of the same angle passes through the critical value -a;
   the crash is detected, the crash potential refined, and the path
-  truncated with the crash point recorded;
+  truncated with the crash point as its last point;
 - ``trace_parameter_ray(theta0, ...)``: the parameter ray, solving
   phi_a(F_a^n(-a)) = target over the parameter a, with the same windowing.
   Rays at real angles stay exactly real because the Newton derivative uses
@@ -31,14 +31,20 @@ Supported traces:
 - ``trace_ray_through_point(a, w0, ...)``: the ray passing through a given
   basin point (no angle needed; arguments are measured, not prescribed).
 
-Each tracer walks its potential grid with ``_Marcher.walk``.  A dynamical
-marcher validates its parameter once, when it is built; a parameter
-marcher validates it at every evaluation of phi, since there a is the
-Newton unknown.  phi then iterates the unchecked ``core._f``.  Newton
-evaluates phi once per point it visits: the value the line search found
-at the accepted point is the next iteration's value there.  Pullbacks to
-the 0-side follow one branch with ``core._inverse_roots``.  Invalid
-parameters raise ``DomainError`` from the public tracers.
+Both exact-angle tracers start with ``_march``, one Newton solve at the
+top of the grid; every tracer walks its grid, which ``_geometric_grid``
+alone validates, with ``_Marcher.walk``.
+A dynamical marcher validates its parameter once, when it is built; a
+parameter marcher validates it at every evaluation of phi, since there a
+is the Newton unknown.  phi then iterates the unchecked ``core._f``.
+Newton evaluates phi once per point it visits: the value the line search
+found at the accepted point is the next iteration's value there.
+Pullbacks to the 0-side follow one branch with ``core._inverse_roots``.
+Invalid parameters raise ``DomainError`` from the public tracers.
+
+A ``RayPath`` stores ``points``, ``crashed``, ``complete`` and ``note``;
+``crash_potential``, ``crash_point``, ``landing`` and ``landing_err`` are
+derived from ``points``.
 """
 
 from __future__ import annotations
@@ -65,22 +71,35 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class RayPath:
-    """A traced ray: sampled points with bookkeeping.
+    """A traced ray: the points it measured, and what follows from them.
 
     ``points`` holds (potential, point, relative_residual) triples with
     strictly decreasing (or, for through-point upper tails, increasing)
-    potential.  For dynamical rays the point is z in the dynamical plane;
-    for parameter rays it is the parameter a.
+    potential; the point is z, or the parameter a for a parameter ray.  The
+    crash is the last point of a crashed path; the landing is the last
+    point of any other, and its error the length of the last step.
     """
 
     points: list[tuple[float, complex, float]] = field(default_factory=list)
     crashed: bool = False
-    crash_potential: float | None = None
-    crash_point: complex | None = None
     complete: bool = True
     note: str = ""
-    landing: complex | None = None
-    landing_err: float | None = None
+
+    @property
+    def crash_potential(self) -> float | None:
+        return self.points[-1][0] if self.crashed else None
+
+    @property
+    def crash_point(self) -> complex | None:
+        return self.points[-1][1] if self.crashed else None
+
+    @property
+    def landing(self) -> complex | None:
+        return None if self.crashed or len(self.points) < 2 else self.points[-1][1]
+
+    @property
+    def landing_err(self) -> float | None:
+        return None if self.landing is None else abs(self.points[-1][1] - self.points[-2][1])
 
     def to_csv(self) -> str:
         rows = ["s,re,im,residual"]
@@ -99,27 +118,21 @@ def window_exponent(s: float) -> int:
     return n
 
 
-def _window_turns(theta: Fraction, n: int) -> float:
-    """frac(2^n theta): the exact argument, in turns, of the window at exponent n."""
-    return float(double(theta, n))
-
-
-def _exact_anchor(theta: Fraction, n: int) -> float:
-    return TWO_PI * _window_turns(theta, n)
-
-
 class _Marcher:
-    """Shared windowed-Newton machinery for dynamical and parameter rays."""
+    """Shared windowed-Newton machinery for dynamical and parameter rays.
 
-    def __init__(self, a: complex | None, theta: Fraction | None, mode: str):
-        # "dyn": solve for z at a fixed a, validated here once; "par": solve
-        # for a, which phi validates on every call since it is the unknown.
-        self.a = _require_param(a) if mode == "dyn" else None
+    A dynamical marcher solves for z at the parameter ``a``, validated here
+    once; a parameter marcher (``a=None``) solves for a, which phi
+    validates on every call since it is the unknown.  With an angle
+    ``theta`` the anchors are exact; without one they are measured.
+    """
+
+    def __init__(self, a: complex | None, theta: Fraction | None = None):
+        self.a = None if a is None else _require_param(a)
         self.theta = theta
-        self.mode = mode
 
     def phi(self, x: complex, n: int) -> complex:
-        a, w = (self.a, x) if self.mode == "dyn" else (_require_param(x), -x)
+        a, w = (self.a, x) if self.a is not None else (_require_param(x), -x)
         for _ in range(n):
             w = _f(a, _f(a, w))
             if is_infinite(w) or w == 0:
@@ -128,13 +141,8 @@ class _Marcher:
 
     def anchor(self, x: complex, n: int) -> float:
         if self.theta is not None:
-            return _exact_anchor(self.theta, n)
+            return TWO_PI * float(double(self.theta, n))
         return cmath.phase(self.phi(x, n))
-
-    def _fd_step(self, x: complex) -> complex:
-        h = 1e-7 * max(1.0, abs(x))
-        # A real step keeps real-symmetric traces exactly real.
-        return complex(h, 0.0)
 
     def newton(self, x: complex, n: int, A: float, s: float) -> tuple[complex, float]:
         """Damped Newton for phi(x) = target: one phi per point it visits.
@@ -152,7 +160,8 @@ class _Marcher:
             rel = abs(val) / mag_t
             if rel < 1e-9:
                 return x, rel
-            h = self._fd_step(x)
+            # A real step keeps real-symmetric traces exactly real.
+            h = complex(1e-7 * max(1.0, abs(x)), 0.0)
             try:
                 der = (self.phi(x + h, n) - (val + target)) / h
             except NumericError:
@@ -226,11 +235,16 @@ class _Marcher:
 
 
 def _geometric_grid(s_from: float, s_to: float, steps: int) -> list[float]:
+    """``steps`` potentials from s_from down to s_to, in geometric progression."""
+    if s_to >= s_from:
+        raise DomainError("require s_to < s_from")
     if steps < 2:
         raise DomainError("ray trace needs at least 2 steps")
+    if math.isnan(s_from) or math.isnan(s_to):
+        raise DomainError("potential is not a number")
     if not (s_from > 0 and s_to > 0):
         raise DomainError("potentials must be positive")
-    if max(s_from, s_to) > 30.0:
+    if s_from > 30.0:
         raise DomainError("potentials above 30 overflow the Boettcher target")
     r = (s_to / s_from) ** (1.0 / (steps - 1))
     out = [s_from * (r ** i) for i in range(steps)]
@@ -238,27 +252,17 @@ def _geometric_grid(s_from: float, s_to: float, steps: int) -> list[float]:
     return out
 
 
-def _march_infinity(a: complex, theta: Fraction, grid: list[float]) -> list[tuple[float, complex, float]]:
-    """Solve the infinity-ray of exact angle theta on a decreasing grid.
+def _march(marcher: _Marcher, sign: float, grid: list[float]):
+    """The walk of an exact-angle ray along a decreasing ``grid``.
 
-    The first point is solved at potential s0 = max(8, grid[0]) in window 0.
+    Its first point is solved here, at potential s0 = max(8, grid[0]) in
+    window 0 from sign·2·exp(s0 + 2 pi i theta), so a failure there raises
+    at once; the returned generator solves each grid point as it is drawn.
     """
-    marcher = _Marcher(a, theta, "dyn")
-    s0, A = max(8.0, grid[0]), _exact_anchor(theta, 0)
-    x = 2.0 * cmath.exp(complex(s0, TWO_PI * float(theta % 1)))
-    x, res = marcher.newton(x, 0, A, s0)
-    return list(marcher.walk(x, res, s0, 0, A, grid))
-
-
-def _solve_infinity_at(a: complex, theta: Fraction, s_star: float,
-                       start: tuple[float, complex]) -> tuple[complex, float]:
-    """The infinity-ray point of angle theta at potential s_star, walked down
-    from ``start``, an infinity-ray point (s0, x) at a potential s0 > s_star."""
-    s0, x = start
-    n = window_exponent(s0)
-    marcher = _Marcher(a, theta, "dyn")
-    ((_, x, res),) = marcher.walk(x, 0.0, s0, n, _exact_anchor(theta, n), [s_star])
-    return x, res
+    s0 = max(8.0, grid[0])
+    A = marcher.anchor(None, 0)
+    x, res = marcher.newton(sign * 2.0 * cmath.exp(complex(s0, A)), 0, A, s0)
+    return marcher.walk(x, res, s0, 0, A, grid)
 
 
 def trace_dynamical_ray(
@@ -277,40 +281,36 @@ def trace_dynamical_ray(
     ``base="0"``: the 0-approaching branch of f^{-1} of that ray (same
     potentials).  If the infinity-ray passes through the critical value -a
     (at potential s* = G(-a)), the branch terminates at the critical point
-    -1: the path is truncated at s*, ``crashed`` is set, and
-    ``crash_point`` records the endpoint (accurate to about the square root
-    of the Newton residual).
+    -1: the path ends at s* with the crash point (accurate to about the
+    square root of the Newton residual), and ``crashed`` is set.
     """
     a = complex(a)
     theta = Fraction(theta) % 1
     if base not in ("inf", "0"):
         raise DomainError("ray base must be 'inf' or '0'")
-    if s_to >= s_from:
-        raise DomainError("require s_to < s_from")
     grid = _geometric_grid(s_from, s_to, steps)
-    inf_pts = _march_infinity(a, theta, grid)
+    marcher = _Marcher(a, theta)
+    inf_pts = list(_march(marcher, 1.0, grid))
     if base == "inf":
-        path = RayPath(inf_pts)
-        _finish_landing(path)
-        return path
+        return RayPath(inf_pts)
 
     # base "0": decide up front whether the infinity-ray hits the critical
     # value -a inside the traced potential range; if so the pullback branch
     # terminates at the critical point -1 at that exact potential.
     s_star = green_value(a, -a)
     if s_star >= s_from:
-        raise DomainError(
-            "s_from must exceed the critical-value potential "
-            f"G(-a) = {s_star:.6g} for a 0-based ray"
-        )
+        raise DomainError("s_from must exceed the critical-value potential "
+                          f"G(-a) = {s_star:.6g} for a 0-based ray")
     crash: tuple[float, complex, float] | None = None
     if s_star > s_to:
-        # inf_pts starts at grid[0] = s_from > s_star, so a point above s* exists
-        start = [(s, w) for s, w, _ in inf_pts if s > s_star][-1]
+        # inf_pts starts at grid[0] = s_from > s_star, so a point above s* exists;
+        # the ray is walked down from the last of them to s*
+        s0, x = [(s, w) for s, w, _ in inf_pts if s > s_star][-1]
+        n = window_exponent(s0)
         try:
-            w_star, res_star = _solve_infinity_at(a, theta, s_star, start)
+            w_star, res_star, _, _ = marcher.advance(x, s0, n, marcher.anchor(x, n), s_star)
             if abs(w_star + a) / abs(a) < 1e-3:
-                crash = (s_star, w_star, res_star)
+                crash = (s_star, -1.0 + cmath.sqrt(1.0 + a / w_star), res_star)
         except NumericError:
             pass
 
@@ -319,21 +319,10 @@ def trace_dynamical_ray(
     # Deep tail: the + branch at the first point tends to 0, not -2.
     roots = _inverse_roots(a, [w for _, w, _ in kept])
     pts = [(s, -1.0 + r, res) for (s, _, res), r in zip(kept, roots)]
-
-    path = RayPath(pts)
-    if crash is not None:
-        s_c, w_star, res_star = crash
-        path.crashed = True
-        path.crash_potential = s_c
-        path.crash_point = -1.0 + cmath.sqrt(1.0 + a / w_star)
-        path.points = pts + [(s_c, path.crash_point, res_star)]
-        path.note = (
-            "pullback branch crashes into the critical point -1 at "
-            f"potential {s_c:.9g}"
-        )
-        return path
-    _finish_landing(path)
-    return path
+    if crash is None:
+        return RayPath(pts)
+    note = f"pullback branch crashes into the critical point -1 at potential {crash[0]:.9g}"
+    return RayPath(pts + [crash], crashed=True, note=note)
 
 
 def trace_ray_through_point(
@@ -351,27 +340,19 @@ def trace_ray_through_point(
     ray's angle is not needed: the argument anchor is measured from the
     orbit of ``w0`` and re-measured at every window shift.
     """
-    a = complex(a)
-    w0 = complex(w0)
+    a, w0 = complex(a), complex(w0)
     s0 = green_value(a, w0)
     if not (0 < s0 < math.inf):
         raise DomainError("trace_ray_through_point requires a point in the infinity half-basin")
     if not (s_to < s0 < s_up):
         raise DomainError("require s_to < G(w0) < s_up")
-    if s_up > 30.0:
-        raise DomainError("potentials above 30 overflow the Boettcher target")
-    marcher = _Marcher(a, None, "dyn")
+    up_grid = [s for s in reversed(_geometric_grid(s_up, s0, steps)) if s > s0]
+    marcher = _Marcher(a)
     n0 = window_exponent(s0)
     A0 = marcher.anchor(w0, n0)
-
-    up_grid = [s for s in reversed(_geometric_grid(s_up, s0, steps)) if s > s0]
-    upper = RayPath([(s0, w0, 0.0)])
-    upper.points += marcher.walk(w0, 0.0, s0, n0, A0, up_grid)
-
+    upper = RayPath([(s0, w0, 0.0), *marcher.walk(w0, 0.0, s0, n0, A0, up_grid)])
     down_grid = [s for s in _geometric_grid(s0, s_to, steps) if s < s0]
-    lower = RayPath([(s0, w0, 0.0)])
-    lower.points += marcher.walk(w0, 0.0, s0, n0, A0, down_grid)
-    _finish_landing(lower)
+    lower = RayPath([(s0, w0, 0.0), *marcher.walk(w0, 0.0, s0, n0, A0, down_grid)])
     return upper, lower, s0
 
 
@@ -388,35 +369,21 @@ def trace_parameter_ray(
     same sliding window as dynamical rays.  On persistent Newton failure
     the path is truncated (``complete=False``) rather than raising, unless
     not even the first grid point was reached (``NumericError``).  The
-    final point is reported as ``landing`` with a step-difference error
-    heuristic.
+    final point is the ``landing``, with a step-difference error heuristic.
     """
     theta0 = Fraction(theta0) % 1
-    if s_to >= s_from:
-        raise DomainError("require s_to < s_from")
     grid = _geometric_grid(s_from, s_to, steps)
-    marcher = _Marcher(None, theta0, "par")
-    s0 = max(8.0, grid[0])
-    x = -2.0 * cmath.exp(complex(s0, TWO_PI * float(theta0)))
-    n, A = 0, _exact_anchor(theta0, 0)
-    x, res = marcher.newton(x, n, A, s0)
+    points = _march(_Marcher(None, theta0), -1.0, grid)
     path = RayPath()
     try:
-        for point in marcher.walk(x, res, s0, n, A, grid):
+        for point in points:
             path.points.append(point)
     except NumericError:
         path.complete = False
         path.note = f"parameter-ray Newton stalled at potential {grid[len(path.points)]:.6g}"
         if not path.points:
             raise NumericError(path.note) from None
-    _finish_landing(path)
     return path
-
-
-def _finish_landing(path: RayPath) -> None:
-    if len(path.points) >= 2:
-        path.landing = path.points[-1][1]
-        path.landing_err = abs(path.points[-1][1] - path.points[-2][1])
 
 
 def critical_value_angle_error(a: complex, theta0: Fraction) -> float:
@@ -434,6 +401,5 @@ def critical_value_angle_error(a: complex, theta0: Fraction) -> float:
     if not (0 < s < math.inf):
         raise DomainError("critical value is not in the infinity half-basin")
     n = window_exponent(s)
-    marcher = _Marcher(a, None, "dyn")
-    measured = cmath.phase(marcher.phi(-a, n)) / TWO_PI % 1.0
-    return circle_distance(measured, _window_turns(theta0, n)) / (2.0 ** n)
+    measured = cmath.phase(_Marcher(a).phi(-a, n)) / TWO_PI % 1.0
+    return circle_distance(measured, float(double(theta0, n))) / (2.0 ** n)

@@ -276,6 +276,21 @@ def test_dyn_fixed_huge_parameter_is_numeric_error(capsys):
     assert "numeric error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("dyn", "fixed"),
+    ("dyn", "green", "--z", "3,1"),
+    ("dyn", "julia", "--width", "8", "--height", "8"),
+    ("dyn", "julia", "--width", "8", "--height", "8", "--method", "inverse"),
+    ("dyn", "ray-leaves", "--depth", "1"),
+], ids=["fixed", "green", "julia-escape", "julia-inverse", "ray-leaves"])
+def test_parameter_modulus_beyond_the_float_range_is_numeric_error(capsys, argv):
+    # both parts are finite, but |a| overflows: the parameter gate refuses it
+    code, out, err = run(capsys, *argv, "--a", "1.7e308,1e308")
+    assert (code, out) == (2, "")
+    assert err == "numeric error: |a| exceeds the float range\n"
+    assert "Traceback" not in err
+
+
 def test_dyn_fixed_large_parameter_stays_finite(capsys):
     # (z^2+2z)^2 overflows at these fixed points; the multiplier is ~ -2
     code, out, _ = run(capsys, "dyn", "fixed", "--a=1e250,3")

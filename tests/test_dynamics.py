@@ -88,7 +88,7 @@ def test_fixed_points_vieta_random():
             assert abs(apply_f(a, z) - z) < 1e-8 * max(1.0, abs(z))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.floats(-300.0, 300.0), st.sampled_from(["real", "imag", "general"]),
        st.floats(0.0, 2.0 * math.pi))
 def test_fixed_points_need_no_polish(log_mod, kind, arg):
@@ -659,14 +659,14 @@ def _windows(draw):
                 n_max=draw(st.integers(min_value=0, max_value=80)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 24), st.integers(0, 24), _windows())
 def test_m2_kernel_property(width, height, window):
     r = m2_raster(width, height, **window)
     _assert_same_values(r.values, _m2_full_grid(r))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 24), st.integers(0, 24), _windows(),
        st.floats(-3.0, 3.0), st.sampled_from([None, 0.0, math.pi]), st.floats(0.0, 2.0 * math.pi))
 def test_julia_kernel_property(width, height, window, log_mod, real_arg, arg):

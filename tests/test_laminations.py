@@ -311,7 +311,7 @@ def _same_report(fast, slow):
     assert fast.failures == slow.failures
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(t=oracle.even_generators(), depth=st.integers(0, 9))
 def test_build_2L_matches_fraction_oracle(t, depth):
     fast, slow = build_2L(t, depth), oracle.build_2L(t, depth)
@@ -321,7 +321,7 @@ def test_build_2L_matches_fraction_oracle(t, depth):
                      oracle.check_two_sided_invariance(slow, at))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(t=oracle.even_generators(), depth=st.integers(0, 5))
 def test_build_L_matches_fraction_oracle(t, depth):
     # L(depth) and its mirror, the one-sided halves of 2L up to depth 10
@@ -333,14 +333,14 @@ def test_build_L_matches_fraction_oracle(t, depth):
 _y0s = st.builds(Fr, st.integers(0, 63), st.integers(1, 64))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(y0=_y0s, depth=st.integers(0, 7))
 def test_quadratic_pullback_matches_pair_loop(y0, depth):
     _same_lamination(build_quadratic_lamination(y0, depth),
                   oracle.build_quadratic_lamination(y0, depth))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(outer=_y0s, inner=st.none() | _y0s, depth=st.integers(0, 5))
 def test_mate_and_text_round_trip_match_fraction_oracle(outer, inner, depth):
     if inner is None:
@@ -362,7 +362,7 @@ _leaf = st.builds(
 ).filter(lambda l: l[0] % 1 != l[1] % 1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(items=st.lists(_leaf, max_size=24), depth=st.integers(-1, 3))
 def test_leaf_sets_match_fraction_oracle(items, depth):
     # odd and mixed denominators, repeated chords at several depths
@@ -425,7 +425,7 @@ _chord = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda c: c[0]
     lambda c: (min(c), max(c)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(chords=st.lists(_chord, max_size=40), repeat=st.integers(0, 40))
 def test_crossings_match_pair_scan(chords, repeat):
     # 13 endpoint values force shared endpoints and nested chords; the
@@ -437,7 +437,7 @@ def test_crossings_match_pair_scan(chords, repeat):
 _turns = st.builds(Fr, st.integers(-24, 48), st.integers(1, 8))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(a1=_turns, b1=_turns, a2=_turns, b2=_turns)
 def test_pairs_cross_matches_arc_oracle(a1, b1, a2, b2):
     # endpoints outside [0, 1) and coinciding mod 1 included
@@ -451,7 +451,7 @@ def test_basilica_matches_accumulated_filter(depth):
     _same_lamination(build_basilica(depth), oracle.build_basilica(depth))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(t=oracle.even_generators(), depth=st.integers(0, 10))
 def test_count_same_side_crossings_matches_pair_scan(t, depth):
     for lam in (build_2L(t, depth), build_L(t, depth // 2)):
@@ -513,7 +513,7 @@ def _chord_families(draw):
     return leaves
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(leaves=_chord_families())
 def test_complementary_regions_match_face_walk(leaves):
     _same_regions(library(*leaves))

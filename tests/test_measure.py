@@ -165,7 +165,7 @@ def test_arc_str():
     assert str(Arc(Fr(1, 16), Fr(3, 16))) == "[1/16, 3/16)"
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(t0=oracle.even_generators(), t=st.fractions(min_value=-2, max_value=2, max_denominator=600),
        M=st.one_of(st.none(), st.integers(0, 40)))
 def test_cumulative_matches_fraction_oracle(t0, t, M):

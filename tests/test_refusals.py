@@ -13,12 +13,18 @@ import pytest
 from v2lam.angles import DomainError, NumericError, digit_stream, nu, x0_series
 from v2lam.checks import run_check, run_suite
 from v2lam.dynamics import (blaschke_critical_points, critical_value_angle_error,
-                            fixed_point_multiplier, fixed_points, julia_agreement, julia_raster,
-                            m2_raster, multiplier, trace_dynamical_ray, trace_parameter_ray,
-                            trace_ray_through_point)
+                            fixed_point_multiplier, fixed_points, green_value, julia_agreement,
+                            julia_raster, m2_raster, multiplier, ray_leaf_endpoints,
+                            trace_dynamical_ray, trace_parameter_ray, trace_ray_through_point,
+                            trap_radii)
 from v2lam.laminations import Leaf, build_2L, build_basilica, build_L0, build_quadratic_lamination
 from v2lam.measure import cumulative, preimages_of_angle, sigma_lengths_periodic
 from v2lam.symbolic import Address
+
+
+NAN = float("nan")
+#: Finite parts whose modulus exceeds the float range.
+BEYOND = complex(1.7e308, 1e308)
 
 
 def _near_pole_multiplier(a):
@@ -61,6 +67,13 @@ REFUSALS = [
      "overflows double precision"),
     ("blaschke-critical-overflow", lambda: blaschke_critical_points(1e-320), NumericError,
      "leaves double range"),
+    *[("%s-modulus-overflow" % name, call, NumericError, "|a| exceeds the float range")
+      for name, call in (("fixed-points", lambda: fixed_points(BEYOND)),
+                         ("green-value", lambda: green_value(BEYOND, 3.0)),
+                         ("trap-radii", lambda: trap_radii(BEYOND)),
+                         ("julia-raster", lambda: julia_raster(BEYOND, 4, 4, n_max=8)),
+                         ("dynamical-ray", lambda: trace_dynamical_ray(BEYOND, "inf", Fr(1, 3))),
+                         ("ray-leaves", lambda: ray_leaf_endpoints(BEYOND, 1)))],
     # dynamics.raster
     ("m2-negative-width", lambda: m2_raster(-1, 4), DomainError,
      "raster dimensions must be nonnegative"),
@@ -74,6 +87,13 @@ REFUSALS = [
      "at least 2 steps"),
     ("ray-negative-potential", lambda: trace_dynamical_ray(1.0, "inf", Fr(1, 3), s_to=-1.0),
      DomainError, "potentials must be positive"),
+    ("ray-nan-potential", lambda: trace_dynamical_ray(1.0, "inf", Fr(1, 3), s_to=NAN),
+     DomainError, "potential is not a number"),
+    ("parameter-ray-nan-potential", lambda: trace_parameter_ray(Fr(1, 3), s_to=NAN),
+     DomainError, "potential is not a number"),
+    # the grid is validated before the parameter
+    ("ray-grid-before-parameter", lambda: trace_dynamical_ray(0, "inf", Fr(1, 3), steps=1),
+     DomainError, "at least 2 steps"),
     ("through-point-s-up", lambda: trace_ray_through_point(1.0, 10.0, s_up=31.0), DomainError,
      "potentials above 30"),
     ("through-point-outside", lambda: trace_ray_through_point(1.0, 10.0, s_up=1.0), DomainError,

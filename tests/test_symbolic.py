@@ -379,7 +379,7 @@ def test_addr_equivalent_is_symmetric(theta0, w, pre, per, data):
     assert addr_equivalent(x, y, theta0) == addr_equivalent(y, x, theta0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(theta0=st.sampled_from([F(1, 2), F(1, 6), F(5, 12), F(3, 10), F(7, 20)]) |
        even_generators(), w=bit_lists, pre=bit_lists, per=periods, data=st.data())
 def test_addr_equivalent_matches_the_stream_oracle(theta0, w, pre, per, data):
@@ -490,7 +490,7 @@ def _mismatched(theta1, keep, extra):
     return build
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(theta0=even_generators(), depth=st.integers(-1, 5), data=st.data())
 def test_leaf_addresses_match_equals_the_stream_oracle(theta0, depth, data):
     # on 2L(theta0) itself, and on a mismatched lamination: another
@@ -649,7 +649,7 @@ def _ray_parts(bases=("0", "inf"), min_angles=0):
                      st.booleans())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_ray_parts())
 def test_ray_symbol_print_parse_property(parts):
     g = RegulatedRaySymbol.of(*parts)
@@ -657,14 +657,14 @@ def test_ray_symbol_print_parse_property(parts):
     assert RegulatedRaySymbol.parse(str(g)) == g
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_ray_parts(min_angles=1))
 def test_ray_image_matches_fraction_oracle(parts):
     g = RegulatedRaySymbol.of(*parts)
     assert str(regulated_ray_image(g)) == _oracle_str(*_oracle_image(*parts))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_ray_parts(bases=("0",), min_angles=1))
 def test_ray_preimage_matches_fraction_oracle(parts):
     g = RegulatedRaySymbol.of(*parts)
