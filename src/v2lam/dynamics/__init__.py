@@ -15,7 +15,13 @@ Submodules:
 
 Everything here is double-precision numerics with explicit tolerances; the
 exact combinatorics live in the other v2lam modules.
+
+``core`` and ``rays`` load with the package and import no numpy until a
+call needs it; ``raster`` and ``rayleaves``, the array kernels, load on the
+first use of one of their names here (``__getattr__``, PEP 562).
 """
+
+from importlib import import_module
 
 from .core import (
     INF,
@@ -33,7 +39,6 @@ from .core import (
     multiplier,
     trap_radii,
 )
-from .raster import Raster, julia_agreement, julia_raster, m2_raster
 from .rays import (
     RayPath,
     critical_value_angle_error,
@@ -41,7 +46,17 @@ from .rays import (
     trace_parameter_ray,
     trace_ray_through_point,
 )
-from .rayleaves import RayLeaf, ray_leaf_endpoints
+
+#: The names of the array kernels, by the submodule that defines them.
+_LAZY = {"Raster": "raster", "julia_agreement": "raster", "julia_raster": "raster",
+         "m2_raster": "raster", "RayLeaf": "rayleaves", "ray_leaf_endpoints": "rayleaves"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module("." + _LAZY[name], __name__), name)
+
 
 __all__ = [
     "INF",

@@ -22,15 +22,15 @@ parameter once on entry (``DomainError`` for a = 0 or a non-finite a) and
 then iterate the unchecked step ``_f``; ``_f`` and the branch-tracked
 inverse ``_inverse_roots`` are internals that take an already validated a.
 On the ordinary path, |z| <= 1e150, ``_f`` makes one comparison before it
-divides; only the other points are sorted into infinity and huge z.
+divides; only the other points are sorted into infinity and huge z.  Only
+``fixed_points`` and the trap radii use numpy, which they import when
+called, so loading this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 from ..angles import DomainError, NumericError
 
@@ -172,6 +172,8 @@ def fixed_points(a: complex) -> list[complex]:
     rounds onto a pole (0 or -2), as the root -2 + a/4 + ... does for real a
     with |a| below about 4e-16 (9e-16 for negative a).
     """
+    import numpy as np
+
     a = _require_param(a)
     roots = [complex(r) for r in np.roots([1.0, 2.0, 0.0, -a])]
     if sum(abs(z) < 1e-3 for z in roots) == 2:
@@ -293,6 +295,8 @@ def trap_radii(a: complex) -> tuple[float, float]:
 
 def _trap_radii_of_modulus(m):
     """``trap_radii`` as a function of m = |a|: a float, or an array of moduli."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         r_out = 1.0 + np.sqrt(1.0 + np.maximum(4.0 * m, 21.0))
     if np.isinf(r_out).any():

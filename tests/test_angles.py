@@ -5,13 +5,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from v2lam.angles import (
     HALF,
     DigitStream,
     DomainError,
+    _TABLE_FROM,
+    _interleaved_bit_ints,
+    _interleaved_by_loop,
+    _interleaved_by_table,
     _order_of_two,
     _x0_digit_pair,
     angle,
@@ -332,19 +336,76 @@ def test_digit_stream_orbit_type_and_y0_match_long_division(t):
 # ---------------------------------------------------------------------------
 # doubling periods beyond trial division
 
+def _walked_order(m):
+    k, v = 1, 2 % m
+    while v != 1 % m:  # modulo 1 every power is 1, so the order is 1
+        k, v = k + 1, 2 * v % m
+    return k
+
+
 def test_order_of_two_matches_the_orbit_walk():
     rng = random.Random(17)
     for m in [3, 5, 7, 9, 21, 1023, 2047, 3 ** 7] + [rng.randrange(3, 1 << 16, 2) for _ in range(40)]:
-        k, v = 1, 2 % m
-        while v != 1:
-            k, v = k + 1, 2 * v % m
-        assert _order_of_two(m) == k, m
-    # factored below 2^40, walked from 2^40 on
+        assert _order_of_two(m) == _walked_order(m), m
+    # 2^k - 1 ends the walk within its bit length; from 2^40 on the walk
+    # runs to the end
     assert _order_of_two((1 << 39) - 1) == 39
     assert _order_of_two((1 << 41) - 1) == 41
     assert _order_of_two((1 << 61) - 1) == 61
     assert _order_of_two(((1 << 61) - 1) * ((1 << 89) - 1)) == 61 * 89
     assert _order_of_two(3 * 5 * ((1 << 61) - 1)) == math.lcm(2, 4, 61)
+
+
+# products of 2^a - 1 and 2^b - 1 with gcd(a, b) = 1, which are coprime,
+# so the order of 2 is lcm(a, b)
+mersenne_pairs = st.tuples(st.integers(1, 40), st.integers(1, 40)).filter(
+    lambda p: math.gcd(*p) == 1).map(lambda p: ((1 << p[0]) - 1) * ((1 << p[1]) - 1))
+
+
+@settings(max_examples=200)
+@given(m=st.one_of(st.integers(0, 1 << 14).map(lambda i: 2 * i + 1),
+                   st.tuples(mersenne_pairs, st.integers(0, 1 << 8)).map(
+                       lambda p: p[0] * (2 * p[1] + 1))))
+def test_order_of_two_matches_the_plain_walk(m):
+    # short orders end the bit-length walk, longer ones below 2^40 are
+    # factored, and from 2^40 on the walk runs to the end
+    assert _order_of_two(m) == _walked_order(m)
+
+
+@st.composite
+def table_angles(draw):
+    """num/den, den < 2^31 even, with an orbit n = e + L on either side of
+    the crossover: an odd part below 2^12, or a Mersenne pair below 2^30, up
+    to den = 2^31 - 2 (2^30 - 1, order 30)."""
+    m = draw(st.one_of(st.integers(0, (1 << 11) - 1).map(lambda i: 2 * i + 1),
+                       mersenne_pairs.filter(lambda m: m < 1 << 30)))
+    den = m << draw(st.integers(1, (((1 << 31) - 1) // m).bit_length() - 1))
+    return F(2 * draw(st.integers(0, den // 2 - 1)) + 1, den)
+
+
+@settings(max_examples=200)
+@given(t=table_angles())
+@example(t=F(5, 2 * 71))  # 71 has order 35: n = 36, the loop
+@example(t=F(7, 2 * 283))  # 283 has order 94: n = 95, the table
+@example(t=F(1, (1 << 31) - 2))  # order 30 just below 2^31: the loop
+@example(t=F(3, 2 * ((1 << 13) - 1) * ((1 << 17) - 1)))  # order 221 near 2^31: the table
+def test_x0_kernel_loop_and_table_agree_on_both_sides_of_the_crossover(t):
+    num, den = t.numerator, t.denominator
+    e = (den & -den).bit_length() - 1
+    L = _order_of_two(den >> e)
+    assert den < 1 << 31
+    loop = _interleaved_by_loop(num, den, e, L)
+    assert loop == _interleaved_by_table(num, den, e, L) == _interleaved_bit_ints(t)
+    assert loop[1] == e and loop[3] == L
+
+
+def test_x0_kernel_examples_lie_on_both_sides_of_the_crossover():
+    def n(t):
+        return sum(_interleaved_bit_ints(t)[1::2])
+
+    loop = [F(5, 2 * 71), F(1, (1 << 31) - 2)]
+    table = [F(7, 2 * 283), F(3, 2 * ((1 << 13) - 1) * ((1 << 17) - 1))]
+    assert max(map(n, loop)) < _TABLE_FROM <= min(map(n, table))
 
 
 def test_x0_and_critical_address_at_a_61_bit_mersenne_denominator():

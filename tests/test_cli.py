@@ -749,6 +749,31 @@ def test_config_admits_a_key_only_another_command_declares(tmp_path, capsys):
     assert code == 0 and "leaves: 15" in out
 
 
+@pytest.mark.parametrize("value, on", [("1", True), ("true", True), ("yes", True), ("on", True),
+                                       ("0", False), ("false", False), ("no", False),
+                                       ("off", False), ("", False)])
+def test_config_switch_reads_the_documented_words(tmp_path, capsys, value, on):
+    argv = ["dyn", "param-ray", "--theta", "1/6", "--steps", "20"]
+    cfg = tmp_path / "cfg"
+    cfg.write_text("angle_errors = %s\n" % value)
+    code, out, _ = run(capsys, "--config", str(cfg), *argv)
+    assert code == 0
+    plain = run(capsys, *argv)[1]
+    if on:
+        assert out.startswith(plain) and out[len(plain):].startswith("max angle error: ")
+    else:
+        assert out == plain
+
+
+def test_config_switch_refuses_another_word(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("angle_errors = maybe\n")
+    code, out, err = run(capsys, "--config", str(cfg), "dyn", "param-ray", "--theta", "1/6",
+                         "--steps", "20")
+    assert (code, out) == (64, "")
+    assert "bad boolean value 'maybe'" in err
+
+
 def test_explicit_flag_beats_config(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("theta = 1/2\ndepth = 3\n")
