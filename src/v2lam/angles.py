@@ -13,8 +13,8 @@ classification of doubling orbits.
 A digit stream holds its preperiod and period as packed integers with bit
 lengths, so shifts, canonical forms and values are integer operations.  The
 x0 digits (pairs of a theta0 digit and nu_m) come from one kernel,
-``_interleaved_bit_ints``, which also builds the x0 stream and the critical
-body of :mod:`v2lam.symbolic`.
+``_interleaved_bit_ints``, which also builds the x0 stream; only this module
+reads the kernel's packed format.
 """
 
 from __future__ import annotations
@@ -231,19 +231,6 @@ def require_nonperiodic(theta: Fraction) -> Fraction:
             "angle %s is periodic under doubling (odd denominator); not supported here" % t
         )
     return t
-
-
-def doubling_orbit(theta: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    """(preperiodic part, cycle) of the doubling orbit of theta."""
-    t = angle(theta)
-    seen: dict[Fraction, int] = {}
-    orb: list[Fraction] = []
-    while t not in seen:
-        seen[t] = len(orb)
-        orb.append(t)
-        t = double(t)
-    k = seen[t]
-    return orb[:k], orb[k:]
 
 
 # -- the x0 and y0 correspondences ---------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -341,13 +342,21 @@ def _check_ray_leaves(p: CheckParams) -> str:
     a = ray.points[-1][1]
     leaves = ray_leaf_endpoints(a, p.leaf_depth, theta0=theta0)
     lam = build_2L(theta0, p.leaf_depth)
+    den = lam.den
+    ends = sorted((d, key[0], x, key) for key, d in lam.chords.items() for x in key[1:])
     claimed = set()
     for lf in leaves:
-        hits = [key for key, d in lam.chords.items()
-                if (d, key[0]) == (lf.depth, lf.side) and lf.lands_on(key[1], key[2], lam.den)]
+        # a chord it lands on has an endpoint x with x or x + den in leg 1's range
+        hits, place = set(), (lf.depth, lf.side)
+        if lf.leg1 is not None:
+            num, bits = lf.leg1
+            lo, hi = -(-num * den >> bits), (num + 1) * den >> bits
+            for start, stop in ((lo, hi), (lo - den, hi - den)):
+                i, j = (bisect_left(ends, place + (x,)) for x in (start, stop + 1))
+                hits.update(key for *_, key in ends[i:j] if lf.lands_on(key[1], key[2], den))
         _need(len(hits) == 1, "leaf at depth %d lands on %d model leaves" % (lf.depth, len(hits)))
-        _need(hits[0] not in claimed, "two leaves land on one model leaf at depth %d" % lf.depth)
-        claimed.add(hits[0])
+        _need(not hits & claimed, "two leaves land on one model leaf at depth %d" % lf.depth)
+        claimed |= hits
     return "%d leaves land one-to-one on model leaves by exact containment; %d unresolved" % (
         len(leaves), sum(lf.unresolved for lf in leaves))
 

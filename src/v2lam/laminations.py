@@ -178,19 +178,20 @@ def build_L0(theta0: Fraction, depth: int, M: Optional[int] = None) -> Laminatio
 
     Endpoints are the h-preimage arc endpoints of each atom (exact when M is
     None, depth-M truncations otherwise).  The depth-0 leaf is the central
-    chord over the half-arc.
+    chord over the half-arc.  A cap M below depth is refused: the deeper
+    atoms weigh 0 under it, so their arcs would collapse to points.
     """
     t0 = require_nonperiodic(theta0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    if M is not None and M < depth:
+        raise DomainError("measure cap %d is below the depth %d: deeper atoms weigh 0 under it"
+                          % (M, depth))
     arcs = [(h_arc(t, t0, M), m) for m in range(depth + 1) for t in preimages_of_angle(t0, m)]
     ints, den = _over_common_denominator([x for ha, _ in arcs for x in (ha.start, ha.end)])
     lam = Lamination(den=den)
     for i, (_, m) in enumerate(arcs):
-        a, b = ints[2 * i], ints[2 * i + 1]
-        if a == b:
-            raise DomainError("leaf endpoints must be distinct")
-        lam.add(INSIDE, a, b, m)
+        lam.add(INSIDE, ints[2 * i], ints[2 * i + 1], m)
     return lam
 
 

@@ -28,7 +28,6 @@ from .angles import (
     DomainError,
     angle,
     digit_stream,
-    doubling_orbit,
     require_nonperiodic,
     x0_digits,
 )
@@ -58,42 +57,43 @@ def preimages_of_angle(theta0: Fraction, n: int) -> list[Fraction]:
     if n < 0:
         raise DomainError("depth must be >= 0")
     t = angle(theta0)
-    return sorted(angle((t + k) / (1 << n)) for k in range(1 << n))
-
-
-def _hit_depths(z: Fraction, theta0: Fraction, M: Optional[int]):
-    """Depths m (<= M if given) with 2^m z = theta0 mod 1.
-
-    Returns (finite_hits, cycle_hit) where cycle_hit = (m0, L) describes the
-    arithmetic progression m0 + j*L of hits inside the orbit cycle (only
-    possible for periodic theta0), or None.
-    """
-    t0 = angle(theta0)
-    pre, cyc = doubling_orbit(z)
-    finite = [m for m, u in enumerate(pre) if u == t0]
-    cycle_hit = (len(pre) + cyc.index(t0), len(cyc)) if t0 in cyc else None
-    if M is not None:
-        hits = [m for m in finite if m <= M]
-        if cycle_hit is not None:
-            m0, L = cycle_hit
-            hits += list(range(m0, M + 1, L))
-            cycle_hit = None
-        return hits, None
-    return finite, cycle_hit
+    p, q = t.numerator, t.denominator
+    # (p + k q)/(q 2^n) lies in [0, 1) and grows with k
+    return [Fraction(p + k * q, q << n) for k in range(1 << n)]
 
 
 def mu_weight(z: Fraction, theta0: Fraction, M: Optional[int] = None) -> Fraction:
-    """Atom weight at z: sum of 1/(2*4^m) over hit depths m (<= M if given).
+    """Atom weight at z: sum of 1/(2*4^m) over the hit depths m (<= M if
+    given), those with 2^m z = theta0 mod 1.
 
-    M=None sums the full series; for periodic theta0 the cycle hits form a
-    geometric series summed in closed form (e.g. z=theta0=0 gives 2/3).
+    For z = p/q with q = 2^e q' (q' odd), 2^m z has the denominator
+    q >> min(m, e), so the first hit can only be at m0 = e - e0, where e0 is
+    the power of 2 in theta0's denominator q0; there 2^m0 z = r/q0 with
+    r = ((p << m0) % q) >> m0.  A nonperiodic theta0 is hit at most there.
+    A periodic one (e0 = 0) is hit, if at all, within its period L of m0,
+    and from then on every L steps; M=None sums that geometric series in
+    closed form (e.g. z=theta0=0 gives 2/3).
     """
-    finite, cycle_hit = _hit_depths(z, theta0, M)
-    w = sum((Fraction(1, 2 * 4**m) for m in finite), Fraction(0))
-    if cycle_hit is not None:
-        m0, L = cycle_hit
-        w += Fraction(1, 2 * 4**m0) / (1 - Fraction(1, 4**L))
-    return w
+    z, t0 = angle(z), angle(theta0)
+    p, q, p0, q0 = z.numerator, z.denominator, t0.numerator, t0.denominator
+    m0 = (q & -q).bit_length() - (q0 & -q0).bit_length()
+    if m0 < 0 or q >> m0 != q0:
+        return Fraction(0)
+    r = ((p << m0) % q) >> m0
+    if q0 % 2 == 0:
+        hit = r == p0 and (M is None or m0 <= M)
+        return Fraction(1, 2 << (2 * m0)) if hit else Fraction(0)
+    L = digit_stream(t0).l
+    for _ in range(L):
+        if r == p0:
+            break
+        r, m0 = 2 * r % q0, m0 + 1
+    else:
+        return Fraction(0)
+    if M is None:
+        ones = (1 << (2 * L)) - 1              # 4^L - 1
+        return Fraction(ones + 1, ones << (2 * m0 + 1))
+    return sum((Fraction(1, 2 << (2 * m)) for m in range(m0, M + 1, L)), Fraction(0))
 
 
 def _counts_base4(a: int, b: int, Q: int, n: int) -> int:
@@ -181,17 +181,16 @@ def h_point(u: Fraction, theta0: Fraction, M: Optional[int] = None, bits: int = 
     """Enclosure [t_lo, t_hi] of h(u) by bisection on the cumulative function."""
     t0 = require_nonperiodic(theta0)
     u = angle(u)
-    lo, hi = Fraction(0), Fraction(1)
     total = Fraction(1) - truncation_width(M)
     if u >= total:
         return Fraction(1) - Fraction(1, 1 << bits), Fraction(1)
-    for _ in range(bits):
-        mid = (lo + hi) / 2
-        if cumulative(t0, mid, M) <= u:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    # after j steps the enclosure is [k/2^j, (k+1)/2^j]; its midpoint is (2k+1)/2^(j+1)
+    k = 0
+    for j in range(bits):
+        k *= 2
+        if cumulative(t0, Fraction(k + 1, 2 << j), M) <= u:
+            k += 1
+    return Fraction(k, 1 << bits), Fraction(k + 1, 1 << bits)
 
 
 @dataclass

@@ -22,8 +22,8 @@ All functions are pure and exact.  Angles are ``Fraction``s and addresses
 are :class:`~v2lam.angles.DigitStream`s, whose preperiod and period are
 packed integers.  The equivalence is decided on the addresses' angles as
 integers over one denominator (``_CriticalTails``), so a report over the
-integer chords of 2L(x0) computes the critical body once and builds no
-address.  A regulated-ray angle num/2**k is the one integer
+integer chords of 2L(x0) computes the critical tails once, from x0, and
+builds no address.  A regulated-ray angle num/2**k is the one integer
 ``(1 << k) | num``, on which the rewrite rules are bit operations.
 """
 
@@ -39,10 +39,11 @@ from .angles import (
     DigitStream,
     DomainError,
     _alternating,
-    _interleaved_bit_ints,
     angle,
     digit_stream,
     require_nonperiodic,
+    x0_digit_stream,
+    x0_digits,
 )
 from .laminations import INSIDE, OUTSIDE, Leaf, build_2L
 
@@ -107,12 +108,11 @@ def epsilon_star(theta0: Fraction) -> DigitStream:
     """The shared body d of the two critical addresses.
 
     d interleaves the binary digits of theta0 with the complemented nu
-    sequence: d[2m-1] = theta0[m], d[2m] = 1 - nu_m(theta0).  That is the x0
-    kernel's bit pairs with every second bit flipped.
+    sequence: d[2m-1] = theta0[m], d[2m] = 1 - nu_m(theta0).  The digits of
+    x0 are 0, theta0[1], nu_1(theta0), theta0[2], ..., so d is the address
+    of x0 (its digits flipped at the odd positions) without its first bit.
     """
-    pre, e, per, L = _interleaved_bit_ints(theta0)
-    return DigitStream(pre ^ (_alternating(2 * e) >> 1), 2 * e,
-                       per ^ (_alternating(2 * L) >> 1), 2 * L).canonical()
+    return _flip_odd(x0_digit_stream(theta0)).shifted(1)
 
 
 def critical_address(theta0: Fraction) -> tuple[Address, Address]:
@@ -176,15 +176,16 @@ class _CriticalTails:
         b = a + 2^-m (mod 1)  and  2^m a - c_m is an even integer.
 
     Every bit sequence whose value is an angle mod 1 is an expansion of it,
-    so this covers both expansions of a dyadic angle.  The tails are
-    computed once, from one critical body.
+    so this covers both expansions of a dyadic angle.  Flipping d at its
+    odd positions complements x0's digits after the first, so the tails are
+    c_0 = 1 - 2 x0 and c_1 = 2 x0, computed once.
     """
 
     def __init__(self, theta0: Fraction):
-        c0 = _flip_odd(epsilon_star(theta0)).to_fraction()
-        self.den = c0.denominator
+        c1 = 2 * x0_digits(theta0)
+        self.den = c1.denominator
         #: the numerators of c_0 and c_1 over den
-        self.tails = (c0.numerator, self.den - c0.numerator)
+        self.tails = (self.den - c1.numerator, c1.numerator)
 
     def related(self, u: int, v: int, den: int) -> bool:
         """Whether the angles u/den and v/den (0 <= u, v < den) are equivalent."""

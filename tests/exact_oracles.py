@@ -24,6 +24,14 @@
   the nesting of the chords.
 * ``AtomicMeasure``: the depth-capped atom list of the measure, with its
   exact truncated mass.
+* ``doubling_orbit``/``mu_weight``/``h_point``: the doubling orbit walked on
+  Fractions, the atom weight read off it, and the bisection of h on
+  Fraction endpoints, as they were before ``v2lam.measure`` took the hit
+  depths from denominators and bisected one integer.
+* ``packed_epsilon_star``/``critical_tails``: the critical body read from
+  the x0 kernel's packed bit pairs, and the tails of the address relation
+  computed from it, as they were before ``v2lam.symbolic`` took both from
+  x0.
 * ``addr_equivalent``/``leaf_addresses_match``: the address relation decided
   on digit streams (first difference, then both tails against the critical
   body, over every binary expansion of both angles), recomputing the
@@ -46,9 +54,12 @@ from v2lam.angles import (
     HALF,
     DigitStream,
     DomainError,
+    _alternating,
+    _interleaved_bit_ints,
     _repeat,
     angle,
     digit_stream,
+    double,
     require_nonperiodic,
 )
 from v2lam.laminations import (
@@ -62,7 +73,8 @@ from v2lam.laminations import (
     build_2L as library_build_2L,
     quadratic_major,
 )
-from v2lam.measure import preimages_of_angle, sigma0_arc
+from v2lam.measure import cumulative as library_cumulative
+from v2lam.measure import preimages_of_angle, sigma0_arc, truncation_width
 from v2lam.symbolic import (
     Address,
     AddressMatchReport,
@@ -273,6 +285,52 @@ def x0_series(theta0: Fraction, M: int) -> tuple[Fraction, Fraction]:
     for m in range(1, M + 1):
         total += Fraction(((1 << m) - 1) * t.numerator // t.denominator + 1, 1 << (2 * m + 1))
     return total, total + Fraction(1, 1 << (M + 1))
+
+
+def doubling_orbit(theta: Fraction) -> tuple[list[Fraction], list[Fraction]]:
+    """(preperiodic part, cycle) of the doubling orbit of theta, walked on Fractions."""
+    t = angle(theta)
+    seen: dict[Fraction, int] = {}
+    orb: list[Fraction] = []
+    while t not in seen:
+        seen[t] = len(orb)
+        orb.append(t)
+        t = double(t)
+    k = seen[t]
+    return orb[:k], orb[k:]
+
+
+def mu_weight(z: Fraction, theta0: Fraction, M=None) -> Fraction:
+    """Sum of 1/(2*4^m) over the depths m (<= M if given) where the walked
+    doubling orbit of z meets theta0; the hits in its cycle are a geometric
+    series, summed in closed form when M is None."""
+    t0 = angle(theta0)
+    pre, cyc = doubling_orbit(z)
+    hits = [m for m, u in enumerate(pre) if u == t0]
+    w = Fraction(0)
+    if t0 in cyc:
+        m0, L = len(pre) + cyc.index(t0), len(cyc)
+        if M is None:
+            w += Fraction(1, 2 * 4**m0) / (1 - Fraction(1, 4**L))
+        else:
+            hits += range(m0, M + 1, L)
+    return w + sum((Fraction(1, 2 * 4**m) for m in hits if M is None or m <= M), Fraction(0))
+
+
+def h_point(u: Fraction, theta0: Fraction, M=None, bits: int = 48) -> tuple[Fraction, Fraction]:
+    """The enclosure of h(u), bisected on Fraction endpoints."""
+    t0 = require_nonperiodic(theta0)
+    u = angle(u)
+    if u >= 1 - truncation_width(M):
+        return Fraction(1) - Fraction(1, 1 << bits), Fraction(1)
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(bits):
+        mid = (lo + hi) / 2
+        if library_cumulative(t0, mid, M) <= u:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _strictly_inside(x: Fraction, start: Fraction, length: Fraction) -> bool:
@@ -565,6 +623,20 @@ def leaf_addresses_match(theta0: Fraction, depth: int,
             if not lam.has(side, tu, tv):
                 word_failures.append((format(w, "0%db" % k) if k else "", tu, tv))
     return AddressMatchReport(count, tuple(leaf_failures), nwords, tuple(word_failures))
+
+
+def packed_epsilon_star(theta0: Fraction) -> DigitStream:
+    """The critical body from the x0 kernel's packed bit pairs, every second bit flipped."""
+    pre, e, per, L = _interleaved_bit_ints(theta0)
+    return DigitStream(pre ^ (_alternating(2 * e) >> 1), 2 * e,
+                       per ^ (_alternating(2 * L) >> 1), 2 * L).canonical()
+
+
+def critical_tails(theta0: Fraction) -> tuple[int, tuple[int, int]]:
+    """(den, numerators of c_0 and c_1 over den), c_0 the packed critical body
+    flipped at its odd positions and c_1 = 1 - c_0."""
+    c0 = _flip_odd(packed_epsilon_star(theta0)).to_fraction()
+    return c0.denominator, (c0.numerator, c0.denominator - c0.numerator)
 
 
 @st.composite

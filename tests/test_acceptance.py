@@ -81,12 +81,24 @@ def _shifted(leaves):
     leaves[5] = replace(leaves[5], leg1=(num + 1, bits))
 
 
+def _no_first_interval(leaves):
+    leaves[4] = replace(leaves[4], leg1=None)
+
+
+def _whole_circle(leaves):
+    # both legs span the circle: the leaf lands on all four depth-2 inside chords
+    leaves[3] = replace(leaves[3], leg1=(0, 0), leg2=(0, 0))
+
+
 @pytest.mark.parametrize("spoil, detail", [
     (None, None),
     (_two_on_one, "two leaves land on one model leaf at depth 1"),
     (_no_interval, "leaf at depth 2 lands on 0 model leaves"),
     (_shifted, "leaf at depth 2 lands on 0 model leaves"),
-], ids=["as-measured", "two-on-one", "no-interval", "shifted-one-step"])
+    (_no_first_interval, "leaf at depth 2 lands on 0 model leaves"),
+    (_whole_circle, "leaf at depth 2 lands on 4 model leaves"),
+], ids=["as-measured", "two-on-one", "no-interval", "shifted-one-step", "no-first-interval",
+        "whole-circle"])
 def test_ray_leaf_check_fails_when_a_leaf_misses_its_model_leaf(monkeypatch, sixth_leaves,
                                                                 spoil, detail):
     leaves = list(sixth_leaves)

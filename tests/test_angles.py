@@ -22,7 +22,6 @@ from v2lam.angles import (
     circle_distance,
     digit_stream,
     double,
-    doubling_orbit,
     nu,
     orbit_type,
     x0_digit_stream,
@@ -228,7 +227,7 @@ def test_orbit_type_matches_dynamics():
         q = rng.randrange(2, 500)
         t = angle(F(rng.randrange(0, q), q))
         o = orbit_type(t)
-        pre, cyc = doubling_orbit(t)
+        pre, cyc = exact_oracles.doubling_orbit(t)
         assert len(pre) == o.preperiod
         assert len(cyc) == o.period
         # applying double q times fixes t iff the period divides q (periodic case)

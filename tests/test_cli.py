@@ -197,9 +197,10 @@ def test_numeric_error_is_two(capsys):
 
 
 @pytest.mark.parametrize("argv, code, out, err", [
-    # an atom deeper than the measure cap weighs 0 there: its arc collapses
+    # an atom deeper than the measure cap weighs 0 there, and its arc would
+    # collapse: a cap below the depth is refused
     ("lam L0 --theta 1/2 --depth 3 --measure-cap 1", 1, "",
-     "error: leaf endpoints must be distinct\n"),
+     "error: measure cap 1 is below the depth 3: deeper atoms weigh 0 under it\n"),
     # 1/3 is periodic: its hits on its own orbit repeat with period 2, at
     # depths 0, 2 and 4 up to either cap
     ("angle mu --z 1/3 --theta 1/3 --cap 5", 0, "273/512\n", ""),

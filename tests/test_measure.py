@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
-from v2lam.angles import DomainError, x0_digits
+from v2lam.angles import DomainError, double, x0_digits
 from v2lam.measure import (
     Arc,
     _interval_gap,
@@ -45,6 +45,27 @@ def test_mu_weight_examples():
     assert mu_weight(Fr(1, 2), 0) == Fr(2, 3) / 4
     assert mu_weight(Fr(1, 12), Fr(1, 6), M=0) == 0
     assert mu_weight(Fr(1, 12), Fr(1, 6), M=1) == Fr(1, 8)
+    assert mu_weight(Fr(3, 7), Fr(1, 7)) == 0   # the other cycle over the denominator 7
+
+
+@st.composite
+def weight_cases(draw):
+    """(z, theta0, M): theta0 periodic or not, z one of its depth-n preimages,
+    one of its images (the cycle points of a periodic theta0) or arbitrary."""
+    odd = 2 * draw(st.integers(0, 199)) + 1
+    t0 = draw(oracle.even_generators() | st.integers(0, odd - 1).map(lambda k: Fr(k, odd)))
+    n = draw(st.integers(0, 12))
+    z = draw(st.integers(0, (1 << n) - 1).map(lambda k: (t0 + k) / (1 << n))
+             | st.integers(0, 12).map(lambda j: double(t0, j))
+             | st.fractions(min_value=-2, max_value=2, max_denominator=1000))
+    return z, t0, draw(st.none() | st.integers(0, 12))
+
+
+@settings(max_examples=400)
+@given(case=weight_cases())
+def test_mu_weight_matches_the_orbit_walk(case):
+    z, t0, M = case
+    assert mu_weight(z, t0, M) == oracle.mu_weight(z, t0, M)
 
 
 def test_cumulative_exact_values():
@@ -137,6 +158,13 @@ def test_h_point_beyond_the_truncated_mass():
     # with a depth cap M the cumulative function stays below 1 - 2^-(M+1);
     # a point beyond it gets the last bisection cell
     assert h_point(Fr(31, 32), Fr(1, 2), M=3) == (1 - Fr(1, 2**48), Fr(1))
+
+
+@settings(max_examples=60)
+@given(t0=oracle.even_generators(), u=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+       M=st.none() | st.integers(0, 12), bits=st.integers(1, 48))
+def test_h_point_matches_the_fraction_bisection(t0, u, M, bits):
+    assert h_point(u, t0, M, bits) == oracle.h_point(u, t0, M, bits)
 
 
 @pytest.mark.parametrize("a, b, gap", [

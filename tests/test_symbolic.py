@@ -13,6 +13,7 @@ from v2lam.laminations import Leaf
 from v2lam.symbolic import (
     Address,
     RegulatedRaySymbol,
+    _CriticalTails,
     _flip_odd,
     addr_equivalent,
     address_to_angle,
@@ -364,6 +365,14 @@ def test_epsilon_star_matches_interleave_oracle(e, m, data):
     den = (2 * m + 1) << e
     t = F(2 * data.draw(st.integers(0, den // 2 - 1)) + 1, den)
     assert TupleStream.of(epsilon_star(t)) == oracle.epsilon_star(t)
+    assert epsilon_star(t) == exact_oracles.packed_epsilon_star(t)
+
+
+@settings(max_examples=300)
+@given(t=even_generators())
+def test_critical_tails_match_the_flipped_critical_body(t):
+    tails = _CriticalTails(t)
+    assert (tails.den, tails.tails) == exact_oracles.critical_tails(t)
 
 
 @settings(max_examples=150)
@@ -458,14 +467,14 @@ def test_a_report_computes_the_critical_body_once(monkeypatch):
     import v2lam.symbolic as symbolic
 
     calls = []
-    kernel = symbolic._interleaved_bit_ints
+    x0 = symbolic.x0_digits
 
     def counting(theta0):
         calls.append(theta0)
-        return kernel(theta0)
+        return x0(theta0)
 
-    # the one call is epsilon_star's; build_2L takes x0 from v2lam.angles
-    monkeypatch.setattr(symbolic, "_interleaved_bit_ints", counting)
+    # the one call is _CriticalTails'; build_2L takes x0 from v2lam.angles
+    monkeypatch.setattr(symbolic, "x0_digits", counting)
     assert leaf_addresses_match(F(1, 2), 10).ok
     assert calls == [F(1, 2)]
 
