@@ -69,7 +69,7 @@ PIXEL_BUDGET = 1 << 22
 CAPS = {
     "depth": DEPTH_CAP, "leaf_depth": DEPTH_CAP,
     "n_max": ITER_CAP, "steps": ITER_CAP, "terms": ITER_CAP, "samples": ITER_CAP,
-    "count": ITER_CAP, "period": ITER_CAP, "cap": ITER_CAP, "measure_cap": ITER_CAP,
+    "count": ITER_CAP, "period": ITER_CAP, "cap": ITER_CAP,
     "orbit": ITER_CAP, "n": ITER_CAP,
     "points": POINTS_CAP,
 }
@@ -358,7 +358,7 @@ def _emit_lamination(lam, args) -> int:
 def _cmd_lam_L0(args) -> int:
     from .laminations import build_L0
 
-    return _emit_lamination(build_L0(args.theta, _leaf_depth(args, 2), args.measure_cap), args)
+    return _emit_lamination(build_L0(args.theta, _leaf_depth(args, 2)), args)
 
 
 def _cmd_lam_L(args) -> int:
@@ -542,8 +542,12 @@ def _cmd_dyn_julia(args) -> int:
         esc = r if method == "escape" else julia_raster(a, w, h, method="escape", **kw)
         inv = r if method == "inverse" else julia_raster(a, w, h, method="inverse", **kw)
         print("agreement: %.4f" % julia_agreement(esc, inv))
-    print("zero-side pixels: %d" % int((r.values > 0).sum()))
-    print("infinity-side pixels: %d" % int((r.values < 0).sum()))
+    if method == "inverse":
+        print("hit pixels: %d" % int((r.values > 0).sum()))
+    else:
+        # a pixel entered the inner trap (value < 0) or the outer one (> 0)
+        print("zero-side pixels: %d" % int((r.values < 0).sum()))
+        print("infinity-side pixels: %d" % int((r.values > 0).sum()))
     return 0
 
 
@@ -782,7 +786,6 @@ def _build_parser() -> _Parser:
     p = _sub(lsub, "L0", "pullback lamination of the critical leaf",
              "v2lam lam L0 --theta 1/2 --depth 4", registry, _cmd_lam_L0)
     lam_common(p)
-    _flag(p, "measure-cap", _positive, help="truncation depth for leaf placement")
 
     p = _sub(lsub, "L", "inside lamination (optionally mirrored outside)",
              "v2lam lam L --theta 1/2 --depth 4 --svg out.svg", registry, _cmd_lam_L)

@@ -4,9 +4,8 @@ Leaves are chords between rational angles, tagged inside ("I") or outside
 ("O") the circle and carrying the pullback depth at which they first appear.
 Builders produce:
 
-* the bridge lamination over the atoms of the blow-up measure,
-* its quadrupling-pullback completion (pullbacks of the central half-arc
-  under t -> 4t),
+* L0, the t -> 4t pullbacks of the critical leaf {x0, x0 + 1/2} outside
+  the half-arc (x0, x0 + 1/2), and L, all its t -> 4t pullbacks,
 * the two-sided system (pullbacks under t -> -2t, alternating sides),
 * the outside mirror of an inside lamination (endpoint angles doubled and
   negated),
@@ -22,13 +21,13 @@ on these integers.  ``Leaf``, the validating Fraction form of one chord, is
 built only where a chord meets the outside world: a chord given by the
 caller (``leaves_cross``, ``leaf_in_quadratic_lamination``, the CLI's
 ``lam cross`` and ``lam quadratic --leaf``) and a failing chord in a report
-(``InvarianceReport``, ``v2lam.symbolic.AddressMatchReport``).  ``build_L0``
-and ``mate`` rescale once to the lcm of the denominators they meet.  Each
-chord concept is written once: one crossing predicate (_chords_cross), one
-sorted sweep counting crossing pairs (_crossings), and one conversion of
-Fractions to integers over their common denominator
-(_over_common_denominator).  Complementary regions are read off the
-nesting of non-crossing chords.
+(``InvarianceReport``, ``v2lam.symbolic.AddressMatchReport``).  ``mate``
+rescales once to the lcm of its two denominators.  Each chord concept is
+written once: one pullback loop building L0, L, 2L and the basilica
+(_pullbacks), one crossing predicate (_chords_cross), one sorted sweep
+counting crossing pairs (_crossings), and one conversion of Fractions to
+integers over their common denominator (_over_common_denominator).
+Complementary regions are read off the nesting of non-crossing chords.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .angles import HALF, DomainError, angle, require_nonperiodic, x0_digits
-from .measure import h_arc, preimages_of_angle
 
 
 INSIDE = "I"
@@ -173,56 +171,37 @@ def count_same_side_crossings(lam: Lamination) -> tuple[int, int]:
 # bridge and pullback laminations
 
 
-def build_L0(theta0: Fraction, depth: int, M: Optional[int] = None) -> Lamination:
-    """One inside bridge leaf per atom of depth <= depth.
+def _pullbacks(den: int, start: int, length: int, depth: int, bits: int, pull,
+               sides: tuple[str, ...]) -> Lamination:
+    """The bridges over the arc (start, start + length) and its pullbacks.
 
-    Endpoints are the h-preimage arc endpoints of each atom (exact when M is
-    None, depth-M truncations otherwise).  The depth-0 leaf is the central
-    chord over the half-arc.  A cap M below depth is refused: the deeper
-    atoms weigh 0 under it, so their arcs would collapse to points.
+    Starts and the common length of a layer are integers over den.  Each
+    step divides the length by 2^bits; pull(starts, length, den) gives the
+    next layer's starts in insertion order, after its own filter if any.
+    Layer n takes side sides[n % len(sides)].
     """
-    t0 = require_nonperiodic(theta0)
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    if M is not None and M < depth:
-        raise DomainError("measure cap %d is below the depth %d: deeper atoms weigh 0 under it"
-                          % (M, depth))
-    arcs = [(h_arc(t, t0, M), m) for m in range(depth + 1) for t in preimages_of_angle(t0, m)]
-    ints, den = _over_common_denominator([x for ha, _ in arcs for x in (ha.start, ha.end)])
     lam = Lamination(den=den)
-    for i, (_, m) in enumerate(arcs):
-        lam.add(INSIDE, ints[2 * i], ints[2 * i + 1], m)
+    add = lam.add
+    starts = [start]
+    for n in range(depth + 1):
+        side = sides[n % len(sides)]
+        for s in starts:
+            add(side, s, (s + length) % den, n)
+        if n < depth:
+            starts = pull(starts, length, den)
+            length >>= bits
     return lam
 
 
-def _half_arc_pullbacks(theta0: Fraction, depth: int, bits: int, pull,
-                        sides: tuple[str, ...]) -> Lamination:
-    """The bridges over the pullbacks of the half-arc (x0, x0 + 1/2).
-
-    Each pullback step divides the arc length by 2^bits.  Arc starts are
-    integers over the one denominator D = den(x0) * 2^(bits*depth + 1), on
-    which every layer's common arc length is an integer too; pull(starts,
-    length, D) gives the next layer's starts in insertion order.  Layer n
-    leaves take side sides[n % len(sides)].  theta0 must be nonperiodic and
-    depth nonnegative.
-    """
+def _central_arc(theta0: Fraction, depth: int, bits: int) -> tuple[int, int]:
+    """(D, s0): the half-arc (x0, x0 + 1/2) starts at s0/D, where D = den(x0) *
+    2^(bits*depth + 1) keeps depth pullback steps of 2^bits integral."""
     theta0 = require_nonperiodic(theta0)
     if depth < 0:
         raise DomainError("depth must be >= 0")
     x0 = x0_digits(theta0)
     e = bits * depth + 1
-    D = x0.denominator << e
-    lam = Lamination(den=D)
-    add = lam.add
-    starts, length = [x0.numerator << e], D >> 1
-    for n in range(depth + 1):
-        side = sides[n % len(sides)]
-        for s in starts:
-            add(side, s, (s + length) % D, n)
-        if n < depth:
-            starts = pull(starts, length, D)
-            length >>= bits
-    return lam
+    return x0.denominator << e, x0.numerator << e
 
 
 def _quad_pull(starts: list[int], length: int, D: int) -> list[int]:
@@ -246,7 +225,8 @@ def build_L(theta0: Fraction, depth: int) -> Lamination:
     (1/2) * 4^-n; the system is invariant under the antipodal map.  The
     arcs are carried as integers over one denominator.
     """
-    return _half_arc_pullbacks(theta0, depth, 2, _quad_pull, (INSIDE,))
+    D, s0 = _central_arc(theta0, depth, 2)
+    return _pullbacks(D, s0, D >> 1, depth, 2, _quad_pull, (INSIDE,))
 
 
 def build_2L(theta0: Fraction, depth: int) -> Lamination:
@@ -256,7 +236,26 @@ def build_2L(theta0: Fraction, depth: int) -> Lamination:
     and outside for odd n.  The arcs are carried as integers over one
     denominator.
     """
-    return _half_arc_pullbacks(theta0, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
+    D, s0 = _central_arc(theta0, depth, 1)
+    return _pullbacks(D, s0, D >> 1, depth, 1, _neg2_pull, (INSIDE, OUTSIDE))
+
+
+def build_L0(theta0: Fraction, depth: int) -> Lamination:
+    """Pullbacks of the critical leaf {x0, x0 + 1/2} under t -> 4t, n <= depth.
+
+    Layer n is the two of the four quadrupling preimages of each layer n - 1
+    arc that lie outside the half-arc (x0, x0 + 1/2): by h(4u) = 2h(u) they
+    are the h-preimage arcs of the depth-n atoms, and h collapses the other
+    two to theta0 (Thurston's pullback argument).  So its 2^n leaves, sorted
+    by start as h orders the atoms, are leaves of build_L at depth n.
+    """
+    D, s0 = _central_arc(theta0, depth, 2)
+    half = D >> 1
+
+    def outside(starts: list[int], length: int, D: int) -> list[int]:
+        return sorted(x for x in _quad_pull(starts, length, D) if (x - s0) % D >= half)
+
+    return _pullbacks(D, s0, half, depth, 2, outside, (INSIDE,))
 
 
 def mirror_outside(lam: Lamination) -> Lamination:
@@ -360,18 +359,14 @@ def _orbit_admits(a: int, b: int, l0a: int, l0b: int, den: int) -> bool:
     return True
 
 
-def leaf_in_quadratic_lamination(y0: Fraction, leaf: Leaf | tuple) -> bool:
+def leaf_in_quadratic_lamination(y0: Fraction, leaf: Leaf) -> bool:
     """True iff no forward doubling image of the chord strictly crosses the
     major chord (coincidence and shared endpoints allowed).
 
     Terminates because rational endpoint pairs are eventually periodic under
     doubling.
     """
-    if isinstance(leaf, Leaf):
-        a, b = leaf.a, leaf.b
-    else:
-        a, b = (angle(x) for x in leaf)
-    (ia, ib, l0a, l0b), den = _over_common_denominator([a, b, *quadratic_major(y0)])
+    (ia, ib, l0a, l0b), den = _over_common_denominator([leaf.a, leaf.b, *quadratic_major(y0)])
     return _orbit_admits(ia, ib, l0a, l0b, den)
 
 
@@ -452,21 +447,20 @@ def build_basilica(depth: int) -> Lamination:
     same half (chords in opposite halves cannot cross), so doubling both
     would make the candidate's kept parent cross that leaf's parent, a kept
     leaf of lower depth; by induction on the depth no such pair exists.
-    Angles are integers over den = 3 * 2^depth.
+    Angles are integers over den = 3 * 2^depth.  Doubling gives a chord's
+    halves back, so no layer repeats a chord.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
     den = 3 << depth
-    lam = Lamination(den=den)
-    major = (den // 3, 2 * den // 3)
-    lam.add(INSIDE, *major, 0)
-    layer = [major]
-    for n in range(1, depth + 1):
-        halves = (((a + k * den) >> 1, (b + k * den) >> 1) for a, b in layer for k in (0, 1))
-        layer = list(dict.fromkeys(c for c in halves if not _chords_cross(*c, *major)))
-        for lo, hi in layer:
-            lam.add(INSIDE, lo, hi, n)
-    return lam
+    third = den // 3
+
+    def uncrossing(starts: list[int], length: int, D: int) -> list[int]:
+        half = length >> 1
+        return [x for s in starts for x in (s >> 1, (s + D) >> 1)
+                if not _chords_cross(x, x + half, third, 2 * third)]
+
+    return _pullbacks(den, third, third, depth, 1, uncrossing, (INSIDE,))
 
 
 def mate(L1: Lamination, L2: Lamination) -> Lamination:

@@ -6,6 +6,10 @@
   and ``mate`` run on it with ``Fraction`` arithmetic.  ``Lamination.of``
   is the Fraction view of a library lamination's integer chords, through
   which tests read the library's laminations.
+* ``build_L0``: one leaf per atom of the blow-up measure, over the atom's
+  exact h-preimage arc (``v2lam.measure.h_arc``) and rescaled to one
+  denominator, as it was before the library pulled the critical leaf back
+  under quadrupling.
 * ``build_L``/``build_2L``/``cumulative``/``x0_series``: the forms the
   library's builders, ``v2lam.measure.cumulative`` and
   ``v2lam.angles.x0_series`` had before they ran on integers over one
@@ -74,7 +78,7 @@ from v2lam.laminations import (
     quadratic_major,
 )
 from v2lam.measure import cumulative as library_cumulative
-from v2lam.measure import preimages_of_angle, sigma0_arc, truncation_width
+from v2lam.measure import h_arc, preimages_of_angle, sigma0_arc, truncation_width
 from v2lam.symbolic import (
     Address,
     AddressMatchReport,
@@ -241,6 +245,15 @@ def _pullbacks(theta0: Fraction, depth: int, preimages, sides) -> Lamination:
         if n < depth:
             layer = [p for arc in layer for p in preimages(*arc)]
     return lam
+
+
+def build_L0(theta0: Fraction, depth: int) -> Lamination:
+    """One inside leaf per atom of depth <= depth, over its h-preimage arc."""
+    t0 = require_nonperiodic(theta0)
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
+    return Lamination(Leaf(arc.start, arc.end, INSIDE, m) for m in range(depth + 1)
+                      for arc in (h_arc(t, t0) for t in preimages_of_angle(t0, m)))
 
 
 def build_L(theta0: Fraction, depth: int) -> Lamination:

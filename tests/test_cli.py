@@ -196,22 +196,49 @@ def test_numeric_error_is_two(capsys):
     assert "numeric error:" in err
 
 
-@pytest.mark.parametrize("argv, code, out, err", [
-    # an atom deeper than the measure cap weighs 0 there, and its arc would
-    # collapse: a cap below the depth is refused
-    ("lam L0 --theta 1/2 --depth 3 --measure-cap 1", 1, "",
-     "error: measure cap 1 is below the depth 3: deeper atoms weigh 0 under it\n"),
+_WIDE_JULIA = ("dyn julia --a 6 --width 9 --height 9 --re-min=-100 --re-max 100 "
+               "--im-min=-100 --im-max 100 --n-max 4")
+_RAY_LEAVES_1_6 = ("0 I 0.683332443 0.183332443 err=5.7e-06\n"
+                   "1 O 0.658333778 0.908333778 err=2.9e-06\n"
+                   "1 O 0.158333778 0.408333778 err=2.9e-06\n")
+
+
+@pytest.mark.parametrize("argv, code, out, err, files", [
     # 1/3 is periodic: its hits on its own orbit repeat with period 2, at
     # depths 0, 2 and 4 up to either cap
-    ("angle mu --z 1/3 --theta 1/3 --cap 5", 0, "273/512\n", ""),
-    ("angle mu --z 1/3 --theta 1/3 --cap 4", 0, "273/512\n", ""),
+    ("angle mu --z 1/3 --theta 1/3 --cap 5", 0, "273/512\n", "", ()),
+    ("angle mu --z 1/3 --theta 1/3 --cap 4", 0, "273/512\n", "", ()),
     # s_from below G(-a): the 0-based ray would start past the crash
     ("dyn ray --a 6 --base 0 --theta 1/3 --s-from 0.01 --s-to 0.001", 1, "",
-     "error: s_from must exceed the critical-value potential G(-a) = 0.878159 for a 0-based ray\n"),
-], ids=["L0-collapsed-leaf", "mu-periodic-cycle", "mu-periodic-cycle-at-cap",
-        "ray-0-below-crash"])
-def test_library_branches_through_the_cli(capsys, argv, code, out, err):
+     "error: s_from must exceed the critical-value potential G(-a) = 0.878159 for a 0-based ray\n",
+     ()),
+    # the critical value -6 sits on the half-turn ray: its pullback from 0
+    # crashes into the critical point -1
+    ("dyn ray --a 6 --base 0 --theta 1/2 --steps 20", 0,
+     "points: 6\nlast: s=0.878159 z=-1-1.01064592348e-07i residual=2.1e-13\n"
+     "crashed: s=0.87815949 at -1-1.01064592348e-07i\n", "", ()),
+    # the mirror drops the central chord, whose image is antipodal, and
+    # folds the four depth-1 chords onto two
+    ("lam L --theta 1/2 --depth 1 --mirror --leaves F", 0, "wrote F\nleaves: 2\n", "",
+     (("F", "O 5/8 7/8\nO 1/8 3/8\n"),)),
+    # a window of radius 100 at a = 6: every pixel but the one at z = 0
+    # enters the outer trap |z| >= R, on the infinity side
+    (_WIDE_JULIA, 0, "zero-side pixels: 1\ninfinity-side pixels: 80\n", "", ()),
+    (_WIDE_JULIA + " --method inverse --points 1000", 0, "hit pixels: 1\n", "", ()),
+    (_WIDE_JULIA + " --points 1000 --out F.pgm --agreement", 0,
+     "wrote F.pgm (9x9)\nagreement: 1.0000\nzero-side pixels: 1\ninfinity-side pixels: 80\n",
+     "", ()),
+    ("dyn ray-leaves --a=-0.37,-2.97 --depth 1 --theta0 1/6 --out F", 0,
+     "wrote F\n" + _RAY_LEAVES_1_6, "", (("F", _RAY_LEAVES_1_6),)),
+], ids=["mu-periodic-cycle", "mu-periodic-cycle-at-cap", "ray-0-below-crash", "ray-0-crash",
+        "L-mirror", "julia-sides", "julia-inverse-hits", "julia-out-agreement",
+        "ray-leaves-out"])
+def test_library_branches_through_the_cli(tmp_path, monkeypatch, capsys, argv, code, out, err,
+                                          files):
+    monkeypatch.chdir(tmp_path)
     assert run(capsys, *shlex.split(argv)) == (code, out, err)
+    for name, text in files:
+        assert (tmp_path / name).read_text() == text
 
 
 def test_lam_mate_draws_an_antipodal_outside_chord_as_two_radial_rays(tmp_path, capsys):
@@ -520,7 +547,8 @@ def test_io_error_is_seventy_four(tmp_path, capsys, argv):
     ("dyn", "julia", "--a", "6", "--width", "-4", "--height", "4"),
     ("dyn", "julia", "--a", "6", "--width", "4", "--height", "0"),
     ("check", "dyn", "--raster-size", "0"),
-    ("lam", "L0", "--theta", "1/2", "--depth", "2", "--measure-cap", "0"),
+    # L0's leaves are exact pullbacks: no measure cap places them
+    ("lam", "L0", "--theta", "1/2", "--depth", "2", "--measure-cap", "30"),
     ("angle", "x0", "--theta", "1/6", "--terms", "0"),
     ("angle", "sigma", "--period", "0"),
     ("angle", "sigma", "--period", "-2"),
@@ -531,6 +559,15 @@ def test_io_error_is_seventy_four(tmp_path, capsys, argv):
     ("dyn", "param-ray", "--theta", "1/6", "--steps", "1"),
     ("dyn", "param-ray", "--theta", "1/6", "--steps", "0"),
     ("check", "dyn", "--steps", "1", "--raster-size", "8"),
+    # a requirement that depends on other flags
+    ("lam", "quadratic", "--y0", "1/3"),
+    ("angle", "sigma"),
+    ("sym", "angle-to-address", "--theta", "1/4", "--address", "0|(1)"),
+    ("sym", "angle-to-address"),
+    # flag text that is no number, and --config with no path after it
+    ("dyn", "m2", "--re-min", "abc", "--out", "unused.pgm"),
+    ("dyn", "fixed", "--a", "x,1"),
+    ("angle", "x0", "--theta", "1/6", "--config"),
 ])
 def test_usage_errors_are_sixty_four(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -622,12 +659,11 @@ def test_iteration_cap_enforced_and_liftable(capsys):
     (("angle", "mu", "--z", "1/2", "--theta", "1/2", "--cap"), 4096, ("30",)),
     (("angle", "h-arc", "--z", "1/2", "--theta", "1/2", "--cap"), 4096, ("30",)),
     (("angle", "semiconj", "--theta", "1/2", "--samples", "12", "--cap"), 4096, ("20",)),
-    (("lam", "L0", "--theta", "1/2", "--depth", "4", "--measure-cap"), 4096, ("30",)),
     (("dyn", "green", "--a", "6", "--z", "3,1", "--orbit"), 4096, ("3",)),
     (("dyn", "green", "--a", "6", "--z", "3,1", "--n"), 4096, ("64", "4096")),
     (("check", "sym", "--depth", "4", "--samples"), 4096, ("200",)),
 ], ids=["x0-terms", "semiconj-samples", "digits-count", "julia-points", "sigma-period",
-        "mu-cap", "h-arc-cap", "semiconj-cap", "L0-measure-cap", "green-orbit", "green-n",
+        "mu-cap", "h-arc-cap", "semiconj-cap", "green-orbit", "green-n",
         "check-samples"])
 def test_count_flags_are_capped(capsys, argv, cap, admitted):
     code, out, err = run(capsys, *argv, str(cap + 1))
@@ -727,7 +763,8 @@ def test_config_fills_required_flags(tmp_path, capsys):
     assert "leaves: 15" in out
 
 
-@pytest.mark.parametrize("key", ["n_mx", "func"])  # a typo; a parser default, no flag
+# a typo; a parser default, no flag; a cap that L0's exact leaves do not take
+@pytest.mark.parametrize("key", ["n_mx", "func", "measure_cap"])
 def test_config_refuses_a_key_no_command_declares(tmp_path, capsys, key):
     cfg = tmp_path / "cfg"
     cfg.write_text("%s = 64\nwidth = 4\nheight = 4\n" % key)

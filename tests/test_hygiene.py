@@ -19,6 +19,11 @@
   ``src/``: its name appears as a ``Name`` or an attribute outside its own
   definition.  Dunder methods and the override of standard-library API
   ``_Parser.error`` (``argparse``) are exempt.
+* The modules of ``src/`` are layered: each imports, at module level or
+  inside a function, only the ``v2lam`` modules that ``LAYERS`` admits.
+  The exact layers stand on ``angles`` alone, the combinatorial ones on
+  the exact layers below them, and only ``checks`` and ``cli`` may import
+  any module.
 """
 from __future__ import annotations
 
@@ -187,3 +192,70 @@ def test_both_error_types_are_one_class_everywhere():
 
     assert dynamics.NumericError is core.NumericError is angles.NumericError
     assert core.DomainError is angles.DomainError
+
+
+#: The v2lam modules each module of src/ may import.  A name ending in
+#: ".*" stands for a package and its modules, "*" for any module.
+LAYERS = {
+    "v2lam": (),
+    "v2lam.angles": (),
+    "v2lam.measure": ("v2lam.angles",),
+    "v2lam.laminations": ("v2lam.angles",),
+    "v2lam.symbolic": ("v2lam.angles", "v2lam.laminations"),
+    "v2lam.svg": ("v2lam.laminations",),
+    "v2lam.dynamics.*": ("v2lam.angles", "v2lam.dynamics.*"),
+    "v2lam.checks": ("*",),
+    "v2lam.cli": ("*",),
+}
+
+
+def _matches(module: str, pattern: str) -> bool:
+    if pattern == "*":
+        return True
+    if pattern.endswith(".*"):
+        return module == pattern[:-2] or module.startswith(pattern[:-1])
+    return module == pattern
+
+
+def v2lam_imports(module: str, is_package: bool, source: str) -> list[str]:
+    """The v2lam modules that ``module`` imports anywhere in ``source``.
+
+    Relative imports are resolved against the module's package; ``from . import
+    x`` counts as an import of the module ``x`` of that package.
+    """
+    package = module if is_package else module.rpartition(".")[0]
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = parent + ("." + node.module if node.module else "")
+            if node.module is None:
+                found.update("%s.%s" % (base, alias.name) for alias in node.names)
+            else:
+                found.add(base)
+    return sorted(m for m in found if _matches(m, "v2lam.*"))
+
+
+def test_scan_finds_every_v2lam_import():
+    src = ("import os\nimport v2lam.svg\nfrom .core import f\nfrom . import rays\n"
+           "def g():\n    from ..angles import angle\n    from v2lam import cli\n")
+    assert v2lam_imports("v2lam.dynamics.raster", False, src) == [
+        "v2lam", "v2lam.angles", "v2lam.dynamics.core", "v2lam.dynamics.rays", "v2lam.svg"]
+    assert v2lam_imports("v2lam.dynamics", True, "from .core import f\n") == [
+        "v2lam.dynamics.core"]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_modules_import_only_the_layers_below_them(path):
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    is_package = parts[-1] == "__init__"
+    module = ".".join(parts[:-1] if is_package else parts)
+    admitted = [allowed for pattern, allowed in LAYERS.items() if _matches(module, pattern)]
+    assert len(admitted) == 1, "%s needs exactly one LAYERS entry" % module
+    source = path.read_text(encoding="utf-8")
+    assert [m for m in v2lam_imports(module, is_package, source)
+            if not any(_matches(m, a) for a in admitted[0])] == []

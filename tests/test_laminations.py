@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -168,10 +169,10 @@ def test_two_sided_invariance():
 
 
 def test_quadratic_membership():
-    assert leaf_in_quadratic_lamination(Fr(0), (Fr(0), Fr(1, 2)))
-    assert leaf_in_quadratic_lamination(Fr(1, 3), (Fr(1, 3), Fr(2, 3)))
-    assert leaf_in_quadratic_lamination(Fr(0), (Fr(0), Fr(1, 4)))
-    assert not leaf_in_quadratic_lamination(Fr(0), (Fr(1, 8), Fr(5, 8)))
+    assert leaf_in_quadratic_lamination(Fr(0), Leaf(Fr(0), Fr(1, 2)))
+    assert leaf_in_quadratic_lamination(Fr(1, 3), Leaf(Fr(1, 3), Fr(2, 3)))
+    assert leaf_in_quadratic_lamination(Fr(0), Leaf(Fr(0), Fr(1, 4)))
+    assert not leaf_in_quadratic_lamination(Fr(0), Leaf(Fr(1, 8), Fr(5, 8)))
 
 
 def test_build_quadratic_L0():
@@ -328,6 +329,25 @@ def test_build_L_matches_fraction_oracle(t, depth):
     fast, slow = build_L(t, depth), oracle.build_L(t, depth)
     _same_lamination(fast, slow)
     _same_lamination(mirror_outside(fast), oracle.mirror_outside(slow))
+
+
+@settings(max_examples=30)
+@given(t=oracle.even_generators(), depth=st.integers(0, 7))
+def test_build_L0_matches_measure_oracle(t, depth):
+    # the pulled-back critical leaf against one leaf per atom over its h-arc
+    fast = build_L0(t, depth)
+    _same_lamination(fast, oracle.build_L0(t, depth))
+    # every L0 chord is an L chord of the same depth, and layer m holds 2^m
+    full = build_L(t, depth)
+    assert fast.den == full.den
+    assert all(full.chords[c] == d for c, d in fast.chords.items())
+    assert Counter(fast.chords.values()) == {m: 2 ** m for m in range(depth + 1)}
+
+
+def test_build_L0_matches_measure_oracle_at_period_8052():
+    # endpoints of more than 4300 digits; keys, depths and order only, as
+    # the leaf text of these endpoints is slow to write
+    assert list(view(build_L0(Fr(3, 16106), 8))) == list(oracle.build_L0(Fr(3, 16106), 8))
 
 
 _y0s = st.builds(Fr, st.integers(0, 63), st.integers(1, 64))

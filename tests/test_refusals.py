@@ -47,8 +47,6 @@ REFUSALS = [
     # laminations
     ("leaf-side", lambda: Leaf(Fr(0), Fr(1, 2), "X"), DomainError, "side must be"),
     ("L0-depth", lambda: build_L0(Fr(1, 6), -1), DomainError, "depth must be >= 0"),
-    ("L0-cap-below-depth", lambda: build_L0(Fr(1, 6), 4, M=3), DomainError,
-     "measure cap 3 is below the depth 4"),
     ("2L-depth", lambda: build_2L(Fr(1, 6), -1), DomainError, "depth must be >= 0"),
     ("quadratic-depth", lambda: build_quadratic_lamination(Fr(1, 3), -1), DomainError,
      "depth must be >= 0"),
