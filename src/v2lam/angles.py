@@ -11,10 +11,12 @@ the nu_m comparison functions, the x0 and y0 angle correspondences, and
 classification of doubling orbits.
 
 A digit stream holds its preperiod and period as packed integers with bit
-lengths, so shifts, canonical forms and values are integer operations.  The
-x0 digits (pairs of a theta0 digit and nu_m) come from one kernel,
-``_interleaved_bit_ints``, which also builds the x0 stream; only this module
-reads the kernel's packed format.
+lengths, so shifts, canonical forms and values are integer operations.  One
+digit kernel, ``_interleaved_bit_ints``, gives the binary digits of the
+blow-up cumulative F(t) = 0.c_0 d_1 c_1 d_2 c_2 ... of theta0 (d_m the
+digits of t, c_m = [frac(2^m t) > theta0]); at t = theta0 they are the x0
+digits (a theta0 digit, then nu_m), so it builds x0, the x0 stream and the
+measure's exact F.  Only this module reads the kernel's packed format.
 """
 
 from __future__ import annotations
@@ -301,33 +303,38 @@ def _order_of_two(m: int) -> int:
 _TABLE_FROM = 72
 
 
-def _interleaved_bit_ints(theta0: Fraction) -> tuple[int, int, int, int]:
-    """The x0 kernel: (pre, e, per, L), the interleaved digit/nu bits packed.
+def _interleaved_bit_ints(t: Fraction, theta0: Fraction) -> tuple[int, int, int, int]:
+    """The digit kernel: (pre, e, per, L), the binary digits of F(t) packed.
 
-    Bit pairs are (theta digit d_m, nu_m) for m = 1..e+L, split after m = e
-    into the 2e-bit ``pre`` and the 2L-bit ``per``; e and L are the
-    preperiod and period of theta0, which must not be doubling-periodic.
-    The remainders r_m = 2^m num mod den give both: d_m = (2 r_{m-1}) // den
-    and nu_m = [r_m >= num].  Short orbits and denominators beyond the
-    table's uint64 products take the integer loop, the rest the numpy table.
+    F(t) = 0.c_0 d_1 c_1 d_2 c_2 ..., d_m the digits of t and c_m =
+    [frac(2^m t) > theta0]; ``pre`` holds the 2e+1 bits up to c_e and
+    ``per`` the 2L repeating bits after them, e and L the preperiod and
+    period of t.  theta0 must not be doubling-periodic.  The remainders
+    r_m = 2^m num mod den of t = num/den give d_m = (2 r_{m-1}) // den and
+    c_m = [r_m > floor(theta0 den)].  At t = theta0 the threshold is num
+    and c_m = nu_m (2^m theta0 = theta0 never holds for m >= 1): F(theta0)
+    = x0.  Short orbits and denominators beyond the table's uint64 products
+    take the integer loop, the rest the numpy table.
     """
-    t = require_nonperiodic(theta0)
+    t0 = require_nonperiodic(theta0)
+    t = angle(t)
     num, den = t.numerator, t.denominator
+    T = t0.numerator * den // t0.denominator
     e = (den & -den).bit_length() - 1
     L = _order_of_two(den >> e)
     if e + L < _TABLE_FROM or den >= 1 << 31:
-        return _interleaved_by_loop(num, den, e, L)
-    return _interleaved_by_table(num, den, e, L)
+        return _interleaved_by_loop(num, den, T, e, L)
+    return _interleaved_by_table(num, den, T, e, L)
 
 
-def _interleaved_by_loop(num: int, den: int, e: int, L: int) -> tuple[int, int, int, int]:
+def _interleaved_by_loop(num: int, den: int, T: int, e: int, L: int) -> tuple[int, int, int, int]:
     """``_interleaved_bit_ints`` of num/den by one remainder step per digit."""
-    pre_i = per_i = 0
+    pre_i, per_i = (1 if num > T else 0), 0
     r = num
     for m in range(1, e + L + 1):
         r2 = 2 * r
         d, r = divmod(r2, den)
-        bits = 2 * d + (1 if r >= num else 0)
+        bits = 2 * d + (1 if r > T else 0)
         if m <= e:
             pre_i = (pre_i << 2) | bits
         else:
@@ -335,7 +342,7 @@ def _interleaved_by_loop(num: int, den: int, e: int, L: int) -> tuple[int, int, 
     return pre_i, e, per_i, L
 
 
-def _interleaved_by_table(num: int, den: int, e: int, L: int) -> tuple[int, int, int, int]:
+def _interleaved_by_table(num: int, den: int, T: int, e: int, L: int) -> tuple[int, int, int, int]:
     """``_interleaved_bit_ints`` of num/den (den < 2^31) from a numpy remainder table."""
     import numpy as np
 
@@ -354,27 +361,27 @@ def _interleaved_by_table(num: int, den: int, e: int, L: int) -> tuple[int, int,
         big[i] = v
         v = (v * step) % den
     r = ((big[:, None] * small[None, :]) % den).ravel()[: n + 1]
-    d = (2 * r[:-1]) // den
-    nu_bits = r[1:] >= num
-    inter = np.empty(2 * n, dtype=np.uint8)
-    inter[0::2] = d
-    inter[1::2] = nu_bits
+    inter = np.empty(2 * n + 1, dtype=np.uint8)
+    inter[0::2] = r > T
+    r <<= 1  # in place: r and one more table of its size set the peak memory
+    inter[1::2] = r[:-1] // den
 
     def bits_to_int(a: "np.ndarray") -> int:
         packed = np.packbits(a)
         return int.from_bytes(packed.tobytes(), "big") >> (-len(a) % 8)
 
-    return bits_to_int(inter[: 2 * e]), e, bits_to_int(inter[2 * e:]), L
+    return bits_to_int(inter[: 2 * e + 1]), e, bits_to_int(inter[2 * e + 1:]), L
 
 
-def _x0_digit_pair(theta0: Fraction) -> tuple[int, int]:
-    """Unreduced (num, den) with num/den == x0_digits(theta0).
+def _cumulative_pair(t: Fraction, theta0: Fraction) -> tuple[int, int]:
+    """Unreduced (num, den) with num/den == F(t), the blow-up cumulative of theta0.
 
-    Same domain checks as x0_digits.  Callers that only compare x0 against
-    other rationals can cross-multiply with this pair and skip the gcd, which
-    is quadratic in CPython and dominates for million-bit denominators.
+    F(theta0) = x0, so ``x0_digits`` passes theta0 twice.  Callers that only
+    compare x0 against other rationals can cross-multiply with this pair and
+    skip the gcd, which is quadratic in CPython and dominates for
+    million-bit denominators.
     """
-    pre_i, e, per_i, L = _interleaved_bit_ints(theta0)
+    pre_i, e, per_i, L = _interleaved_bit_ints(t, theta0)
     two_l = (1 << (2 * L)) - 1
     return pre_i * two_l + per_i, (1 << (2 * e + 1)) * two_l
 
@@ -386,12 +393,12 @@ def x0_digits(theta0: Fraction) -> Fraction:
     identity does not apply.  The digits are generated in bulk from the
     doubling-orbit remainders, so large denominators stay fast.
     """
-    return Fraction(*_x0_digit_pair(theta0))
+    return Fraction(*_cumulative_pair(theta0, theta0))
 
 
 def x0_digit_stream(theta0: Fraction) -> DigitStream:
     """The interleaved digit stream of x0 (digit 1 is 0, then theta/nu digits)."""
-    pre_i, e, per_i, L = _interleaved_bit_ints(theta0)
+    pre_i, e, per_i, L = _interleaved_bit_ints(theta0, theta0)
     return DigitStream(pre_i, 2 * e + 1, per_i, 2 * L).canonical()
 
 

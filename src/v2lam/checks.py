@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .angles import (DomainError, NumericError, _x0_digit_pair, circle_distance, x0_digits,
+from .angles import (DomainError, NumericError, _cumulative_pair, circle_distance, x0_digits,
                      x0_series)
 from .laminations import (
     build_2L,
@@ -93,7 +93,7 @@ def _check_digit_series(p: CheckParams) -> str:
             continue  # reduced to an odd denominator: periodic under doubling
         lo, hi = x0_series(theta, 40)
         # x0 = num/den unreduced; cross-multiply instead of reducing it
-        num, den = _x0_digit_pair(theta)
+        num, den = _cumulative_pair(theta, theta)
         _need(lo.numerator * den <= num * lo.denominator
               and num * hi.denominator <= hi.numerator * den,
               "series enclosure misses digits at theta=%s" % theta)

@@ -9,8 +9,9 @@ verification suites).
 Conventions: long flags only; angles are written ``p/q``; complex numbers
 are written ``re,im`` (use ``--a=-1.5,2`` syntax for negative reals).
 Depth-like flags are capped at 16, iteration-like, count and size flags at
-4096 (``dyn julia --points`` at 2^20), a raster at 2^22 pixels, and the
-leaf count a ``lam L``/``L0``/``two-sided`` request predicts at 2^17 unless
+4096 (``dyn julia --points`` at 2^20), a raster at 2^22 pixels, the
+leaf count a ``lam L``/``L0``/``two-sided`` request predicts at 2^17 and
+the work an ``angle semiconj`` run predicts at 2^28 unless
 ``--unsafe-limits`` is given.  A flag of count kind (``--depth``,
 ``--cap``, ``--count``, ...) refuses a negative value, and ``--n-max``,
 ``--points`` and ``--samples`` refuse 0 too.  A flag that takes one word
@@ -65,6 +66,10 @@ SIDES = ("I", "O")
 LEAF_BUDGET = 1 << 17
 #: Pixels a raster may allocate before its first step: admits 2048 x 2048.
 PIXEL_BUDGET = 1 << 22
+#: Work ``angle semiconj`` may predict, samples * (cap + 16) * (cap + 1)^2 (cap +
+#: 16 bisection steps of cap + 1 terms): admits 4096 samples at cap 34 (2.8 s on
+#: an x86-64 Xeon), not cap 2048 at the default 64 samples (minutes).
+SEMICONJ_BUDGET = 1 << 28
 #: The cap of every size flag, by config key; --unsafe-limits lifts them.
 CAPS = {
     "depth": DEPTH_CAP, "leaf_depth": DEPTH_CAP,
@@ -332,6 +337,8 @@ def _cmd_angle_semiconj(args) -> int:
     from .measure import semiconjugacy_check
 
     n = args.samples
+    _capped(n * (args.cap + 16) * (args.cap + 1) ** 2, SEMICONJ_BUDGET,
+            "predicted semiconj work", args)
     rep = semiconjugacy_check(args.theta, [Fraction(k, n) for k in range(n)], args.cap)
     print("samples %d skipped %d max-defect %s"
           % (len(rep.entries), len(rep.skipped), rep.max_defect))

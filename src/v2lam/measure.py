@@ -13,8 +13,8 @@ no atom, so F(0) = 0 and 0 is (the center of) its own h-preimage.  (If the
 construction were extended to theta0 = 0, the atom at angle 0 would be split
 symmetrically around 0; periodic theta0 is rejected here.)
 
-All arithmetic is exact: the cumulative function sums integers over one
-shared denominator and reduces them into one Fraction at the end.
+All arithmetic is exact: the truncated cumulative function sums integers
+over one shared denominator, and the full one is x0's digit kernel run on t.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from typing import Optional
 from .angles import (
     HALF,
     DomainError,
+    _cumulative_pair,
+    _order_of_two,
     angle,
-    digit_stream,
     require_nonperiodic,
     x0_digits,
 )
@@ -83,7 +84,7 @@ def mu_weight(z: Fraction, theta0: Fraction, M: Optional[int] = None) -> Fractio
     if q0 % 2 == 0:
         hit = r == p0 and (M is None or m0 <= M)
         return Fraction(1, 2 << (2 * m0)) if hit else Fraction(0)
-    L = digit_stream(t0).l
+    L = _order_of_two(q0)
     for _ in range(L):
         if r == p0:
             break
@@ -107,38 +108,25 @@ def _counts_base4(a: int, b: int, Q: int, n: int) -> int:
 def cumulative(theta0: Fraction, t: Fraction, M: Optional[int] = None) -> Fraction:
     """F(t) = measure of [0, t), exactly.
 
-    With a depth cap M this is the truncated measure (O(M) terms); with
-    M=None it is the full measure, summed in closed form using the eventual
-    periodicity of the doubling orbit of t.  The depth-m term counts
-    preimages (theta0+k)/2^m below t: N_m = ceil(2^m t - theta0), never
-    needing clamping for t, theta0 in [0,1).  With t = p/q and theta0 =
-    p0/q0 every term is an integer over q*q0 times a power of 4, so the sum
-    is accumulated as one integer and reduced once.
+    The depth-m term counts preimages (theta0+k)/2^m below t: N_m =
+    ceil(2^m t - theta0), never needing clamping for t, theta0 in [0,1).
+    With a depth cap M this is the truncated measure (O(M) terms): with
+    t = p/q and theta0 = p0/q0 every term is an integer over q*q0 times a
+    power of 4, so the sum is accumulated as one integer and reduced once.
+    With M=None it is the full measure: N_m = floor(2^m t) + c_m with c_m =
+    [frac(2^m t) > theta0], so F(t) = 0.c_0 d_1 c_1 ... in binary (d_m the
+    digits of t), which is x0 at t = theta0.
     """
+    if M is None:
+        return Fraction(*_cumulative_pair(t, theta0))
     t0 = require_nonperiodic(theta0)
     t = angle(t)
+    if M < 0:
+        raise DomainError("depth cap must be >= 0")
     p, q, p0, q0 = t.numerator, t.denominator, t0.numerator, t0.denominator
     Q, a, b = q * q0, p * q0, p0 * q           # t = a/Q, theta0 = b/Q
-    if M is not None:
-        if M < 0:
-            raise DomainError("depth cap must be >= 0")
-        # F_M = sum_m N_m / (2 4^m) = (sum_m N_m 4^(M-m)) / (2 4^M)
-        return Fraction(_counts_base4(a, b, Q, M + 1), 2 << (2 * M))
-    s = digit_stream(t)
-    P, L = s.p, s.l
-    # prefix terms m < P: sum N_m / (2 4^m) = 2 pre / 4^P
-    pre = _counts_base4(a, b, Q, P)
-    # tail m >= P: N_m = 2^m t - theta0 + c_m with c_m = frac(theta0 - 2^m t),
-    # and c_m = C_j / Q is L-periodic in m from m = P on (j = m - P).  The
-    # tail sums to t/2^P - (2/3) theta0/4^P + 2 tail / (Q 4^P (4^L - 1)),
-    # tail = sum_j C_j 4^(L-1-j).
-    r, tail = (a << P) % Q, 0
-    for _ in range(L):
-        tail = 4 * tail + (b - r) % Q
-        r = (2 * r) % Q
-    ones = (1 << (2 * L)) - 1                  # 4^L - 1
-    num = 3 * ones * (2 * pre * Q + (a << P)) - 2 * b * ones + 6 * tail
-    return Fraction(num, 3 * Q * ones << (2 * P))
+    # F_M = sum_m N_m / (2 4^m) = (sum_m N_m 4^(M-m)) / (2 4^M)
+    return Fraction(_counts_base4(a, b, Q, M + 1), 2 << (2 * M))
 
 
 def truncation_width(M: Optional[int]) -> Fraction:
@@ -154,11 +142,8 @@ def h_arc(z: Fraction, theta0: Fraction, M: Optional[int] = None) -> Arc:
     ``truncation_width(M)`` = 2^-(M+1) of the exact value; with M=None they
     are exact.
     """
-    t0 = require_nonperiodic(theta0)
-    z = angle(z)
-    start = cumulative(t0, z, M)
-    w = mu_weight(z, t0, M)
-    return Arc(angle(start), angle(start + w))
+    start = cumulative(theta0, z, M)
+    return Arc(start, angle(start + mu_weight(z, theta0, M)))
 
 
 def sigma0_arc(theta0: Fraction) -> Arc:

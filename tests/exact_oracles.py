@@ -640,7 +640,7 @@ def leaf_addresses_match(theta0: Fraction, depth: int,
 
 def packed_epsilon_star(theta0: Fraction) -> DigitStream:
     """The critical body from the x0 kernel's packed bit pairs, every second bit flipped."""
-    pre, e, per, L = _interleaved_bit_ints(theta0)
+    pre, e, per, L = _interleaved_bit_ints(theta0, theta0)
     return DigitStream(pre ^ (_alternating(2 * e) >> 1), 2 * e,
                        per ^ (_alternating(2 * L) >> 1), 2 * L).canonical()
 

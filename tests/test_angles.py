@@ -13,11 +13,11 @@ from v2lam.angles import (
     DigitStream,
     DomainError,
     _TABLE_FROM,
+    _cumulative_pair,
     _interleaved_bit_ints,
     _interleaved_by_loop,
     _interleaved_by_table,
     _order_of_two,
-    _x0_digit_pair,
     angle,
     circle_distance,
     digit_stream,
@@ -195,7 +195,7 @@ def test_x0_digit_pair_matches_reduced_value_and_stream_oracle():
     rng = random.Random(5)
     for _ in range(60):
         t = _random_nonperiodic(rng, 2**12)
-        num, den = _x0_digit_pair(t)
+        num, den = _cumulative_pair(t, t)
         assert F(num, den) == x0_digits(t) == x0_digit_stream(t).to_fraction()
         assert TupleStream.of(x0_digit_stream(t)) == oracle.x0_digit_stream(t)
 
@@ -306,7 +306,7 @@ def even_angles(draw, max_den=1 << 24):
 @settings(max_examples=60)
 @given(t=even_angles())
 def test_x0_fast_paths_agree_with_interleave_oracle(t):
-    num, den = _x0_digit_pair(t)
+    num, den = _cumulative_pair(t, t)
     stream = x0_digit_stream(t)
     x0 = oracle.x0_digit_stream(t)
     assert x0_digits(t) == F(num, den) == stream.to_fraction() == x0.to_fraction()
@@ -372,35 +372,43 @@ def test_order_of_two_matches_the_plain_walk(m):
 
 
 @st.composite
-def table_angles(draw):
-    """num/den, den < 2^31 even, with an orbit n = e + L on either side of
-    the crossover: an odd part below 2^12, or a Mersenne pair below 2^30, up
-    to den = 2^31 - 2 (2^30 - 1, order 30)."""
+def table_angles(draw, nonperiodic=True):
+    """num/den, den < 2^31, with an orbit n = e + L on either side of the
+    crossover: an odd part below 2^12, or a Mersenne pair below 2^30, up to
+    den = 2^31 - 2 (2^30 - 1, order 30).  A nonperiodic draw has an even
+    den and an odd num; any other draw any num over any such den."""
     m = draw(st.one_of(st.integers(0, (1 << 11) - 1).map(lambda i: 2 * i + 1),
                        mersenne_pairs.filter(lambda m: m < 1 << 30)))
-    den = m << draw(st.integers(1, (((1 << 31) - 1) // m).bit_length() - 1))
+    den = m << draw(st.integers(int(nonperiodic), (((1 << 31) - 1) // m).bit_length() - 1))
+    if not nonperiodic:
+        return F(draw(st.integers(0, den - 1)), den)
     return F(2 * draw(st.integers(0, den // 2 - 1)) + 1, den)
 
 
 @settings(max_examples=200)
-@given(t=table_angles())
-@example(t=F(5, 2 * 71))  # 71 has order 35: n = 36, the loop
-@example(t=F(7, 2 * 283))  # 283 has order 94: n = 95, the table
-@example(t=F(1, (1 << 31) - 2))  # order 30 just below 2^31: the loop
-@example(t=F(3, 2 * ((1 << 13) - 1) * ((1 << 17) - 1)))  # order 221 near 2^31: the table
-def test_x0_kernel_loop_and_table_agree_on_both_sides_of_the_crossover(t):
+@given(t=table_angles(nonperiodic=False), theta0=exact_oracles.even_generators() | table_angles())
+@example(t=F(5, 2 * 71), theta0=F(5, 2 * 71))  # 71 has order 35: n = 36, the loop
+@example(t=F(7, 2 * 283), theta0=F(7, 2 * 283))  # 283 has order 94: n = 95, the table
+@example(t=F(1, (1 << 31) - 2), theta0=F(1, (1 << 31) - 2))  # order 30 just below 2^31: the loop
+# order 221 near 2^31: the table
+@example(t=F(3, 2 * ((1 << 13) - 1) * ((1 << 17) - 1)),
+         theta0=F(3, 2 * ((1 << 13) - 1) * ((1 << 17) - 1)))
+@example(t=F(5, 283), theta0=F(1, 6))  # a periodic t, order 94: the table
+@example(t=F(0), theta0=F(5, 12))
+def test_x0_kernel_loop_and_table_agree_on_both_sides_of_the_crossover(t, theta0):
     num, den = t.numerator, t.denominator
     e = (den & -den).bit_length() - 1
     L = _order_of_two(den >> e)
+    T = theta0.numerator * den // theta0.denominator
     assert den < 1 << 31
-    loop = _interleaved_by_loop(num, den, e, L)
-    assert loop == _interleaved_by_table(num, den, e, L) == _interleaved_bit_ints(t)
+    loop = _interleaved_by_loop(num, den, T, e, L)
+    assert loop == _interleaved_by_table(num, den, T, e, L) == _interleaved_bit_ints(t, theta0)
     assert loop[1] == e and loop[3] == L
 
 
 def test_x0_kernel_examples_lie_on_both_sides_of_the_crossover():
     def n(t):
-        return sum(_interleaved_bit_ints(t)[1::2])
+        return sum(_interleaved_bit_ints(t, t)[1::2])
 
     loop = [F(5, 2 * 71), F(1, (1 << 31) - 2)]
     table = [F(7, 2 * 283), F(3, 2 * ((1 << 13) - 1) * ((1 << 17) - 1))]
@@ -410,7 +418,7 @@ def test_x0_kernel_examples_lie_on_both_sides_of_the_crossover():
 def test_x0_and_critical_address_at_a_61_bit_mersenne_denominator():
     # 2^61 - 1 is prime: trial division up to its square root never ends
     t = F(1, 2 * ((1 << 61) - 1))
-    num, den = _x0_digit_pair(t)
+    num, den = _cumulative_pair(t, t)
     x0 = oracle.x0_digit_stream(t)
     assert x0_digits(t) == F(num, den) == x0.to_fraction()
     assert TupleStream.of(x0_digit_stream(t)) == x0

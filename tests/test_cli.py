@@ -723,6 +723,38 @@ def test_raster_pixel_budget_refuses_before_allocating(tmp_path, monkeypatch, ca
     assert asked == [(2048, 2048), (2049, 2049)]
 
 
+@pytest.mark.parametrize("samples, cap, work", [
+    (64, 2048, 554591978496),           # the default sample count at cap 2048
+    (4096, 4096, 282712481005568),      # both flags at their caps
+    (4096, 35, 270729216),              # the first cap past the budget at 4096 samples
+])
+def test_semiconj_budget_refuses_before_bisecting(capsys, samples, cap, work):
+    code, out, err = run(capsys, "angle", "semiconj", "--theta", "1/6",
+                         "--samples", str(samples), "--cap", str(cap))
+    assert code == 64 and out == ""
+    assert "predicted semiconj work %d exceeds the cap %d" % (work, 1 << 28) in err
+    assert "--unsafe-limits" in err
+
+
+def test_semiconj_budget_admits_the_default_and_lifts(monkeypatch, capsys):
+    import v2lam.measure
+
+    check = v2lam.measure.semiconjugacy_check
+    asked = []
+
+    def small(theta0, samples, M):
+        asked.append((len(samples), M))
+        return check(theta0, samples[:2], min(M, 24))
+
+    monkeypatch.setattr(v2lam.measure, "semiconjugacy_check", small)
+    argv = ("angle", "semiconj", "--theta", "1/6")
+    for extra in ((), ("--samples", "4096", "--cap", "34"),
+                  ("--samples", "4096", "--cap", "35", "--unsafe-limits")):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0 and out.startswith("samples ")
+    assert asked == [(64, 24), (4096, 34), (4096, 35)]
+
+
 def test_dyn_green_bounded_orbit_admits_n_past_1023(capsys):
     # -1 is a superattracting fixed point at a = 1; 2.0 ** n overflows from n = 1024
     assert run(capsys, "dyn", "green", "--a", "1", "--z=-1,0", "--n", "4096") == (0, "G = 0\n", "")

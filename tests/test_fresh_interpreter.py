@@ -5,7 +5,8 @@ exact and numeric module, runs one argv through ``v2lam.cli.main`` in its
 own empty directory, and reports on stderr whether numpy was loaded.  The
 exact layers, the scalar numerics and the ray tracers load no numpy; only
 the array kernels (the rasters, fixed points, the trap radii, the ray
-leaves and the x0 table of long orbits) import it, on their first call.
+leaves and the digit table of long orbits behind x0 and the uncapped
+blow-up cumulative F) import it, on their first call.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ def fresh_run(cwd: Path, argv: list[str], hash_seed: str = "0"):
 
 NUMPY_FREE = [
     [],
+    ["angle", "x0", "--theta", "1/6"],
+    ["angle", "h-arc", "--z", "1/4", "--theta", "1/2"],
+    ["angle", "mu", "--z", "1/2", "--theta", "1/2"],
+    ["angle", "semiconj", "--theta", "1/6", "--samples", "8", "--cap", "12"],
     ["dyn", "green", "--a", "6", "--z", "3,1", "--boettcher", "--orbit", "3"],
     ["dyn", "ray", "--a", "6", "--base", "inf", "--theta", "0", "--out", "ray.csv"],
     ["dyn", "ray", "--a=-0.37,-2.97", "--base", "0", "--theta", "1/6"],
@@ -65,9 +70,13 @@ def test_exact_and_scalar_commands_load_no_numpy(tmp_path, argv):
 
 
 def test_array_kernels_load_numpy(tmp_path):
-    # the control: the script does see numpy once a command needs it
-    code, _, _, numpy_loaded = fresh_run(tmp_path, ["dyn", "fixed", "--a", "6"])
-    assert code == 0 and numpy_loaded
+    # the control: the script does see numpy once a command needs it; the
+    # uncapped F of an orbit of 8053 digits runs the digit kernel's table
+    for argv in (["dyn", "fixed", "--a", "6"],
+                 ["angle", "h-arc", "--z", "3/16106", "--theta", "3/16106"]):
+        (tmp_path / argv[1]).mkdir()
+        code, _, _, numpy_loaded = fresh_run(tmp_path / argv[1], argv)
+        assert code == 0 and numpy_loaded
 
 
 HASH_SEED_ARGVS = [

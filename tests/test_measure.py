@@ -2,11 +2,11 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
-from v2lam.angles import DomainError, double, x0_digits
+from v2lam.angles import DomainError, double, x0_digits, x0_series
 from v2lam.measure import (
     Arc,
     _interval_gap,
@@ -75,6 +75,9 @@ def test_cumulative_exact_values():
     assert cumulative(Fr(1, 2), 0) == 0
     for t0 in (Fr(1, 2), Fr(1, 6), Fr(5, 12), Fr(3, 10)):
         assert cumulative(t0, t0) == x0_digits(t0)
+        # the series' lower end is the capped F at theta0
+        for M in range(1, 41):
+            assert x0_series(t0, M)[0] == cumulative(t0, t0, M)
 
 
 def test_cumulative_truncation_sandwich_and_pairing():
@@ -87,6 +90,15 @@ def test_cumulative_truncation_sandwich_and_pairing():
         assert fm <= fx < fm + truncation_width(M)
         # exact pairing with doubling: 4 F(t) = F(2t) mod 1
         assert (4 * cumulative(t0, t) - cumulative(t0, (2 * t) % 1)) % 1 == 0
+    # period 8052, where the Fraction oracle is too slow: non-atoms over the
+    # odd part 8053 of 3/16106 take the numpy table, the capped side does not
+    t0 = Fr(3, 16106)
+    for t in (Fr(1, 8053), Fr(5000, 8053), Fr(7, 4 * 8053), Fr(12345, 32 * 8053)):
+        fx = cumulative(t0, t)
+        for M in (0, 12, 40):
+            fm = cumulative(t0, t, M)
+            assert fm <= fx < fm + truncation_width(M)
+        assert (4 * fx - cumulative(t0, (2 * t) % 1)) % 1 == 0
 
 
 def test_cumulative_rejects_periodic():
@@ -196,6 +208,13 @@ def test_arc_str():
 @settings(max_examples=150)
 @given(t0=oracle.even_generators(), t=st.fractions(min_value=-2, max_value=2, max_denominator=600),
        M=st.one_of(st.none(), st.integers(0, 40)))
+@example(t0=Fr(5, 12), t=Fr(17, 24), M=None)  # a depth-1 atom: 2t = theta0 ties, c_1 = 0
+@example(t0=Fr(1, 6), t=Fr(0), M=None)
+@example(t0=Fr(3, 10), t=Fr(2, 7), M=None)  # periodic t
+@example(t0=Fr(1, 6), t=Fr(1, 2 * 281), M=None)  # 281 has order 70: n = 71, the loop
+@example(t0=Fr(1, 6), t=Fr(1, 2 * 228479), M=None)  # order 71: n = 72, the table
+# order 221 and den >= 2^31: the loop
+@example(t0=Fr(7, 20), t=Fr(3, 4 * ((1 << 13) - 1) * ((1 << 17) - 1)), M=None)
 def test_cumulative_matches_fraction_oracle(t0, t, M):
     assert cumulative(t0, t, M) == oracle.cumulative(t0, t, M)
 
